@@ -66,8 +66,7 @@ def cmd_verify(args) -> int:
         oracle_ok = True
         if args.oracle:
             oracle_ok = verify.statevector_check(code, circ)
-    except (verify.TooLarge, verify.InvalidLayer, verify.IndexOutOfRange,
-            verify.DimensionMismatch) as e:
+    except (verify.TooLarge, verify.DimensionMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(report.to_json())

@@ -72,13 +72,6 @@ class BitMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int) -> "BitMatrix":
-        """Build from an iterable of per-row column-index lists."""
-        rows = list(rows)
-        entries = [(i, j) for i, support in enumerate(rows) for j in support]
-        return cls.from_entries(entries, len(rows), cols)
-
-    @classmethod
     def from_entries(cls, entries: Sequence[tuple[int, int]], rows: int,
                      cols: int) -> "BitMatrix":
         """Build from (row, col) positions of the 1-bits (duplicates OR together)."""
@@ -124,11 +117,6 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
-
-    def row_weights(self) -> np.ndarray:
-        if self.cols == 0:
-            return np.zeros(self.rows, dtype=np.int64)
-        return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
@@ -219,15 +207,17 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return out
 
 
-def mul_vec(m: BitMatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; ``x`` is a 0/1 array of length m.cols."""
-    x = np.asarray(x, dtype=np.uint8) & 1
-    if x.shape != (m.cols,):
-        raise DimensionMismatch(f"vector length {x.shape} != {m.cols}")
-    idx = np.flatnonzero(x)
-    if idx.size == 0:
-        return np.zeros(m.rows, dtype=np.uint8)
-    return np.bitwise_xor.reduce(m.to_dense()[:, idx], axis=1)
+def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the set bits, in row-major order.
+
+    Only nonzero words are unpacked, so the work beyond one scan of the
+    packed words follows nnz rather than rows x cols.
+    """
+    rows, words = np.nonzero(m.data)
+    bits = np.unpackbits(m.data[rows, words].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    k, b = np.nonzero(bits)
+    return rows[k], words[k] * WORD + b
 
 
 def nnz(m: BitMatrix) -> int:
@@ -287,62 +277,3 @@ def solve(m: BitMatrix, rhs: np.ndarray) -> Optional[np.ndarray]:
         x[pcol] = int(aug[prow, wl])
     return x
 
-
-class EchelonBasis:
-    """Incrementally maintained, fully reduced echelon basis over GF(2).
-
-    Rows are 0/1 numpy arrays.  ``add`` returns True when the row enlarged
-    the span.  ``decompose`` returns the sorted indices of previously added
-    rows whose XOR equals the query, or None if the query is outside the
-    span.  The basis is kept mutually reduced (each basis row is the only
-    one with a 1 in its pivot column), so a single left-to-right reduction
-    pass is exact.
-    """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self._rows: list[np.ndarray] = []
-        self._combos: list[frozenset] = []
-        self._pivot_of: dict[int, int] = {}
-        self.n_added = 0
-
-    def _reduce(self, row: np.ndarray):
-        row = (np.asarray(row, dtype=np.uint8) & 1).copy()
-        combo: frozenset = frozenset()
-        for col in np.flatnonzero(row):
-            i = self._pivot_of.get(int(col))
-            if i is not None:
-                row ^= self._rows[i]
-                combo ^= self._combos[i]
-        return row, combo
-
-    def add(self, row: np.ndarray) -> bool:
-        idx = self.n_added
-        self.n_added += 1
-        row, combo = self._reduce(row)
-        combo ^= frozenset((idx,))
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        for j in range(len(self._rows)):
-            if self._rows[j][p]:
-                self._rows[j] = self._rows[j] ^ row
-                self._combos[j] ^= combo
-        self._pivot_of[p] = len(self._rows)
-        self._rows.append(row)
-        self._combos.append(combo)
-        return True
-
-    def decompose(self, row: np.ndarray) -> Optional[list[int]]:
-        row, combo = self._reduce(row)
-        if np.any(row):
-            return None
-        return sorted(combo)
-
-    def contains(self, row: np.ndarray) -> bool:
-        return self.decompose(row) is not None
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)

@@ -77,15 +77,15 @@ class FdscCircuit:
                 raise ValueError(f"gate target {t} outside the register")
             if c not in plus or t in plus:
                 raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
-        object.__setattr__(self, "gates", tuple(sorted(set(self.gates))))
+        gates = tuple(sorted(self.gates))
+        if len(set(gates)) != len(gates):
+            dup = next(g for g, h in zip(gates, gates[1:]) if g == h)
+            raise ValueError(f"gate {dup} repeated; two equal CX gates cancel")
+        object.__setattr__(self, "gates", gates)
 
     @property
     def gate_count(self) -> int:
         return len(self.gates)
-
-
-def gate_count(circ: FdscCircuit) -> int:
-    return circ.gate_count
 
 
 # -- subset selection ------------------------------------------------------
@@ -401,62 +401,36 @@ def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
 
 # -- cubic-code potential solve -------------------------------------------
 
+# X-stencil corner offsets by vertex-qubit slot; each starts at (0, 0, 0).
+_HAAH_X = {1: css.HAAH_X1, 2: css.HAAH_X2}
 
-def haah_phi_solve(L: int, z1: np.ndarray) -> np.ndarray:
-    """Invert the corner relation on qubit-1 values to the cube potential.
 
-    ``z1[(x*L + y)*L + z]`` holds the qubit-1 Z value at vertex (x,y,z) for
-    0 <= x,y,z <= L-1.  The relation couples each cube to three cubes
-    strictly closer to the origin, so sweeping in increasing x+y+z order is
+def haah_phi_solve(L: int, z: np.ndarray, slot: int = 1) -> np.ndarray:
+    """Invert a corner relation on one slot's Z values to the cube potential.
+
+    ``z[(x*L + y)*L + w]`` holds the slot-``slot`` Z value at vertex (x,y,w)
+    for 0 <= x,y,w <= L-1.  That value is the XOR of phi over the cubes at
+    (x,y,w) minus the slot's X-stencil offsets (``css.HAAH_X1`` or
+    ``css.HAAH_X2``).  Apart from the cube at offset 0, each lies strictly
+    closer to the origin, so sweeping in increasing x+y+w order is
     triangular and always solvable; out-of-range cubes count as zero.
     """
-    z1 = np.asarray(z1, dtype=np.uint8) & 1
-    if z1.shape != (L ** 3,):
-        raise ValueError(f"z1 must have L^3 = {L**3} entries")
+    z = np.asarray(z, dtype=np.uint8) & 1
+    if z.shape != (L ** 3,):
+        raise ValueError(f"z must have L^3 = {L**3} entries")
+    offsets = _HAAH_X[slot][1:]
     phi = np.zeros(L ** 3, dtype=np.uint8)
-
-    def at(x, y, z):
-        if x < 0 or y < 0 or z < 0:
-            return 0
-        return phi[(x * L + y) * L + z]
-
     for ssum in range(3 * L - 2):
         for x in range(min(ssum, L - 1) + 1):
             for y in range(min(ssum - x, L - 1) + 1):
-                z = ssum - x - y
-                if not 0 <= z <= L - 1:
+                zc = ssum - x - y
+                if not 0 <= zc <= L - 1:
                     continue
-                idx = (x * L + y) * L + z
-                phi[idx] = (z1[idx] ^ at(x, y - 1, z - 1)
-                            ^ at(x - 1, y, z - 1) ^ at(x - 1, y - 1, z))
-    return phi
-
-
-def haah_phi_solve_adjacent(L: int, z2: np.ndarray) -> np.ndarray:
-    """Mirror solve for the qubit-2 corner relation (axis-adjacent cubes).
-
-    ``z2[(x*L + y)*L + z]`` holds the qubit-2 Z value at vertex (x,y,z) for
-    0 <= x,y,z <= L-1; same triangular sweep as :func:`haah_phi_solve`.
-    """
-    z2 = np.asarray(z2, dtype=np.uint8) & 1
-    if z2.shape != (L ** 3,):
-        raise ValueError(f"z2 must have L^3 = {L**3} entries")
-    phi = np.zeros(L ** 3, dtype=np.uint8)
-
-    def at(x, y, z):
-        if x < 0 or y < 0 or z < 0:
-            return 0
-        return phi[(x * L + y) * L + z]
-
-    for ssum in range(3 * L - 2):
-        for x in range(min(ssum, L - 1) + 1):
-            for y in range(min(ssum - x, L - 1) + 1):
-                z = ssum - x - y
-                if not 0 <= z <= L - 1:
-                    continue
-                idx = (x * L + y) * L + z
-                phi[idx] = (z2[idx] ^ at(x - 1, y, z)
-                            ^ at(x, y - 1, z) ^ at(x, y, z - 1))
+                v = z[(x * L + y) * L + zc]
+                for dx, dy, dz in offsets:
+                    if x >= dx and y >= dy and zc >= dz:
+                        v ^= phi[((x - dx) * L + y - dy) * L + zc - dz]
+                phi[(x * L + y) * L + zc] = v
     return phi
 
 
@@ -475,12 +449,11 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
     for x in range(L + 1):
         for y in range(L + 1):
             for zc in range(L + 1):
-                v1 = (at(x, y, zc) ^ at(x, y - 1, zc - 1)
-                      ^ at(x - 1, y, zc - 1) ^ at(x - 1, y - 1, zc))
-                v2 = (at(x, y, zc) ^ at(x - 1, y, zc)
-                      ^ at(x, y - 1, zc) ^ at(x, y, zc - 1))
-                z[css.haah_qubit_index(L, x, y, zc, 1)] = v1
-                z[css.haah_qubit_index(L, x, y, zc, 2)] = v2
+                for slot, offsets in _HAAH_X.items():
+                    v = 0
+                    for dx, dy, dz in offsets:
+                        v ^= at(x - dx, y - dy, zc - dz)
+                    z[css.haah_qubit_index(L, x, y, zc, slot)] = v
     return z
 
 

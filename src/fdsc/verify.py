@@ -1,32 +1,34 @@
-"""Exact verification of one-layer CX circuits by stabilizer propagation,
-with a brute-force state-vector oracle at toy sizes.
+"""Exact verification of one-layer CX circuits against a CSS code, with a
+brute-force state-vector oracle at toy sizes.
 
-States are tracked as stabilizer tableaus: one generator per qubit, each a
-signed Pauli product stored as an X-mask row, a Z-mask row, and a sign bit
-(0 for +1).  Paulis use the X^x Z^z convention per qubit, so multiplying
-P1 * P2 picks up (-1)^(z1 . x2).
+A circuit prepares |+> on S and |0> elsewhere, then applies CX gates whose
+controls lie in S and whose targets lie outside it.  Its output is the
+uniform superposition over the column span of M_c, the N x |S| matrix with
+the identity on the S rows and a 1 at (t, c) for every gate (c, t).  That is
+a CSS state: its stabilizer group is X^v for v in the column span of M_c
+and Z^w for w orthogonal to every column, all with sign +1.  So:
+
+* X generator a holds iff a == M_c a|_S, the only candidate combination
+  since M_c is the identity on S: for every t outside S, a[t] equals the
+  XOR of a over t's controls.
+* Z generator b holds iff b is orthogonal to every column of M_c: for
+  every s in S, b[s] equals the XOR of b over s's targets.
+
+Both checks are exact and need no elimination and no sign bookkeeping.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gf2
 from .css import CssCode
-from .gf2 import BitMatrix, DimensionMismatch, EchelonBasis
+from .gf2 import BitMatrix, DimensionMismatch
 from .synth import FdscCircuit
-
-
-class IndexOutOfRange(ValueError):
-    """A qubit index is outside the register."""
-
-
-class InvalidLayer(ValueError):
-    """Controls and targets overlap; not a valid one-layer circuit."""
 
 
 class TooLarge(ValueError):
@@ -37,110 +39,15 @@ STATEVECTOR_CAP = 20
 
 
 @dataclass(frozen=True)
-class SymplecticState:
+class CssState:
+    """Circuit output in CSS form: |+> on ``plus``, |0> elsewhere, then
+    CX(controls[i], targets[i]) for every i.  M_c is the identity on the
+    ``plus`` rows plus a 1 at (targets[i], controls[i])."""
+
     n_qubits: int
-    stab_x: BitMatrix
-    stab_z: BitMatrix
-    signs: np.ndarray
-
-    def __post_init__(self):
-        n = self.n_qubits
-        if (self.stab_x.rows != n or self.stab_z.rows != n
-                or self.stab_x.cols != n or self.stab_z.cols != n
-                or self.signs.shape != (n,)):
-            raise DimensionMismatch("tableau must be n generators over n qubits")
-
-    def generator(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
-        x = self.stab_x.to_dense()[i]
-        z = self.stab_z.to_dense()[i]
-        return x, z, int(self.signs[i])
-
-
-def initial_state(n: int, plus_qubits: Iterable[int]) -> SymplecticState:
-    """Product state |+> on the given qubits and |0> on the rest."""
-    plus = sorted(set(int(q) for q in plus_qubits))
-    if plus and not (0 <= plus[0] and plus[-1] < n):
-        raise IndexOutOfRange(f"plus qubits outside 0..{n - 1}")
-    sx = BitMatrix.zeros(n, n)
-    sz = BitMatrix.zeros(n, n)
-    in_plus = np.zeros(n, dtype=bool)
-    in_plus[plus] = True
-    for i in range(n):
-        (sx if in_plus[i] else sz).set(i, i, 1)
-    return SymplecticState(n, sx, sz, np.zeros(n, dtype=np.uint8))
-
-
-def _col_bits(m: BitMatrix, j: int) -> np.ndarray:
-    w, b = divmod(j, 64)
-    return ((m.data[:, w] >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
-
-
-def _col_xor(m: BitMatrix, j: int, bits: np.ndarray) -> None:
-    w, b = divmod(j, 64)
-    m.data[:, w] ^= bits.astype(np.uint64) << np.uint64(b)
-
-
-def apply_cx_layer(state: SymplecticState,
-                   gates: Sequence[tuple[int, int]]) -> SymplecticState:
-    """Conjugate every generator by the commuting CX layer.
-
-    X on a control spreads to its target, Z on a target spreads to its
-    control.  In the X^x Z^z phase convention the exponent updates never
-    reorder an X past a Z on the same qubit, so CX conjugation leaves every
-    sign bit unchanged; signs are still carried so membership tests stay
-    honest about the +1 eigenvalue.
-    """
-    controls = {c for c, _ in gates}
-    targets = {t for _, t in gates}
-    if controls & targets:
-        raise InvalidLayer("control and target sets overlap")
-    for q in controls | targets:
-        if not 0 <= q < state.n_qubits:
-            raise IndexOutOfRange(q)
-    sx = state.stab_x.copy()
-    sz = state.stab_z.copy()
-    for c, t in gates:
-        xc = _col_bits(sx, c)
-        zt = _col_bits(sz, t)
-        _col_xor(sx, t, xc)
-        _col_xor(sz, c, zt)
-    return SymplecticState(state.n_qubits, sx, sz, state.signs.copy())
-
-
-class _GroupMembership:
-    """Decides membership of signed Paulis in the generated stabilizer group."""
-
-    def __init__(self, state: SymplecticState):
-        self.state = state
-        self.xs = state.stab_x.to_dense()
-        self.zs = state.stab_z.to_dense()
-        self.basis = EchelonBasis(2 * state.n_qubits)
-        for i in range(state.n_qubits):
-            self.basis.add(np.concatenate([self.xs[i], self.zs[i]]))
-
-    def contains(self, x_mask: np.ndarray, z_mask: np.ndarray,
-                 sign: int = 0) -> bool:
-        target = np.concatenate([x_mask, z_mask]).astype(np.uint8) & 1
-        combo = self.basis.decompose(target)
-        if combo is None:
-            return False
-        acc_z = np.zeros(self.state.n_qubits, dtype=np.uint8)
-        r = 0
-        for i in combo:
-            r ^= int(self.state.signs[i])
-            r ^= int(np.bitwise_and(acc_z, self.xs[i]).sum() & 1)
-            acc_z ^= self.zs[i]
-        return r == (sign & 1)
-
-
-def contains_stabilizer(state: SymplecticState, x_mask: np.ndarray,
-                        z_mask: np.ndarray) -> bool:
-    """True iff the +1-signed Pauli X^x Z^z is a product of the generators."""
-    x_mask = np.asarray(x_mask, dtype=np.uint8) & 1
-    z_mask = np.asarray(z_mask, dtype=np.uint8) & 1
-    if x_mask.shape != (state.n_qubits,) or z_mask.shape != (state.n_qubits,):
-        raise DimensionMismatch("mask length != n_qubits")
-    return _GroupMembership(state).contains(x_mask, z_mask)
+    plus: np.ndarray
+    controls: np.ndarray
+    targets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,25 +65,49 @@ class VerifyReport:
                           sort_keys=True, separators=(",", ":"))
 
 
-def final_state(circ: FdscCircuit) -> SymplecticState:
-    return apply_cx_layer(initial_state(circ.n_qubits, circ.plus_qubits),
-                          circ.gates)
+def final_state(circ: FdscCircuit) -> CssState:
+    gates = np.fromiter(itertools.chain.from_iterable(circ.gates),
+                        dtype=np.int64, count=2 * len(circ.gates)).reshape(-1, 2)
+    return CssState(circ.n_qubits, np.asarray(circ.plus_qubits, dtype=np.int64),
+                    gates[:, 0], gates[:, 1])
+
+
+def _failed_generators(gens: BitMatrix, src: np.ndarray, dst: np.ndarray,
+                       checked: np.ndarray) -> tuple[int, ...]:
+    """Sorted indices of the generators (columns) g of ``gens`` for which
+    g[q] differs from the XOR of g[src[i]] over all i with dst[i] == q, at
+    some checked qubit q.  Every ``dst`` entry must be a checked qubit.
+
+    The parities are counted over (generator, qubit) pairs: each set bit of
+    ``gens`` in a checked row, plus each set bit of row src[i] moved to row
+    dst[i].  Cost is nnz plus the summed row weights of ``src``.
+    """
+    q, g = gf2.nonzero(gens)
+    weight = np.bincount(q, minlength=gens.rows)
+    row_start = np.cumsum(weight) - weight
+    # positions in (q, g) of the set bits of rows src[0], src[1], ...
+    w = weight[src]
+    spread = np.arange(w.sum()) + np.repeat(row_start[src] - (np.cumsum(w) - w), w)
+    keep = checked[q]
+    n = gens.rows
+    keys = np.concatenate([g[keep] * n + q[keep],
+                           g[spread] * n + np.repeat(dst, w)])
+    pairs, counts = np.unique(keys, return_counts=True)
+    return tuple(np.unique(pairs[counts & 1 == 1] // n).tolist())
 
 
 def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:
     """Check every X and Z generator of the code against the output state."""
     if circ.n_qubits != code.n_qubits:
         raise DimensionMismatch("circuit and code qubit counts differ")
-    member = _GroupMembership(final_state(circ))
-    zeros = np.zeros(code.n_qubits, dtype=np.uint8)
-    xcols = code.x_stabs.to_dense()
-    zcols = code.z_stabs.to_dense()
-    failed_x = [j for j in range(code.n_x)
-                if not member.contains(xcols[:, j], zeros)]
-    failed_z = [j for j in range(code.n_z)
-                if not member.contains(zeros, zcols[:, j])]
-    return VerifyReport(not failed_x and not failed_z,
-                        tuple(failed_x), tuple(failed_z),
+    state = final_state(circ)
+    in_s = np.zeros(code.n_qubits, dtype=bool)
+    in_s[state.plus] = True
+    failed_x = _failed_generators(code.x_stabs, state.controls, state.targets,
+                                  ~in_s)
+    failed_z = _failed_generators(code.z_stabs, state.targets, state.controls,
+                                  in_s)
+    return VerifyReport(not failed_x and not failed_z, failed_x, failed_z,
                         code.n_x + code.n_z)
 
 

@@ -81,6 +81,17 @@ def test_verify_corrupted_circuit(tmp_path, capsys):
     assert report["failed_x"] or report["failed_z"]
 
 
+def test_verify_rejects_repeated_gate(tmp_path, capsys):
+    # two equal CX gates cancel, so the file does not describe the GHZ state
+    circ = tmp_path / "ghz3.json"
+    circ.write_text(json.dumps({"version": 1, "n_qubits": 3, "plus_qubits": [0],
+                                "gates": [[0, 1], [0, 2], [0, 1]]}))
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(circ), "--code",
+                          "ghz", "--size", "3")
+    assert rc == 2
+    assert stdout == "" and "repeated" in err
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

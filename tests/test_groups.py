@@ -94,7 +94,7 @@ def test_abelian_depth_independent_of_n():
     assert depths == {1}
 
 
-def test_d4_network_против_oracle_random():
+def test_d4_network_against_oracle_random():
     g, series = make_dihedral(4)
     assert groups.random_check(g, series, 16, trials=1000, seed=1)
 

@@ -213,6 +213,8 @@ def test_fdsc_circuit_rejects_bad_gate():
         FdscCircuit(3, (0,), ((0, 7),))
     with pytest.raises(ValueError):
         FdscCircuit(2, (5,), ())
+    with pytest.raises(ValueError, match="repeated"):
+        FdscCircuit(3, (0,), ((0, 1), (0, 2), (0, 1)))
 
 
 def test_circuit_serialization_round_trip():
@@ -239,7 +241,7 @@ def test_phi_round_trip(L):
     assert np.array_equal(synth.haah_phi_solve(L, z1), phi)
     z2 = np.array([z[css.haah_qubit_index(L, x, y, zz, 2)]
                    for x in range(L) for y in range(L) for zz in range(L)])
-    assert np.array_equal(synth.haah_phi_solve_adjacent(L, z2), phi)
+    assert np.array_equal(synth.haah_phi_solve(L, z2, slot=2), phi)
 
 
 def test_phi_single_seed_fractal_vs_reconstruction():
@@ -272,7 +274,7 @@ def test_canonical_columns_match_adjacent_solve():
     for probe in (0, 7, 13):
         z2 = np.zeros(L ** 3, dtype=np.uint8)
         z2[probe] = 1
-        phi = synth.haah_phi_solve_adjacent(L, z2)
+        phi = synth.haah_phi_solve(L, z2, slot=2)
         assert np.array_equal(m[:, probe], synth.haah_z_from_phi(L, phi))
 
 

@@ -1,15 +1,18 @@
-"""Stabilizer propagation, membership, state-vector oracle, mutation checks."""
+"""CSS-state verifier against the tableau and state-vector oracles; the
+tableau oracle's own propagation and membership; mutation checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from conftest import random_css_code
+import tableau_oracle as tableau
+from conftest import dense_rank, random_css_code
 from fdsc import css, gf2, synth, verify
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import FdscCircuit, SubsetS
-from fdsc.verify import (InvalidLayer, SymplecticState, TooLarge,
-                         apply_cx_layer, contains_stabilizer, initial_state,
-                         statevector_check, verify_circuit)
+from fdsc.verify import TooLarge, statevector_check, verify_circuit
+from tableau_oracle import (InvalidLayer, SymplecticState, apply_cx_layer,
+                            contains_stabilizer, initial_state)
 
 
 def gen_masks(state):
@@ -21,7 +24,6 @@ def state_is_wellformed(state):
     x, z = gen_masks(state)
     sym = (x.astype(int) @ z.T.astype(int) + z.astype(int) @ x.T.astype(int)) % 2
     full = np.hstack([x, z])
-    from conftest import dense_rank
     return not sym.any() and dense_rank(full) == state.n_qubits
 
 
@@ -46,7 +48,7 @@ def test_initial_state_mixed():
 
 
 def test_initial_state_index_range():
-    with pytest.raises(verify.IndexOutOfRange):
+    with pytest.raises(tableau.IndexOutOfRange):
         initial_state(2, [2])
 
 
@@ -75,14 +77,14 @@ def test_membership_sign_accumulation():
     st = SymplecticState(2, BitMatrix.from_dense([[1, 0], [0, 0]]),
                          BitMatrix.from_dense([[1, 0], [0, 1]]),
                          np.zeros(2, dtype=np.uint8))
-    member = verify._GroupMembership(st)
+    member = tableau.GroupMembership(st)
     assert member.contains(np.array([1, 0]), np.array([1, 1]), sign=0)
     # (X0 Z1)(Z0 X1) = -(X0 Z0)(X1 Z1): commuting pair whose canonical
     # product reorders Z1 past X1
     st2 = SymplecticState(2, BitMatrix.from_dense([[1, 0], [0, 1]]),
                           BitMatrix.from_dense([[0, 1], [1, 0]]),
                           np.zeros(2, dtype=np.uint8))
-    member2 = verify._GroupMembership(st2)
+    member2 = tableau.GroupMembership(st2)
     one = np.array([1, 1])
     assert member2.contains(one, one, sign=1)
     assert not member2.contains(one, one, sign=0)
@@ -102,7 +104,7 @@ def test_layer_rejects_overlap():
 
 def test_ghz3_final_generators():
     circ = synth.synthesize(css.build_ghz(3), "greedy")
-    st = verify.final_state(circ)
+    st = tableau.final_state(circ)
     assert contains_stabilizer(st, np.array([1, 1, 1]), np.zeros(3, dtype=int))
     assert contains_stabilizer(st, np.zeros(3, dtype=int), np.array([1, 1, 0]))
     assert contains_stabilizer(st, np.zeros(3, dtype=int), np.array([1, 0, 1]))
@@ -110,7 +112,7 @@ def test_ghz3_final_generators():
 
 def test_membership_rejects_anticommuting():
     circ = synth.synthesize(css.build_ghz(3), "greedy")
-    st = verify.final_state(circ)
+    st = tableau.final_state(circ)
     assert not contains_stabilizer(st, np.zeros(3, dtype=int),
                                    np.array([1, 0, 0]))
 
@@ -118,7 +120,7 @@ def test_membership_rejects_anticommuting():
 def test_toric_l3_all_plaquettes_stabilize():
     code = css.build_toric(3)
     circ = synth.synthesize(code, "toric_comb")
-    st = verify.final_state(circ)
+    st = tableau.final_state(circ)
     z = code.z_stabs.to_dense()
     zeros = np.zeros(code.n_qubits, dtype=np.uint8)
     for j in range(code.n_z):
@@ -130,20 +132,20 @@ def test_layer_preserves_state_invariants(layer_seed):
     rng = np.random.default_rng(layer_seed)
     code = random_css_code(rng, n_max=12)
     circ = synth.synthesize(code, "greedy")
-    st = verify.final_state(circ)
+    st = tableau.final_state(circ)
     assert state_is_wellformed(st)
 
 
 def test_gate_order_independence():
     code = css.build_toric(2)
     circ = synth.synthesize(code, "toric_comb")
-    st1 = verify.final_state(circ)
+    st1 = tableau.final_state(circ)
     rng = np.random.default_rng(3)
     perm = list(circ.gates)
     rng.shuffle(perm)
     st2 = apply_cx_layer(initial_state(circ.n_qubits, circ.plus_qubits), perm)
-    m1 = verify._GroupMembership(st1)
-    m2 = verify._GroupMembership(st2)
+    m1 = tableau.GroupMembership(st1)
+    m2 = tableau.GroupMembership(st2)
     x1, z1 = gen_masks(st1)
     x2, z2 = gen_masks(st2)
     for i in range(st1.n_qubits):
@@ -186,6 +188,108 @@ def test_report_json():
     assert report.to_json() == '{"failed_x":[],"failed_z":[],"n_checked":3,"pass":true}'
 
 
+def test_final_state_css_form():
+    circ = synth.synthesize(css.build_ghz(3), "greedy")
+    state = verify.final_state(circ)
+    assert state.n_qubits == 3
+    assert state.plus.tolist() == [0]
+    assert state.controls.tolist() == [0, 0]
+    assert state.targets.tolist() == [1, 2]
+
+
+# -- differential checks against the tableau and state-vector oracles --------
+
+
+def statevector_failures(code, circ):
+    """(failed_x, failed_z) read off the output state vector: X^a permutes
+    basis labels by XOR with a, Z^b negates labels with odd overlap with b."""
+    vec = verify.circuit_statevector(circ)
+    labels = np.arange(vec.size)
+
+    def mask(col):
+        return sum(1 << int(q) for q in np.flatnonzero(col))
+
+    x = code.x_stabs.to_dense()
+    z = code.z_stabs.to_dense()
+    failed_x = tuple(j for j in range(code.n_x)
+                     if not np.allclose(vec[labels ^ mask(x[:, j])], vec))
+    failed_z = tuple(j for j in range(code.n_z)
+                     if not np.allclose(vec[np.bitwise_count(
+                         labels & mask(z[:, j])) & 1 == 1], 0))
+    return failed_x, failed_z
+
+
+def assert_matches_oracles(code, circ):
+    rep = verify_circuit(code, circ)
+    assert (rep.failed_x, rep.failed_z, rep.n_checked) == \
+        tableau.tableau_verify(code, circ)
+    assert rep.passed == (not rep.failed_x and not rep.failed_z)
+    if code.n_qubits <= verify.STATEVECTOR_CAP:
+        assert (rep.failed_x, rep.failed_z) == statevector_failures(code, circ)
+    return rep
+
+
+def one_gate_mutants(circ, seed, count):
+    """Seeded circuits with one gate dropped or one absent gate added,
+    alternately (drops only when every control-target pair is present)."""
+    rng = np.random.default_rng(seed)
+    plus = set(circ.plus_qubits)
+    present = set(circ.gates)
+    absent = [(c, t) for c in circ.plus_qubits for t in range(circ.n_qubits)
+              if t not in plus and (c, t) not in present]
+    for k in range(count):
+        if k % 2 == 0 or not absent:
+            i = int(rng.integers(len(circ.gates)))
+            gates = circ.gates[:i] + circ.gates[i + 1:]
+        else:
+            gates = circ.gates + (absent[int(rng.integers(len(absent)))],)
+        yield FdscCircuit(circ.n_qubits, circ.plus_qubits, gates, {})
+
+
+@pytest.mark.parametrize("family,size,strategy", [
+    ("ghz", 5, "greedy"), ("ghz", 12, "greedy"),
+    ("toric", 2, "toric_comb"), ("toric", 3, "toric_comb"),
+    ("toric", 3, "greedy"), ("toric", 4, "toric_comb"),
+    ("toric", 4, "toric_recursive"), ("toric", 5, "greedy"),
+    ("toric", 6, "toric_comb"),
+    ("xcube", 2, "xcube_dual_trees"), ("xcube", 3, "xcube_dual_trees"),
+    ("haah", 1, "haah_canonical"), ("haah", 2, "haah_canonical"),
+    ("haah", 3, "haah_canonical")])
+def test_matches_oracles_on_one_gate_mutants(family, size, strategy):
+    code = css.build_family(family, size)
+    circ = synth.synthesize(code, strategy)
+    assert assert_matches_oracles(code, circ).passed
+    for mut in one_gate_mutants(circ, seed=size, count=12):
+        rep = assert_matches_oracles(code, mut)
+        assert not rep.passed
+        if code.n_qubits <= verify.STATEVECTOR_CAP:
+            assert not statevector_check(code, mut)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=strategies.integers(0, 2 ** 32 - 1),
+       synthesized=strategies.booleans(), flips=strategies.integers(0, 2))
+def test_matches_oracles_on_random_layers(seed, synthesized, flips):
+    """Random codes with either a random layer on a random |+> set, or the
+    synthesized circuit with up to two control-target pairs toggled."""
+    rng = np.random.default_rng(seed)
+    code = random_css_code(rng, n_max=12)
+    n = code.n_qubits
+    if synthesized:
+        circ = synth.synthesize(code, "greedy", seed=seed)
+        plus, gates = circ.plus_qubits, set(circ.gates)
+    else:
+        plus = tuple(int(q) for q in np.flatnonzero(rng.random(n) < 0.5))
+        gates = set()
+    pairs = [(c, t) for c in plus for t in range(n) if t not in plus]
+    if pairs:
+        if not synthesized:
+            gates = {p for p in pairs if rng.random() < 0.3}
+        for _ in range(flips):
+            gates ^= {pairs[int(rng.integers(len(pairs)))]}
+    assert_matches_oracles(code, FdscCircuit(n, plus, tuple(gates)))
+
+
 # -- state-vector oracle ------------------------------------------------------
 
 
@@ -211,6 +315,7 @@ def test_trivial_code_statevector():
     circ = synth.synthesize(code, "greedy")
     vec = verify.circuit_statevector(circ)
     assert vec[0] == 1.0 and np.count_nonzero(vec) == 1
+    assert verify_circuit(code, circ).passed
 
 
 def test_statevector_cap():
@@ -233,7 +338,8 @@ def test_verifiers_agree_on_random_codes(seed):
     rng = np.random.default_rng(900 + seed)
     code = random_css_code(rng, n_max=12)
     circ = synth.synthesize(code, "greedy")
-    assert verify_circuit(code, circ).passed == statevector_check(code, circ)
+    rep = assert_matches_oracles(code, circ)
+    assert rep.passed == statevector_check(code, circ)
 
 
 def test_verifiers_agree_on_broken_circuit():
