@@ -16,6 +16,7 @@ Qubit indexing conventions (stable, used by golden tests and file formats):
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -56,16 +57,20 @@ class CssCode:
             raise ParseError("stabilizer matrices must have n_qubits rows")
         if self.family not in FAMILIES:
             raise ParseError(f"unknown family {self.family!r}")
-        for name, m in (("x", self.x_stabs), ("z", self.z_stabs)):
-            w = _column_weights(m)
+        q, i = gf2.nonzero(self.x_stabs)
+        for name, m, cols in (("x", self.x_stabs, i),
+                              ("z", self.z_stabs, gf2.nonzero(self.z_stabs)[1])):
+            w = np.bincount(cols, minlength=m.cols)
             if w.size and w.min() == 0:
                 raise ParseError(
                     f"{name}_stabs column {int(np.argmin(w))} is empty")
-        overlap = _overlap_product(self.x_stabs, self.z_stabs)
-        if gf2.nnz(overlap):
-            dense = overlap.to_dense()
-            i, j = map(int, np.argwhere(dense)[0])
-            raise CommutationViolation(i, j)
+        # X generator i and Z generator j anticommute when they share an odd
+        # number of qubits: count the pairs (i, j) over every shared qubit.
+        k, j = gf2.row_spread(self.z_stabs, q)
+        pairs, counts = np.unique(i[k] * self.n_z + j, return_counts=True)
+        odd = pairs[counts & 1 == 1]
+        if odd.size:
+            raise CommutationViolation(*map(int, divmod(odd[0], self.n_z)))
 
     @property
     def n_x(self) -> int:
@@ -74,28 +79,6 @@ class CssCode:
     @property
     def n_z(self) -> int:
         return self.z_stabs.cols
-
-
-def _column_weights(m: BitMatrix) -> np.ndarray:
-    """Per-column popcounts without materializing the dense transpose."""
-    counts = np.zeros(m.cols, dtype=np.int64)
-    for q in range(m.rows):
-        row = np.unpackbits(m.data[q:q + 1].view(np.uint8),
-                            bitorder="little")[:m.cols]
-        counts += row
-    return counts
-
-
-def _overlap_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a^T b over GF(2), accumulated row by row (a is tall and row-sparse)."""
-    out = BitMatrix.zeros(a.cols, b.cols)
-    for q in range(a.rows):
-        row = np.unpackbits(a.data[q:q + 1].view(np.uint8),
-                            bitorder="little")[:a.cols]
-        idx = np.flatnonzero(row)
-        if idx.size:
-            out.data[idx] ^= b.data[q]
-    return out
 
 
 # -- lattice index helpers ------------------------------------------------
@@ -155,10 +138,8 @@ def build_ghz(n: int) -> CssCode:
     if n < 2:
         raise InvalidSize("GHZ needs n >= 2")
     x = BitMatrix.from_dense(np.ones((n, 1), dtype=np.uint8))
-    z = BitMatrix.zeros(n, n - 1)
-    for i in range(1, n):
-        z.set(0, i - 1, 1)
-        z.set(i, i - 1, 1)
+    z = BitMatrix.from_entries([(q, i - 1) for i in range(1, n) for q in (0, i)],
+                               n, n - 1)
     return CssCode(n, x, z, family="ghz", params={"n": n})
 
 
@@ -251,6 +232,10 @@ def build_haah(L: int) -> CssCode:
     return CssCode(n, x, z, family="haah", params={"L": L})
 
 
+_FAMILY_QUBITS = {"ghz": lambda n: n, "toric": lambda L: 2 * L * L,
+                  "xcube": lambda L: 3 * L ** 3, "haah": lambda L: 2 * (L + 1) ** 3}
+
+
 def build_family(family: str, size: int) -> CssCode:
     if family == "ghz":
         return build_ghz(size)
@@ -267,8 +252,10 @@ def build_family(family: str, size: int) -> CssCode:
 
 
 def _support_lists(m: BitMatrix) -> list[list[int]]:
-    dense = m.to_dense()
-    return [sorted(map(int, np.flatnonzero(dense[:, j]))) for j in range(m.cols)]
+    q, j = gf2.nonzero(m)
+    order = np.argsort(j, kind="stable")  # by column, rows stay ascending
+    ends = np.cumsum(np.bincount(j, minlength=m.cols))
+    return [sup.tolist() for sup in np.split(q[order], ends)[:-1]]
 
 
 def serialize_code(code: CssCode) -> str:
@@ -283,33 +270,56 @@ def serialize_code(code: CssCode) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def is_json_int(v) -> bool:
+    """True for JSON integers only: true, false and 1.0 are not indices."""
+    return type(v) is int
+
+
 def parse_code(text: str) -> CssCode:
-    """Parse the JSON code format; validates all CssCode invariants."""
+    """Parse the JSON code format; validates all CssCode invariants.
+
+    Malformed input is rejected, never repaired: indices must be integers,
+    each support list strictly increasing, and a ghz/toric/xcube/haah tag
+    must name exactly the code ``build_family`` gives for its size.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
-    try:
-        if doc["version"] != 1:
-            raise ParseError(f"unsupported version {doc['version']}")
-        n = int(doc["n_qubits"])
-        xs = doc["x_stabs"]
-        zs = doc["z_stabs"]
+        version, n, xs, zs = (doc[k] for k in
+                              ("version", "n_qubits", "x_stabs", "z_stabs"))
         family = doc.get("family", "custom")
         params = doc.get("params", {})
-    except (KeyError, TypeError) as e:
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from e
+    except (KeyError, TypeError, AttributeError) as e:
         raise ParseError(f"missing field: {e}") from e
-    if n <= 0:
-        raise ParseError("n_qubits must be positive")
+    if not is_json_int(version) or version != 1:
+        raise ParseError(f"unsupported version {version!r}")
+    if not is_json_int(n) or n <= 0:
+        raise ParseError("n_qubits must be a positive integer")
+    if not isinstance(params, dict):
+        raise ParseError("params must be a JSON object")
 
-    def from_lists(lists) -> BitMatrix:
-        m = BitMatrix.zeros(n, len(lists))
+    def from_lists(name, lists) -> BitMatrix:
+        if not isinstance(lists, list):
+            raise ParseError(f"{name} must be a list of support lists")
+        entries = []
         for j, sup in enumerate(lists):
-            for q in sup:
-                q = int(q)
-                if not 0 <= q < n:
-                    raise ParseError(f"qubit index {q} out of range")
-                m.set(q, j, 1)
-        return m
+            if not (isinstance(sup, list) and all(map(is_json_int, sup))):
+                raise ParseError(f"{name}[{j}] must be a list of qubit indices")
+            if any(a >= b for a, b in itertools.pairwise([-1, *sup, n])):
+                raise ParseError(f"{name}[{j}] must increase strictly "
+                                 f"within 0..{n - 1}")
+            entries += ((q, j) for q in sup)
+        return BitMatrix.from_entries(entries, n, len(lists))
 
-    return CssCode(n, from_lists(xs), from_lists(zs), family=family, params=params)
+    code = CssCode(n, from_lists("x_stabs", xs), from_lists("z_stabs", zs),
+                   family=family, params=params)
+    size = params.get("n" if family == "ghz" else "L")
+    try:  # qubit count first: never build a family far larger than the file
+        if family != "custom" and not (
+                is_json_int(size) and _FAMILY_QUBITS[family](size) == n
+                and code == build_family(family, size)):
+            raise ParseError(f"not the {family} code that its params name")
+    except InvalidSize as e:
+        raise ParseError(str(e)) from e
+    return code

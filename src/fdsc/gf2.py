@@ -54,10 +54,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i, i >> 6] = np.uint64(1) << np.uint64(i & 63)
-        return m
+        return cls.from_entries(np.repeat(np.arange(n), 2).reshape(n, 2), n, n)
 
     @classmethod
     def from_dense(cls, arr) -> "BitMatrix":
@@ -88,19 +85,7 @@ class BitMatrix:
         np.bitwise_or.at(m.data.reshape(-1), flat, bits)
         return m
 
-    # -- element access ----------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, val: int) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        bit = np.uint64(1) << np.uint64(j & 63)
-        if val & 1:
-            self.data[i, j >> 6] |= bit
-        else:
-            self.data[i, j >> 6] &= ~bit
+    # -- conversions and copies --------------------------------------
 
     def to_dense(self) -> np.ndarray:
         if self.cols == 0:
@@ -197,45 +182,50 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.cols} != {b.rows}")
     out = BitMatrix.zeros(a.rows, b.cols)
-    if a.rows == 0 or a.cols == 0 or b.cols == 0:
-        return out
-    abits = a.to_dense()
-    for i in range(a.rows):
-        idx = np.flatnonzero(abits[i])
-        if idx.size:
-            out.data[i] = np.bitwise_xor.reduce(b.data[idx], axis=0)
+    i, k = nonzero(a)
+    if i.size and b.cols:
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        out.data[i[starts]] = np.bitwise_xor.reduceat(b.data[k], starts, axis=0)
     return out
 
 
 def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the set bits, in row-major order.
 
-    Only nonzero words are unpacked, so the work beyond one scan of the
-    packed words follows nnz rather than rows x cols.
+    After one scan of the packed words, only nonzero words are visited,
+    once per set bit (lowest bit first), so the rest of the work follows
+    nnz rather than rows x cols.
     """
     rows, words = np.nonzero(m.data)
-    bits = np.unpackbits(m.data[rows, words].view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    k, b = np.nonzero(bits)
-    return rows[k], words[k] * WORD + b
+    vals = m.data[rows, words]
+    count = np.bitwise_count(vals)
+    cols = np.empty(int(count.sum()), dtype=np.int64)
+    pos, base = np.cumsum(count) - count, words * WORD
+    while vals.size:
+        low = vals & -vals
+        cols[pos] = base + np.bitwise_count(low - 1)
+        vals ^= low
+        keep = vals != 0
+        vals, pos, base = vals[keep], pos[keep] + 1, base[keep]
+    return np.repeat(rows, count), cols
+
+
+def row_spread(m: BitMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Set bits of rows[0], rows[1], ... as pairs (i, col) with bit col set
+    in row rows[i], ordered by i and then col.  Rows may repeat."""
+    q, c = nonzero(m)
+    weight = np.bincount(q, minlength=m.rows)
+    rows = np.asarray(rows, dtype=np.int64)
+    w = weight[rows]
+    # position in (q, c) of each spread bit: its row's start plus its rank
+    start = np.cumsum(weight) - weight
+    pos = np.arange(w.sum()) + np.repeat(start[rows] - (np.cumsum(w) - w), w)
+    return np.repeat(np.arange(rows.size), w), c[pos]
 
 
 def nnz(m: BitMatrix) -> int:
     """Number of set bits (padding excluded by construction)."""
-    if m.data.size == 0:
-        return 0
     return int(np.bitwise_count(m.data).sum())
-
-
-def _hstack_identity(m: BitMatrix) -> tuple[np.ndarray, int]:
-    """Pack [m | I] with the identity starting at a word boundary."""
-    wl = _words(m.cols)
-    wr = _words(m.rows)
-    aug = np.zeros((m.rows, wl + wr), dtype=np.uint64)
-    aug[:, :wl] = m.data
-    for i in range(m.rows):
-        aug[i, wl + (i >> 6)] = np.uint64(1) << np.uint64(i & 63)
-    return aug, wl * WORD
 
 
 def right_inverse(m: BitMatrix, pivot_order: str = "forward") -> BitMatrix:
@@ -248,14 +238,15 @@ def right_inverse(m: BitMatrix, pivot_order: str = "forward") -> BitMatrix:
     if pivot_order not in ("forward", "reverse"):
         raise ValueError(pivot_order)
     cols = range(m.cols) if pivot_order == "forward" else range(m.cols - 1, -1, -1)
-    aug, off = _hstack_identity(m)
+    # [m | I] with the identity starting at a word boundary
+    aug = np.hstack([m.data, BitMatrix.identity(m.rows).data])
     pivots = _eliminate(aug, cols, reduced=True)
     if len(pivots) < m.rows:
         raise RankDeficient(f"rank {len(pivots)} < {m.rows} rows")
     out = BitMatrix.zeros(m.cols, m.rows)
-    wr = _words(m.rows)
+    off = _words(m.cols)
     for prow, pcol in pivots:
-        out.data[pcol] = aug[prow, off >> 6: (off >> 6) + wr]
+        out.data[pcol] = aug[prow, off:]
     return out
 
 
@@ -265,9 +256,7 @@ def solve(m: BitMatrix, rhs: np.ndarray) -> Optional[np.ndarray]:
     if rhs.shape != (m.rows,):
         raise DimensionMismatch(f"rhs length {rhs.shape} != {m.rows}")
     wl = _words(m.cols)
-    aug = np.zeros((m.rows, wl + 1), dtype=np.uint64)
-    aug[:, :wl] = m.data
-    aug[:, wl] = rhs
+    aug = np.hstack([m.data, rhs.astype(np.uint64)[:, None]])
     pivots = _eliminate(aug, range(m.cols), reduced=True)
     npiv = len(pivots)
     if np.any(aug[npiv:, wl]):

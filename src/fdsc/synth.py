@@ -9,6 +9,7 @@ nonzero entries are exactly the CX gates of the one-layer circuit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -47,9 +48,8 @@ class SubsetS:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        q = self.qubits
-        if any(q[i] >= q[i + 1] for i in range(len(q) - 1)):
-            object.__setattr__(self, "qubits", tuple(sorted(set(q))))
+        if any(a >= b for a, b in itertools.pairwise(self.qubits)):
+            raise InvalidSubset("subset qubits must be strictly increasing")
 
     def __len__(self):
         return len(self.qubits)
@@ -70,6 +70,8 @@ class FdscCircuit:
 
     def __post_init__(self):
         plus = set(self.plus_qubits)
+        if len(plus) != len(self.plus_qubits):
+            raise ValueError("a plus qubit is listed twice")
         if plus and not all(0 <= q < self.n_qubits for q in plus):
             raise ValueError("plus qubit outside the register")
         for c, t in self.gates:
@@ -78,8 +80,8 @@ class FdscCircuit:
             if c not in plus or t in plus:
                 raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
         gates = tuple(sorted(self.gates))
-        if len(set(gates)) != len(gates):
-            dup = next(g for g, h in zip(gates, gates[1:]) if g == h)
+        dup = next((g for g, h in itertools.pairwise(gates) if g == h), None)
+        if dup is not None:
             raise ValueError(f"gate {dup} repeated; two equal CX gates cancel")
         object.__setattr__(self, "gates", gates)
 
@@ -93,6 +95,8 @@ class FdscCircuit:
 
 def check_subset(code: CssCode, s: SubsetS) -> bool:
     """Both rank conditions: |S| = rank(pi_S A) and |S| = rank(A)."""
+    if s.qubits and not 0 <= s.qubits[0] <= s.qubits[-1] < code.n_qubits:
+        return False
     a = code.x_stabs
     sub = a.row_select(list(s.qubits))
     return gf2.rank(sub) == len(s) and gf2.rank(a) == len(s)
@@ -192,6 +196,14 @@ def haah_canonical_qubits(L: int) -> list[int]:
             for x in range(L) for y in range(L) for z in range(L)]
 
 
+def _toric_edge_ends(L: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices x*L + y at both ends of toric edge qubits: (x, y) and its
+    +x neighbour (horizontal edge) or +y neighbour (vertical edge)."""
+    u = q >> 1
+    x, y = u // L, u % L
+    return u, np.where(q & 1, x * L + (y + 1) % L, (x + 1) % L * L + y)
+
+
 def _toric_spanning_tree_parents(code: CssCode, qubits: Sequence[int]):
     """BFS structure of a toric edge subset, or None if not a spanning tree.
 
@@ -204,10 +216,8 @@ def _toric_spanning_tree_parents(code: CssCode, qubits: Sequence[int]):
     if len(qubits) != n_vert - 1:
         return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vert)]
-    for q in qubits:
-        x, y, o = css.toric_edge_coords(L, q)
-        u = x * L + y
-        v = (((x + 1) % L) * L + y) if o == 0 else (x * L + (y + 1) % L)
+    ends = _toric_edge_ends(L, np.asarray(qubits, dtype=np.int64))
+    for q, u, v in zip(qubits, *(e.tolist() for e in ends)):
         adj[u].append((v, q))
         adj[v].append((u, q))
     parent = np.full(n_vert, -1, dtype=np.int64)
@@ -216,18 +226,16 @@ def _toric_spanning_tree_parents(code: CssCode, qubits: Sequence[int]):
     seen = np.zeros(n_vert, dtype=bool)
     seen[0] = True
     stack = [0]
-    count = 1
     while stack:
         u = stack.pop()
         for v, q in adj[u]:
             if not seen[v]:
                 seen[v] = True
-                count += 1
                 parent[v] = u
                 parent_edge[v] = q
                 depth[v] = depth[u] + 1
                 stack.append(v)
-    if count != n_vert:
+    if not seen.all():
         return None
     return parent, parent_edge, depth
 
@@ -298,60 +306,54 @@ def build_reconstruction(code: CssCode, s: SubsetS,
 
 
 def _toric_tree_reconstruction(code: CssCode, s_list: list[int]) -> Optional[BitMatrix]:
-    """Path-based M_S for a toric spanning-tree subset (None if not a tree)."""
+    """Path-based M_S for a toric spanning-tree subset (None if not a tree).
+
+    Row q off S holds the tree edges on the path between q's two ends.  All
+    rows walk together, each stepping its deeper end (both ends when level)
+    to the parent until the ends meet: at most tree-depth vectorised steps.
+    """
     L = int(code.params["L"])
     bfs = _toric_spanning_tree_parents(code, s_list)
     if bfs is None:
         return None
     parent, parent_edge, depth = bfs
-    col_of = {q: i for i, q in enumerate(s_list)}
-    m = BitMatrix.zeros(code.n_qubits, len(s_list))
-    for col, q in enumerate(s_list):
-        m.set(q, col, 1)
-    in_s = set(s_list)
-    for q in range(code.n_qubits):
-        if q in in_s:
-            continue
-        x, y, o = css.toric_edge_coords(L, q)
-        u = x * L + y
-        v = (((x + 1) % L) * L + y) if o == 0 else (x * L + (y + 1) % L)
-        while depth[u] > depth[v]:
-            m.set(q, col_of[int(parent_edge[u])], 1)
-            u = int(parent[u])
-        while depth[v] > depth[u]:
-            m.set(q, col_of[int(parent_edge[v])], 1)
-            v = int(parent[v])
-        while u != v:
-            m.set(q, col_of[int(parent_edge[u])], 1)
-            m.set(q, col_of[int(parent_edge[v])], 1)
-            u = int(parent[u])
-            v = int(parent[v])
-    return m
+    col_of = np.full(code.n_qubits, -1, dtype=np.int64)
+    col_of[s_list] = np.arange(len(s_list))
+    rows = np.flatnonzero(col_of < 0)
+    u, v = _toric_edge_ends(L, rows)
+    entries = [np.column_stack((s_list, col_of[s_list]))]
+    live = u != v
+    while live.any():
+        rows, u, v = rows[live], u[live], v[live]
+        up, vp = depth[u] >= depth[v], depth[v] >= depth[u]
+        entries += [np.column_stack((rows[up], col_of[parent_edge[u[up]]])),
+                    np.column_stack((rows[vp], col_of[parent_edge[v[vp]]]))]
+        u, v = np.where(up, parent[u], u), np.where(vp, parent[v], v)
+        live = u != v
+    return BitMatrix.from_entries(np.concatenate(entries), code.n_qubits,
+                                  len(s_list))
 
 
 def emit_circuit(code: CssCode, s: SubsetS, m: BitMatrix,
                  metadata: Optional[dict] = None) -> FdscCircuit:
     """One CX per off-S nonzero of the reconstruction matrix."""
-    s_list = list(s.qubits)
+    controls = np.asarray(s.qubits, dtype=np.int64)
     in_s = np.zeros(code.n_qubits, dtype=bool)
-    in_s[s_list] = True
-    controls = np.asarray(s_list, dtype=np.int64)
-    gates = []
-    for q in range(code.n_qubits):
-        if in_s[q]:
-            continue
-        row = np.unpackbits(m.data[q:q + 1].view(np.uint8),
-                            bitorder="little")[:m.cols]
-        for col in np.flatnonzero(row):
-            gates.append((int(controls[col]), q))
-    gates.sort()
-    expected = gf2.nnz(m) - len(s_list)
-    if len(gates) != expected:
+    in_s[controls] = True
+    t, col = gf2.nonzero(m)
+    off = ~in_s[t]
+    c, t = controls[col[off]], t[off]
+    expected = gf2.nnz(m) - len(controls)
+    if len(t) != expected:
         raise InternalInvariantViolation(
-            f"gate count {len(gates)} != nnz - |S| = {expected}")
+            f"gate count {len(t)} != nnz - |S| = {expected}")
+    order = np.lexsort((t, c))
+    # one shared int object per qubit keeps millions of gate tuples small
+    qubit = np.arange(code.n_qubits).astype(object)
+    gates = tuple(zip(qubit[c[order]].tolist(), qubit[t[order]].tolist()))
     meta = dict(metadata or {})
     meta["gate_count"] = len(gates)
-    return FdscCircuit(code.n_qubits, tuple(s_list), tuple(gates), meta)
+    return FdscCircuit(code.n_qubits, s.qubits, gates, meta)
 
 
 def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
@@ -464,28 +466,31 @@ def serialize_circuit(circ: FdscCircuit) -> str:
     doc = {
         "version": 1,
         "n_qubits": circ.n_qubits,
-        "plus_qubits": list(circ.plus_qubits),
-        "gates": [list(g) for g in circ.gates],
+        "plus_qubits": circ.plus_qubits,
+        "gates": circ.gates,  # tuples encode as JSON arrays
         "metadata": circ.metadata,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def parse_circuit(text: str) -> FdscCircuit:
+    """Parse the JSON circuit format.  Malformed input is rejected, never
+    repaired: every qubit index must be an integer and every gate a pair."""
     try:
         doc = json.loads(text)
+        version, n, plus, gates = (doc[k] for k in
+                                   ("version", "n_qubits", "plus_qubits", "gates"))
+        meta = doc.get("metadata", {})
+        if not css.is_json_int(version) or version != 1:
+            raise css.ParseError(f"unsupported version {version!r}")
+        ints = itertools.chain([n], plus, itertools.chain.from_iterable(gates))
+        if not (isinstance(plus, list) and isinstance(meta, dict)
+                and all(isinstance(g, list) and len(g) == 2 for g in gates)
+                and all(map(css.is_json_int, ints)) and n >= 0):
+            raise css.ParseError("n_qubits and qubit indices must be integers "
+                                 "(n_qubits >= 0), gates [control, target] pairs")
+        return FdscCircuit(n, tuple(plus), tuple(map(tuple, gates)), meta)
     except json.JSONDecodeError as e:
         raise css.ParseError(f"invalid JSON: {e}") from e
-    try:
-        if doc["version"] != 1:
-            raise css.ParseError(f"unsupported version {doc['version']}")
-        return FdscCircuit(
-            int(doc["n_qubits"]),
-            tuple(int(q) for q in doc["plus_qubits"]),
-            tuple((int(c), int(t)) for c, t in doc["gates"]),
-            dict(doc.get("metadata", {})),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, css.ParseError):
-            raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise css.ParseError(f"bad circuit document: {e}") from e

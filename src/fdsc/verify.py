@@ -82,17 +82,11 @@ def _failed_generators(gens: BitMatrix, src: np.ndarray, dst: np.ndarray,
     ``gens`` in a checked row, plus each set bit of row src[i] moved to row
     dst[i].  Cost is nnz plus the summed row weights of ``src``.
     """
-    q, g = gf2.nonzero(gens)
-    weight = np.bincount(q, minlength=gens.rows)
-    row_start = np.cumsum(weight) - weight
-    # positions in (q, g) of the set bits of rows src[0], src[1], ...
-    w = weight[src]
-    spread = np.arange(w.sum()) + np.repeat(row_start[src] - (np.cumsum(w) - w), w)
-    keep = checked[q]
+    own = np.flatnonzero(checked)
+    i, g = gf2.row_spread(gens, np.concatenate([own, src]))
     n = gens.rows
-    keys = np.concatenate([g[keep] * n + q[keep],
-                           g[spread] * n + np.repeat(dst, w)])
-    pairs, counts = np.unique(keys, return_counts=True)
+    pairs, counts = np.unique(g * n + np.concatenate([own, dst])[i],
+                              return_counts=True)
     return tuple(np.unique(pairs[counts & 1 == 1] // n).tolist())
 
 

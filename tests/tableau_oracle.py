@@ -113,12 +113,10 @@ def initial_state(n: int, plus_qubits: Iterable[int]) -> SymplecticState:
     plus = sorted(set(int(q) for q in plus_qubits))
     if plus and not (0 <= plus[0] and plus[-1] < n):
         raise IndexOutOfRange(f"plus qubits outside 0..{n - 1}")
-    sx = BitMatrix.zeros(n, n)
-    sz = BitMatrix.zeros(n, n)
     in_plus = np.zeros(n, dtype=bool)
     in_plus[plus] = True
-    for i in range(n):
-        (sx if in_plus[i] else sz).set(i, i, 1)
+    sx = BitMatrix.from_dense(np.diag(in_plus))
+    sz = BitMatrix.from_dense(np.diag(~in_plus))
     return SymplecticState(n, sx, sz, np.zeros(n, dtype=np.uint8))
 
 

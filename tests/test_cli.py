@@ -113,6 +113,18 @@ def test_code_file_round_trip(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("change", [{"params": {"L": 3}}, {"x_stabs": 5}])
+def test_code_file_rejected_without_traceback(tmp_path, capsys, change):
+    # a toric tag naming another size, and a malformed field
+    doc = json.loads(css.serialize_code(css.build_toric(4)))
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps({**doc, **change}))
+    rc, stdout, err = run(capsys, "synth", "--code", f"file:{code_path}",
+                          "--strategy", "toric_comb")
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_synth_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,9 +1,13 @@
 """Code families: structure, commutation, documented indexing, serialization."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from conftest import dense_rank, random_css_code
+from conftest import dense_nullspace, dense_rank, random_css_code
 from fdsc import css, gf2
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
 from fdsc.gf2 import BitMatrix
@@ -218,3 +222,89 @@ def test_random_codes_commute(seed):
     code = random_css_code(rng)
     assert not overlap_parities(code).any()
     assert gf2.rank(code.x_stabs) == dense_rank(code.x_stabs.to_dense())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=strategies.data())
+def test_commutation_check_matches_overlap_parities(data):
+    """Random dense X/Z pairs, half of them with Z drawn from the orthogonal
+    complement of X: the code is accepted exactly when every overlap is
+    even, and otherwise rejected with the lexicographically first pair."""
+    n = data.draw(strategies.integers(1, 12))
+
+    def columns(k, basis=None):
+        """k nonzero columns, as combinations of ``basis`` rows if given."""
+        if basis is not None and basis.shape[0] == 0:
+            k = 0
+        rows = basis if basis is not None else np.eye(n, dtype=np.uint8)
+        cols = []
+        for _ in range(k):
+            mask = data.draw(strategies.integers(1, 2 ** rows.shape[0] - 1))
+            pick = (mask >> np.arange(rows.shape[0])) & 1
+            cols.append((pick @ rows) % 2)
+        return np.array(cols, dtype=np.uint8).reshape(len(cols), n).T
+
+    a = columns(data.draw(strategies.integers(0, 5)))
+    commuting = data.draw(strategies.booleans())
+    b = columns(data.draw(strategies.integers(0, 5)),
+                dense_nullspace(a.T) if commuting and a.shape[1] else None)
+    b = b[:, b.any(axis=0)]  # a combination may cancel to zero
+    x, z = BitMatrix.from_dense(a), BitMatrix.from_dense(b)
+    odd = np.argwhere(overlap_parities(SimpleNamespace(x_stabs=x, z_stabs=z)))
+    if odd.size == 0:
+        css.CssCode(n, x, z)
+    else:
+        with pytest.raises(CommutationViolation) as exc:
+            css.CssCode(n, x, z)
+        assert exc.value.pair == tuple(map(int, odd[0]))
+
+
+@pytest.mark.parametrize("family,size", [("ghz", 5), ("toric", 4), ("xcube", 3),
+                                         ("haah", 2)])
+def test_family_serialize_round_trip(family, size):
+    code = css.build_family(family, size)
+    text = css.serialize_code(code)
+    doc = json.loads(text)
+    for name, m in (("x_stabs", code.x_stabs), ("z_stabs", code.z_stabs)):
+        assert doc[name] == [np.flatnonzero(col).tolist() for col in m.to_dense().T]
+    again = css.parse_code(text)
+    assert again == code
+    assert css.serialize_code(again) == text
+
+
+GHZ3 = {"version": 1, "n_qubits": 3, "x_stabs": [[0, 1, 2]],
+        "z_stabs": [[0, 1], [0, 2]], "family": "custom", "params": {}}
+
+
+@pytest.mark.parametrize("change", [
+    {"x_stabs": [[0, 0, 1, 2]]},              # repeated qubit
+    {"x_stabs": [[0, 2, 1]]},                 # unsorted support
+    {"z_stabs": [[0, 1.7], [0, 2]]},          # float index
+    {"z_stabs": [[0.9, 1], [0, 2]]},
+    {"z_stabs": [[0, True], [0, 2]]},         # boolean index
+    {"x_stabs": [[0, 1, 3]]},                 # out of range
+    {"x_stabs": [[-1, 0, 1]]},
+    {"x_stabs": 5},                           # malformed fields
+    {"x_stabs": [5]},
+    {"z_stabs": "01"},
+    {"params": []},
+    {"n_qubits": 3.0},
+    {"n_qubits": -1},
+    {"version": True},
+    {"family": "ghz", "params": {}},          # tag without a size
+    {"family": "ghz", "params": {"n": 4}},    # tag naming another code
+    {"family": "ghz", "params": {"n": 3.0}},
+    {"family": "ghz", "params": {"n": 3, "note": 1}},
+    {"family": "toric", "params": {"L": 10 ** 9}},
+    {"family": "toric", "params": {"L": 1}, "n_qubits": 2, "x_stabs": [[0, 1]],
+     "z_stabs": [[0, 1]]},                    # below the family minimum
+])
+def test_parse_code_rejects_instead_of_repairing(change):
+    assert css.parse_code(json.dumps(GHZ3)).n_qubits == 3
+    with pytest.raises(ParseError):
+        css.parse_code(json.dumps({**GHZ3, **change}))
+
+
+def test_parse_code_accepts_matching_tag():
+    code = css.parse_code(json.dumps({**GHZ3, "family": "ghz", "params": {"n": 3}}))
+    assert code == css.build_ghz(3)

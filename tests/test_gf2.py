@@ -180,6 +180,32 @@ def test_nonzero_matches_dense(shape):
     assert cols.tolist() == want_cols.tolist()
 
 
+@pytest.mark.parametrize("shape,density", [((5, 70), 0.3), ((40, 1), 0.5),
+                                           ((3, 128), 0.9), ((7, 200), 1.0),
+                                           ((6, 0), 0.5), ((0, 9), 0.5)])
+def test_row_spread_matches_dense(shape, density):
+    rng = np.random.default_rng(sum(shape))
+    a = (rng.random(shape) < density).astype(np.uint8)
+    m = BitMatrix.from_dense(a)
+    assert [x.tolist() for x in gf2.nonzero(m)] == [x.tolist() for x in np.nonzero(a)]
+    for rows in ([], rng.integers(0, shape[0], size=15) if shape[0] else []):
+        i, cols = gf2.row_spread(m, rows)
+        want = [(k, c) for k, r in enumerate(rows) for c in np.flatnonzero(a[r])]
+        assert list(zip(i.tolist(), cols.tolist())) == want
+
+
+@pytest.mark.parametrize("n,k,m", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0),
+                                   (9, 70, 130), (70, 1, 65), (4, 64, 64)])
+def test_mul_shapes_match_dense(n, k, m):
+    rng = np.random.default_rng(n + k + m)
+    a = rng.integers(0, 2, size=(n, k))
+    b = rng.integers(0, 2, size=(k, m))
+    got = gf2.mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+    assert (got.rows, got.cols) == (n, m)
+    assert np.array_equal(got.to_dense(), (a @ b) % 2)
+    assert padding_ok(got)
+
+
 def test_transpose_matches_numpy():
     rng = np.random.default_rng(1)
     a = rng.integers(0, 2, size=(5, 70))

@@ -1,5 +1,7 @@
 """Subset selection, reconstruction, emission, and the cubic-code potential."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -134,13 +136,42 @@ def test_reconstruction_pivot_order_independent(seed):
 @pytest.mark.parametrize("L,strategy", [(2, "toric_comb"), (4, "toric_comb"),
                                         (4, "toric_recursive"),
                                         (8, "toric_recursive"),
-                                        (8, "greedy")])
+                                        (8, "greedy"), (16, "toric_comb"),
+                                        (16, "toric_recursive")])
 def test_toric_tree_path_equals_generic(L, strategy):
     code = css.build_toric(L)
     s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
     fast = build_reconstruction(code, s, method="tree")
     slow = build_reconstruction(code, s, method="generic")
     assert fast == slow
+
+
+@pytest.mark.parametrize("family,size,strategy", [
+    ("toric", 4, "toric_comb"), ("toric", 5, "greedy"),
+    ("xcube", 2, "xcube_dual_trees"), ("haah", 2, "haah_canonical")])
+def test_emit_matches_dense_scan(family, size, strategy):
+    code = css.build_family(family, size)
+    s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
+    m = build_reconstruction(code, s)
+    want = sorted((s.qubits[col], q) for q, col in np.argwhere(m.to_dense())
+                  if q not in s.qubits)
+    circ = emit_circuit(code, s, m)
+    assert circ.gates == tuple(want)
+    assert all(type(q) is int for g in circ.gates for q in g)
+
+
+@pytest.mark.parametrize("qubits", [(3, 1), (1, 1), (0, 2, 2)])
+def test_subset_rejects_unsorted_or_repeated(qubits):
+    with pytest.raises(InvalidSubset):
+        SubsetS(qubits)
+
+
+def test_explicit_rejects_repeated_or_outside_qubits():
+    code = css.build_toric(2)
+    s = tree_select(code, "toric_comb").qubits
+    for bad in (s + (s[0],), (-1,) + s[1:], s[:-1] + (code.n_qubits,)):
+        with pytest.raises(InvalidSubset):
+            synthesize(code, "explicit", subset=bad)
 
 
 def test_emit_ghz_gates():
@@ -222,6 +253,31 @@ def test_circuit_serialization_round_trip():
     circ = synthesize(code, "toric_comb")
     again = synth.parse_circuit(synth.serialize_circuit(circ))
     assert again == circ
+
+
+GHZ3_CIRCUIT = {"version": 1, "n_qubits": 3, "plus_qubits": [0],
+                "gates": [[0, 1], [0, 2]], "metadata": {}}
+
+
+@pytest.mark.parametrize("change", [
+    {"plus_qubits": [0.9]},                            # float indices
+    {"gates": [[0.2, 1.5], [0, 2]]},
+    {"plus_qubits": [1.7], "gates": [[1, 0], [1, 2]]},
+    {"plus_qubits": [True], "gates": [[1, 0], [1, 2]]},  # boolean index
+    {"plus_qubits": [0, 0]},                           # repeated plus qubit
+    {"n_qubits": -1, "plus_qubits": [], "gates": []},
+    {"n_qubits": 3.0},
+    {"version": True},
+    {"gates": [[0, 1, 2]]},                            # malformed fields
+    {"gates": [[0, 1], 5]},
+    {"gates": 5},
+    {"plus_qubits": 0},
+    {"metadata": [["strategy", "greedy"]]},
+])
+def test_parse_circuit_rejects_instead_of_repairing(change):
+    assert synth.parse_circuit(json.dumps(GHZ3_CIRCUIT)).gates == ((0, 1), (0, 2))
+    with pytest.raises(css.ParseError):
+        synth.parse_circuit(json.dumps({**GHZ3_CIRCUIT, **change}))
 
 
 # -- cubic-code potential -----------------------------------------------------
