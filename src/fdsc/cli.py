@@ -147,6 +147,11 @@ def cmd_groups(args) -> int:
     try:
         group, series = _load_group(args.group)
         lengths = [int(x) for x in args.lengths.split(",") if x]
+        if not lengths or min(lengths) < 1:
+            raise groups.InvalidSize(f"--lengths must list positive integers, "
+                                     f"got {args.lengths!r}")
+        if args.trials < 1:
+            raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
     except (groups.ParseError, groups.InvalidSize, groups.GroupStructureError,
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

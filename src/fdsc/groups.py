@@ -12,10 +12,16 @@ remaining 2n-1 normal-subgroup elements are multiplied recursively.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .css import is_json_int
+
+# Slot values evaluated per block by the checks: 1 MB of int64, enough for
+# numpy to amortise its per-call cost, small enough to keep memory flat.
+_BLOCK_CELLS = 1 << 17
 
 
 class InvalidSize(ValueError):
@@ -44,36 +50,26 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, table, check_associativity: bool = True) -> "FiniteGroup":
         t = np.asarray(table, dtype=np.int64)
-        n = t.shape[0]
-        if t.shape != (n, n) or n == 0:
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
             raise GroupStructureError("table must be square and nonempty")
+        n = t.shape[0]
         if t.min() < 0 or t.max() >= n:
             raise GroupStructureError("table entries out of range")
-        ident = None
         rng = np.arange(n)
-        for e in range(n):
-            if np.array_equal(t[e], rng) and np.array_equal(t[:, e], rng):
-                ident = e
-                break
-        if ident is None:
+        two_sided = (t == rng).all(axis=1) & (t == rng[:, None]).all(axis=0)
+        if not two_sided.any():
             raise GroupStructureError("no identity element")
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(t[a] == ident)
-            if hits.size != 1 or t[hits[0], a] != ident:
-                raise GroupStructureError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
-        if check_associativity:
-            if n <= 64:
-                # lhs[a,b,c] = t[t[a,b],c], rhs[a,b,c] = t[a,t[b,c]]
-                if not np.array_equal(t[t, :], t[:, t]):
-                    raise GroupStructureError("multiplication is not associative")
-            else:
-                rs = np.random.default_rng(0)
-                for _ in range(20000):
-                    a, b, c = rs.integers(0, n, 3)
-                    if t[t[a, b], c] != t[a, t[b, c]]:
-                        raise GroupStructureError("multiplication is not associative")
+        ident = int(two_sided.argmax())
+        is_e = t == ident
+        inv = is_e.argmax(axis=1)
+        has_inv = (is_e.sum(axis=1) == 1) & (t[inv, rng] == ident)
+        if not has_inv.all():
+            raise GroupStructureError(
+                f"element {has_inv.argmin()} lacks a two-sided inverse")
+        # row = t[a]: t[row][b, c] = (ab)c and row[t][b, c] = a(bc)
+        if check_associativity and not all(np.array_equal(t[row], row[t])
+                                           for row in t):
+            raise GroupStructureError("multiplication is not associative")
         return cls(n, t, ident, inv)
 
     def mul(self, a: int, b: int) -> int:
@@ -82,10 +78,13 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def fold(self, seq: Sequence[int]) -> int:
-        acc = self.identity
-        for g in seq:
-            acc = int(self.table[acc, g])
+    def fold(self, seq) -> np.ndarray:
+        """Left fold over the table of sequences laid along the last axis:
+        the reference product that networks are checked against."""
+        seqs = np.asarray(seq, dtype=np.int64)
+        acc = np.full(seqs.shape[:-1], self.identity, dtype=np.int64)
+        for k in range(seqs.shape[-1]):
+            acc = self.table[acc, seqs[..., k]]
         return acc
 
     def is_abelian(self) -> bool:
@@ -104,43 +103,37 @@ class SolvableSeries:
         return len(self.subgroups) - 1
 
     def validate(self, group: FiniteGroup) -> None:
-        chain = [sorted(set(s)) for s in self.subgroups]
-        if not chain or chain[0] != [group.identity]:
+        chain = [_sorted_ids(s) for s in self.subgroups]
+        if not chain or chain[0].tolist() != [group.identity]:
             raise GroupStructureError("series must start at the trivial subgroup")
-        if chain[-1] != list(range(group.order)):
+        if not np.array_equal(chain[-1], np.arange(group.order)):
             raise GroupStructureError("series must end at the full group")
-        for lo, hi in zip(chain, chain[1:]):
-            if not set(lo) <= set(hi):
-                raise GroupStructureError("series is not increasing")
+        steps = list(zip(chain, chain[1:]))
+        if not all(np.isin(lo, hi).all() for lo, hi in steps):
+            raise GroupStructureError("series is not increasing")
         t = group.table
-        for members in chain:
-            mset = set(members)
-            for a in members:
-                for b in members:
-                    if int(t[a, b]) not in mset:
-                        raise GroupStructureError("series entry is not a subgroup")
-        for lo, hi in zip(chain, chain[1:]):
-            lset = set(lo)
-            for g in hi:
-                gi = group.inv(g)
-                for a in lo:
-                    if int(t[t[g, a], gi]) not in lset:
-                        raise GroupStructureError(
-                            f"subgroup not normal under conjugation by {g}")
-            taus = _coset_map(group, lo, hi)
-            for a in hi:
-                for b in hi:
-                    if taus[int(t[a, b])] != taus[int(t[b, a])]:
-                        raise GroupStructureError("quotient is not abelian")
+        if not all(np.isin(t[np.ix_(m, m)], m).all() for m in chain):
+            raise GroupStructureError("series entry is not a subgroup")
+        for lo, hi in steps:
+            conj = t[t[np.ix_(hi, lo)], group.inverse[hi, None]]
+            outside = ~np.isin(conj, lo).all(axis=1)
+            if outside.any():
+                raise GroupStructureError(
+                    f"subgroup not normal under conjugation by {hi[outside.argmax()]}")
+            tau = _coset_map(group, lo)
+            prods = t[np.ix_(hi, hi)]
+            if not np.array_equal(tau[prods], tau[prods.T]):
+                raise GroupStructureError("quotient is not abelian")
 
 
-def _coset_map(group: FiniteGroup, sub: Sequence[int], ambient: Sequence[int]):
-    """Map each ambient element to the minimum member of its left coset g*sub."""
-    tau = {}
-    for g in ambient:
-        coset = min(int(group.table[g, a]) for a in sub)
-        tau[g] = coset
-    return tau
+def _sorted_ids(members) -> np.ndarray:
+    # sorted(set()) rather than np.unique, which imports numpy.ma (1.8 MB)
+    return np.array(sorted(set(members)), dtype=np.int64)
+
+
+def _coset_map(group: FiniteGroup, sub) -> np.ndarray:
+    """Map each element g to the minimum member of its left coset g*sub."""
+    return group.table[:, sub].min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ class _Level:
     psi: np.ndarray              # H index -> representative element of G
     h_table: np.ndarray          # quotient multiplication
     n_elements: np.ndarray       # N as sorted element ids of G
-    n_local: dict                # G element -> local N index
+    n_local: np.ndarray          # |G| -> local N index, -1 outside N
     norm_part: np.ndarray        # |G| -> local index of psi(tau(g))^-1 g
     chi: np.ndarray              # (|H|, |H|) -> local N index
     phi: np.ndarray              # (|H|, |N|) -> local N index
@@ -168,52 +161,28 @@ def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> Optional
     """Recursive level data for the full chain ({e}, ..., G)."""
     if len(chain) < 2:
         return None
-    n_set = sorted(set(chain[-2]))
-    ambient = list(range(group.order))
-    rep_of = _coset_map(group, n_set, ambient)
-    reps = sorted(set(rep_of.values()))
-    h_index = {r: i for i, r in enumerate(reps)}
-    tau = np.array([h_index[rep_of[g]] for g in ambient], dtype=np.int64)
-    psi = np.array(reps, dtype=np.int64)
-    nh = len(reps)
-    h_table = np.zeros((nh, nh), dtype=np.int64)
-    for i in range(nh):
-        for j in range(nh):
-            h_table[i, j] = tau[group.mul(int(psi[i]), int(psi[j]))]
-    n_elements = np.array(n_set, dtype=np.int64)
-    n_local = {int(g): i for i, g in enumerate(n_set)}
-    norm_part = np.zeros(group.order, dtype=np.int64)
-    for g in ambient:
-        rep = int(psi[tau[g]])
-        norm_part[g] = n_local[group.mul(group.inv(rep), g)]
-    chi = np.zeros((nh, nh), dtype=np.int64)
-    for i in range(nh):
-        for j in range(nh):
-            pij = int(psi[h_table[i, j]])
-            val = group.mul(group.mul(group.inv(pij), int(psi[i])), int(psi[j]))
-            if val not in n_local:
-                raise GroupStructureError("cocycle left the normal subgroup")
-            chi[i, j] = n_local[val]
-    phi = np.zeros((nh, len(n_set)), dtype=np.int64)
-    for i in range(nh):
-        rep = int(psi[i])
-        for k, nm in enumerate(n_set):
-            val = group.mul(group.mul(group.inv(rep), int(nm)), rep)
-            if val not in n_local:
-                raise GroupStructureError("conjugation left the normal subgroup")
-            phi[i, k] = n_local[val]
-    merge = np.zeros((group.order, len(n_set)), dtype=np.int64)
-    for g in ambient:
-        for k, nm in enumerate(n_set):
-            merge[g, k] = group.mul(g, int(nm))
-    n_table = np.zeros((len(n_set), len(n_set)), dtype=np.int64)
-    for a, ga in enumerate(n_set):
-        for c, gc in enumerate(n_set):
-            n_table[a, c] = n_local[group.mul(int(ga), int(gc))]
+    t, inv = group.table, group.inverse
+    n_elements = _sorted_ids(chain[-2])
+    rep = _coset_map(group, n_elements)
+    psi = np.flatnonzero(rep == np.arange(group.order))   # coset minima
+    tau = np.searchsorted(psi, rep)
+    h_table = tau[t[np.ix_(psi, psi)]]
+    n_local = np.full(group.order, -1, dtype=np.int64)
+    n_local[n_elements] = np.arange(n_elements.size)
+    norm_part = n_local[t[inv[psi[tau]], np.arange(group.order)]]
+    # chi(i, j) = psi(ij)^-1 psi(i) psi(j), phi(i, n) = psi(i)^-1 n psi(i)
+    chi = n_local[t[t[inv[psi[h_table]], psi[:, None]], psi]]
+    if (chi < 0).any():
+        raise GroupStructureError("cocycle left the normal subgroup")
+    phi = n_local[t[t[inv[psi, None], n_elements], psi[:, None]]]
+    if (phi < 0).any():
+        raise GroupStructureError("conjugation left the normal subgroup")
+    merge = t[:, n_elements]
+    n_table = n_local[t[np.ix_(n_elements, n_elements)]]
     sub = None
     if len(chain) > 3:
         sub_group = FiniteGroup.from_table(n_table, check_associativity=False)
-        sub_chain = [[n_local[int(g)] for g in members] for members in chain[:-1]]
+        sub_chain = [n_local[_sorted_ids(members)] for members in chain[:-1]]
         sub = _build_level(sub_group, sub_chain)
     return _Level(group, tau, psi, h_table, n_elements, n_local, norm_part,
                   chi, phi, merge, n_table, sub)
@@ -229,12 +198,6 @@ class Node:
     inputs: tuple[int, ...]
     output: int
     table: np.ndarray
-    _list: list = field(default=None, repr=False, compare=False)
-
-    def table_list(self) -> list:
-        if self._list is None:
-            self._list = self.table.tolist()
-        return self._list
 
 
 @dataclass
@@ -335,30 +298,26 @@ def plan_network(group: FiniteGroup, series: SolvableSeries, n: int) -> MulNetwo
     return MulNetwork(n, tuple(tuple(l) for l in b.layers), out, b.next_slot)
 
 
-def evaluate(net: MulNetwork, seq: Sequence[int]) -> int:
-    """Deterministic layer-by-layer evaluation."""
-    if len(seq) != net.n_inputs:
-        raise LengthMismatch(f"expected {net.n_inputs} elements, got {len(seq)}")
-    slots = [0] * net.n_slots
-    for i, g in enumerate(seq):
-        slots[i] = int(g)
+def evaluate(net: MulNetwork, seq) -> np.ndarray:
+    """Layer-by-layer evaluation of sequences laid along the last axis of
+    ``seq``, with any batch shape in front (one sequence gives a 0-d
+    result).  Every slot is written once, by a layer after those that wrote
+    its inputs, so each node writes straight into the slot array."""
+    seqs = np.asarray(seq, dtype=np.int64)
+    if seqs.shape[-1:] != (net.n_inputs,):
+        raise LengthMismatch(f"expected {net.n_inputs} elements along the "
+                             f"last axis, got shape {seqs.shape}")
+    slots = np.empty((net.n_slots, *seqs.shape[:-1]), dtype=np.int64)
+    slots[:net.n_inputs] = np.moveaxis(seqs, -1, 0)
     for layer in net.layers:
-        staged = []
         for node in layer:
-            # plain-list table view; numpy scalar indexing is slow here
-            t = node.table_list()
             if node.kind == "abelian-combine":
-                acc = None
-                for s in node.inputs:
-                    acc = slots[s] if acc is None else t[acc][slots[s]]
-                staged.append((node.output, acc))
-            elif node.kind in ("quotient-lookup", "normal-lookup", "section-lift"):
-                staged.append((node.output, t[slots[node.inputs[0]]]))
-            else:  # chi-lookup, phi-lookup, group-mul
-                a, c = node.inputs
-                staged.append((node.output, t[slots[a]][slots[c]]))
-        for out, val in staged:
-            slots[out] = val
+                acc = slots[node.inputs[0]]
+                for s in node.inputs[1:]:
+                    acc = node.table[acc, slots[s]]
+                slots[node.output] = acc
+            else:
+                slots[node.output] = node.table[tuple(slots[s] for s in node.inputs)]
     return slots[net.output]
 
 
@@ -370,13 +329,9 @@ def make_dihedral(n: int) -> tuple[FiniteGroup, SolvableSeries]:
     if n < 3:
         raise InvalidSize("dihedral group needs n >= 3")
     order = 2 * n
-    t = np.zeros((order, order), dtype=np.int64)
-    for p1 in (0, 1):
-        for k1 in range(n):
-            for p2 in (0, 1):
-                for k2 in range(n):
-                    k = (k2 + (k1 if p2 == 0 else -k1)) % n
-                    t[p1 * n + k1, p2 * n + k2] = ((p1 ^ p2) * n) + k
+    p, k = np.divmod(np.arange(order), n)
+    sign = 1 - 2 * p             # r^k m = m r^-k
+    t = (p[:, None] ^ p) * n + (sign * k[:, None] + k) % n
     g = FiniteGroup.from_table(t)
     series = SolvableSeries(((0,), tuple(range(n)), tuple(range(order))))
     series.validate(g)
@@ -389,26 +344,11 @@ def make_abelian(orders: Sequence[int]) -> tuple[FiniteGroup, SolvableSeries]:
     if not orders or any(d < 2 for d in orders):
         raise InvalidSize("cyclic factors must all be >= 2")
     total = int(np.prod(orders))
-
-    def decode(x):
-        digits = []
-        for d in orders:
-            digits.append(x % d)
-            x //= d
-        return digits
-
-    def encode(digits):
-        x = 0
-        for d, v in zip(reversed(orders), reversed(digits)):
-            x = x * d + v
-        return x
-
-    t = np.zeros((total, total), dtype=np.int64)
-    for a in range(total):
-        da = decode(a)
-        for c in range(total):
-            dc = decode(c)
-            t[a, c] = encode([(u + v) % d for u, v, d in zip(da, dc, orders)])
+    # element x has digits x % d1, x // d1 % d2, ...: Fortran order
+    digits = np.unravel_index(np.arange(total), orders, order="F")
+    t = np.ravel_multi_index(tuple((v[:, None] + v) % d
+                                   for v, d in zip(digits, orders)),
+                             orders, order="F")
     g = FiniteGroup.from_table(t)
     series = SolvableSeries(((0,), tuple(range(total))))
     series.validate(g)
@@ -422,23 +362,35 @@ def parse_group(text: str) -> tuple[FiniteGroup, SolvableSeries]:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
     try:
-        order = int(doc["order"])
+        order = doc["order"]
         table = doc["table"]
         series = doc["series"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing field: {e}") from e
+    if not is_json_int(order):
+        raise ParseError("order must be an integer")
+    if not _is_id_lists(table):
+        raise ParseError("table must be a list of rows of integer element ids")
+    if not _is_id_lists(series):
+        raise ParseError("series must be a list of lists of integer element ids")
     try:
         g = FiniteGroup.from_table(table)
-    except (GroupStructureError, ValueError, IndexError) as e:
+    except (ValueError, OverflowError) as e:   # also ragged rows, huge ids
         raise ParseError(str(e)) from e
     if g.order != order:
         raise ParseError("order field disagrees with table size")
-    s = SolvableSeries(tuple(tuple(int(x) for x in sub) for sub in series))
+    s = SolvableSeries(tuple(tuple(sub) for sub in series))
     try:
         s.validate(g)
-    except GroupStructureError as e:
+    except (GroupStructureError, OverflowError) as e:
         raise ParseError(str(e)) from e
     return g, s
+
+
+def _is_id_lists(v) -> bool:
+    """JSON integers only: 1.0, 1.7 and true are not element ids."""
+    return isinstance(v, list) and all(
+        isinstance(row, list) and all(map(is_json_int, row)) for row in v)
 
 
 def depth_report(group: FiniteGroup, series: SolvableSeries,
@@ -452,28 +404,30 @@ def depth_report(group: FiniteGroup, series: SolvableSeries,
     return rows
 
 
+def _block_rows(net: MulNetwork) -> int:
+    return max(1, _BLOCK_CELLS // net.n_slots)
+
+
 def exhaustive_check(group: FiniteGroup, series: SolvableSeries, n: int) -> bool:
     """Compare the network against the table fold on every length-n sequence."""
     net = plan_network(group, series, n)
-    seq = [0] * n
-    while True:
-        if evaluate(net, seq) != group.fold(seq):
+    total = group.order ** n
+    rows = _block_rows(net)
+    for start in range(0, total, rows):
+        index = np.arange(start, min(start + rows, total))
+        seqs = np.stack(np.unravel_index(index, (group.order,) * n), axis=-1)
+        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
             return False
-        for i in range(n - 1, -1, -1):
-            seq[i] += 1
-            if seq[i] < group.order:
-                break
-            seq[i] = 0
-        else:
-            return True
+    return True
 
 
 def random_check(group: FiniteGroup, series: SolvableSeries, n: int,
                  trials: int, seed: int = 0) -> bool:
     net = plan_network(group, series, n)
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        seq = rng.integers(0, group.order, n).tolist()
-        if evaluate(net, seq) != group.fold(seq):
+    rows = _block_rows(net)
+    for start in range(0, trials, rows):
+        seqs = rng.integers(0, group.order, (min(rows, trials - start), n))
+        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
             return False
     return True

@@ -204,6 +204,17 @@ def test_groups_abelian(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("flags", [("--lengths", "0"), ("--lengths", "2,-1"),
+                                   ("--lengths", ","),
+                                   ("--lengths", "2", "--trials", "0"),
+                                   ("--lengths", "2", "--trials", "-3")])
+def test_groups_rejects_bad_lengths_and_trials(capsys, flags):
+    rc, stdout, stderr = run(capsys, "groups", "--group", "dihedral:4", *flags)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
 def test_groups_malformed_file(tmp_path, capsys):
     bad = tmp_path / "g.json"
     bad.write_text('{"order": 2, "table": [[0, 1], [1, 1]], "series": []}')

@@ -1,9 +1,12 @@
 """Solvable-group structure, network planning, and oracle agreement."""
 
+import functools
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from fdsc import groups
 from fdsc.groups import (FiniteGroup, GroupStructureError, InvalidSize,
@@ -13,6 +16,44 @@ from fdsc.groups import (FiniteGroup, GroupStructureError, InvalidSize,
 
 def dihedral_id(n, p, k):
     return p * n + k % n
+
+
+def make_s4():
+    """S4 as the permutations of 4 under composition (a*b)(i) = a(b(i)),
+    with the series {e} < V4 < A4 < S4 (derived length 3)."""
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+    v4 = [index[p] for p in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                             (3, 2, 1, 0))]
+    a4 = [i for i, p in enumerate(perms)
+          if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    series = SolvableSeries(((0,), tuple(sorted(v4)), tuple(a4),
+                             tuple(range(24))))
+    g = FiniteGroup.from_table(table)
+    series.validate(g)
+    return g, series
+
+
+def make_d4_centre():
+    """D4 with {e} < {e, r^2} < D4: the quotient is Z2 x Z2 and its section
+    representatives r, m do not commute, so the cocycle chi is nontrivial."""
+    g, _ = make_dihedral(4)
+    series = SolvableSeries(((0,), (0, 2), tuple(range(8))))
+    series.validate(g)
+    return g, series
+
+
+CASES = {"D3": lambda: make_dihedral(3), "D4": lambda: make_dihedral(4),
+         "D4c": make_d4_centre,
+         "D8": lambda: make_dihedral(8), "Z2xZ4": lambda: make_abelian([2, 4]),
+         "S4": make_s4}
+
+
+@functools.cache
+def planned(name, n):
+    g, series = CASES[name]()
+    return g, plan_network(g, series, n)
 
 
 def test_d3_basic_structure():
@@ -121,6 +162,10 @@ def test_evaluate_length_mismatch():
     net = plan_network(g, series, 4)
     with pytest.raises(LengthMismatch):
         evaluate(net, [0, 0])
+    for bad in (np.zeros((5, 3), dtype=int), np.zeros((4, 5), dtype=int), 0):
+        with pytest.raises(LengthMismatch):
+            evaluate(net, bad)
+    assert evaluate(net, np.zeros((4, 4), dtype=int)).shape == (4,)
 
 
 def test_dn_closed_formula():
@@ -167,12 +212,97 @@ def test_exhaustive_small():
 
 
 def test_network_layer_outputs_disjoint():
-    g, series = make_dihedral(4)
-    net = plan_network(g, series, 9)
-    for layer in net.layers:
-        outs = [node.output for node in layer]
-        assert len(outs) == len(set(outs))
-    assert net.ancilla_count == net.n_slots - 9
+    # every non-input slot is written exactly once, and only from inputs or
+    # outputs of earlier layers: the unstaged evaluation relies on both
+    for name, n in (("D4", 9), ("Z2xZ4", 9), ("S4", 5)):
+        _, net = planned(name, n)
+        written = set(range(n))
+        for layer in net.layers:
+            outs = [node.output for node in layer]
+            assert len(outs) == len(set(outs)) and written.isdisjoint(outs)
+            assert all(set(node.inputs) <= written for node in layer)
+            written.update(outs)
+        assert written == set(range(net.n_slots))
+        assert net.ancilla_count == net.n_slots - n
+
+
+def test_s4_recursive_level():
+    g, series = make_s4()
+    level = groups._build_level(g, [list(s) for s in series.subgroups])
+    assert level.sub is not None and level.sub.sub is None
+    for n in (1, 2, 3):
+        assert groups.exhaustive_check(g, series, n)
+    assert groups.random_check(g, series, 40, trials=500, seed=3)
+    assert {plan_network(g, series, n).depth for n in (2, 8, 32)} == {9}
+
+
+@pytest.mark.parametrize("name", ["D3", "D4", "D5", "D6", "D7", "D8", "S4",
+                                  "D4c"])
+def test_level_identities(name):
+    # checked against the table by scalar products, not the array build
+    g, series = CASES.get(name, lambda: make_dihedral(int(name[1:])))()
+    level = groups._build_level(g, [list(s) for s in series.subgroups])
+    while level is not None:
+        h = level.group
+        members = level.n_elements
+        for x in range(h.order):
+            rep = int(level.psi[level.tau[x]])
+            assert level.merge[rep, level.norm_part[x]] == x
+        nh = len(level.psi)
+        for i, j in itertools.product(range(nh), repeat=2):
+            pi, pj = int(level.psi[i]), int(level.psi[j])
+            prod = h.mul(pi, pj)
+            assert level.h_table[i, j] == level.tau[prod]
+            pij = int(level.psi[level.h_table[i, j]])
+            assert members[level.chi[i, j]] == h.mul(h.inv(pij), prod)
+        for i, k in itertools.product(range(nh), range(len(members))):
+            pi = int(level.psi[i])
+            assert members[level.phi[i, k]] == \
+                h.mul(h.mul(h.inv(pi), int(members[k])), pi)
+        level = level.sub
+
+
+def test_d4_centre_series_nontrivial_cocycle():
+    g, series = make_d4_centre()
+    level = groups._build_level(g, [list(s) for s in series.subgroups])
+    assert (level.chi != level.n_local[g.identity]).any()
+    for n in (1, 2, 3, 4):
+        assert groups.exhaustive_check(g, series, n)
+    assert groups.random_check(g, series, 64, trials=300, seed=4)
+
+
+def test_checks_cover_every_sequence(monkeypatch):
+    # small blocks, so that block boundaries are crossed many times
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", 200)
+    seen = []
+    real = groups.evaluate
+    monkeypatch.setattr(groups, "evaluate",
+                        lambda net, seq: seen.append(np.array(seq)) or real(net, seq))
+    g, series = make_dihedral(3)
+    assert groups.exhaustive_check(g, series, 3)
+    assert len(seen) > 1
+    assert np.concatenate(seen).tolist() == \
+        [list(p) for p in itertools.product(range(6), repeat=3)]
+    seen.clear()
+    assert groups.random_check(g, series, 5, trials=1000, seed=2)
+    assert len(seen) > 1 and sum(len(b) for b in seen) == 1000
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=strategies.sampled_from(sorted(CASES)),
+       n=strategies.integers(1, 6),
+       batch=strategies.sampled_from([(1,), (5,), (2, 3), (3, 1)]),
+       seed=strategies.integers(0, 2 ** 32 - 1))
+def test_evaluate_batch_matches_rows(name, n, batch, seed):
+    g, net = planned(name, n)
+    seqs = np.random.default_rng(seed).integers(0, g.order, (*batch, n))
+    got = evaluate(net, seqs)
+    folded = g.fold(seqs)
+    assert got.shape == folded.shape == batch
+    for idx in np.ndindex(batch):
+        row = seqs[idx].tolist()
+        expected = functools.reduce(g.mul, row, g.identity)
+        assert got[idx] == evaluate(net, row) == g.fold(row) == expected
 
 
 def test_parse_group_round_trip():
@@ -203,6 +333,58 @@ def test_series_validation_failures():
         SolvableSeries(((0,), tuple(range(6)))).validate(g)
 
 
+def test_series_validation_names_first_offender():
+    g, _ = make_dihedral(3)
+    # {e, m} is a subgroup, but r m r^-1 = m r^-2 lies outside it
+    with pytest.raises(GroupStructureError, match="conjugation by 1$"):
+        SolvableSeries(((0,), (0, 3), tuple(range(6)))).validate(g)
+
+
+@pytest.mark.parametrize("table, match", [
+    ([[0, 1], [1, 0], [0, 1]], "square"),
+    ([[0, 2], [1, 0]], "out of range"),
+    ([[0, 1], [0, 1]], "identity"),           # left identities only
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "element 1 lacks"),   # 1*2 = e, 2*1 = 1
+])
+def test_from_table_names_the_failed_axiom(table, match):
+    with pytest.raises(GroupStructureError, match=match):
+        FiniteGroup.from_table(table)
+
+
 def test_associativity_checked():
     with pytest.raises(GroupStructureError):
         FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+def test_associativity_checked_above_order_64():
+    # order 128 with r * r^2 = r^4 instead of r^3: identity and inverses
+    # are intact, so only the associativity check can reject it
+    t = make_dihedral(64)[0].table.copy()
+    t[1, 2] = 4
+    with pytest.raises(GroupStructureError, match="associative"):
+        FiniteGroup.from_table(t)
+
+
+D3_DOC = {"order": 6, "table": make_dihedral(3)[0].table.tolist(),
+          "series": [[0], [0, 1, 2], [0, 1, 2, 3, 4, 5]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"table": (np.array(D3_DOC["table"]) + 0.4).tolist()},
+    {"table": [[float(x) for x in row] for row in D3_DOC["table"]]},
+    {"order": "6"},
+    {"order": 6.7},
+    {"order": 6.0},
+    {"order": True},
+    {"series": [[0], [0, 1.7, 2], list(range(6))]},
+    {"series": [[0], [0, True, 2], list(range(6))]},
+    {"series": 5},
+    {"series": [0, [0, 1, 2], list(range(6))]},
+    {"table": 5},
+    {"table": [[10 ** 30] * 6] * 6},
+    {"series": [[0], [0, 1, 2], [0, 1, 2, 3, 4, 5, 10 ** 30]]},
+])
+def test_parse_group_rejects_instead_of_repairing(change):
+    assert groups.parse_group(json.dumps(D3_DOC))[0].order == 6
+    with pytest.raises(groups.ParseError):
+        groups.parse_group(json.dumps({**D3_DOC, **change}))
