@@ -34,6 +34,8 @@ def _json_line(obj) -> str:
 
 def cmd_synth(args) -> int:
     try:
+        if args.restarts < 1:
+            raise css.InvalidSize(f"--restarts must be positive, got {args.restarts}")
         code = _load_code(args.code, args.size)
     except (css.ParseError, css.InvalidSize, css.CommutationViolation,
             OSError) as e:
@@ -90,26 +92,36 @@ def fit_loglog(sizes, counts) -> dict:
 
 
 def cmd_scaling(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+        if not sizes or min(sizes) < 1:
+            raise css.InvalidSize(f"--sizes must list positive integers, "
+                                  f"got {args.sizes!r}")
+        # a family's builder rejects every size below its minimum, so the
+        # smallest size is the one to probe; a file code ignores the size
+        probe = _load_code(args.code, min(sizes))
+    except (css.ParseError, css.InvalidSize, css.CommutationViolation,
+            ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     rows = []
     failures = 0
     for L in sizes:
-        t0 = time.perf_counter()
+        code = probe if args.code.startswith("file:") or L == min(sizes) \
+            else css.build_family(args.code, L)
+        t0 = time.perf_counter()   # wall_ms: synthesis and verification
         try:
-            code = css.build_family(args.code, L) if not args.code.startswith(
-                "file:") else _load_code(args.code, L)
             circ = synth.synthesize(code, args.strategy, seed=args.seed)
-            if args.verify_upto and L <= args.verify_upto:
-                report = verify.verify_circuit(code, circ)
-                if not report.passed:
-                    raise RuntimeError(f"verification failed: {report.to_json()}")
         except (synth.IncompatibleStrategy, synth.SizeNotPowerOfTwo) as e:
             print(f"error: {e}", file=sys.stderr)
             return 3
-        except Exception as e:  # per-size failure; run continues
-            print(f"size {L} failed: {e}", file=sys.stderr)
-            failures += 1
-            continue
+        if args.verify_upto and L <= args.verify_upto:
+            report = verify.verify_circuit(code, circ)
+            if not report.passed:  # per-size failure; run continues
+                print(f"size {L} failed: verification failed: "
+                      f"{report.to_json()}", file=sys.stderr)
+                failures += 1
+                continue
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append({"family": code.family, "strategy": args.strategy, "L": L,
                      "n_qubits": code.n_qubits,

@@ -3,7 +3,8 @@
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
 word of each row are kept at zero by every operation.  All public
-operations work on copies; no input is mutated.
+operations work on copies; no input is mutated, except the ``out`` matrix
+that ``xor_rows`` is asked to write into.
 """
 
 from __future__ import annotations
@@ -181,12 +182,7 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.cols} != {b.rows}")
-    out = BitMatrix.zeros(a.rows, b.cols)
-    i, k = nonzero(a)
-    if i.size and b.cols:
-        starts = np.flatnonzero(np.diff(i, prepend=-1))
-        out.data[i[starts]] = np.bitwise_xor.reduceat(b.data[k], starts, axis=0)
-    return out
+    return xor_rows(b, *nonzero(a), a.rows)
 
 
 def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +211,50 @@ def row_spread(m: BitMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
     in row rows[i], ordered by i and then col.  Rows may repeat."""
     q, c = nonzero(m)
     weight = np.bincount(q, minlength=m.rows)
+    return spread(np.cumsum(weight) - weight, weight, c, rows)
+
+
+def spread(start: np.ndarray, weight: np.ndarray, values: np.ndarray,
+           rows) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of rows[0], rows[1], ... of a row-grouped list, as pairs
+    (i, value) for each value of row rows[i], ordered by i.  Row r holds
+    values[start[r]:start[r] + weight[r]]; the work follows the output."""
     rows = np.asarray(rows, dtype=np.int64)
     w = weight[rows]
-    # position in (q, c) of each spread bit: its row's start plus its rank
-    start = np.cumsum(weight) - weight
+    # position in values of each spread entry: its row's start plus its rank
     pos = np.arange(w.sum()) + np.repeat(start[rows] - (np.cumsum(w) - w), w)
-    return np.repeat(np.arange(rows.size), w), c[pos]
+    return np.repeat(np.arange(rows.size), w), values[pos]
+
+
+def xor_rows(m: BitMatrix, seg, src, n: int = 0, flips=None,
+             out: Optional[BitMatrix] = None, dst=None) -> BitMatrix:
+    """Row i: the XOR of rows src[j] of m over every j with seg[j] == i
+    (seg nondecreasing), with bit c flipped for each pair (i, c) in
+    ``flips``, for i in range(n).  Given ``out``, row i is written to out's
+    row dst[i] in place instead (those rows must be zero) and out is
+    returned.
+    """
+    if out is None:
+        out, dst = BitMatrix.zeros(n, m.cols), np.arange(n)
+    seg, src = np.asarray(seg), np.asarray(src)
+    if seg.size:
+        # rank by rank over segments sorted longest first: one gather per
+        # rank into a prefix of the accumulator, faster than reduceat
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        lens = np.diff(starts, append=seg.size)
+        by_len = np.argsort(-lens, kind="stable")
+        starts, lens = starts[by_len], lens[by_len]
+        acc = m.data[src[starts]]
+        # segments longer than k, for k = 1, 2, ...: a prefix, by the sort
+        for k, live in enumerate(np.searchsorted(-lens, -np.arange(1, lens[0])), 1):
+            acc[:live] ^= m.data[src[starts[:live] + k]]
+        out.data[dst[seg[starts]]] = acc
+    if flips is not None:
+        i, c = flips
+        flat = dst[i] * out.data.shape[1] + (c >> 6)
+        bits = np.uint64(1) << (c & 63).astype(np.uint64)
+        np.bitwise_xor.at(out.data.reshape(-1), flat, bits)
+    return out
 
 
 def nnz(m: BitMatrix) -> int:

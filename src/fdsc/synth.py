@@ -38,7 +38,8 @@ class InvalidSubset(ValueError):
 
 
 class InternalInvariantViolation(AssertionError):
-    """Greedy selection could not make progress (indicates a code bug)."""
+    """A built-in strategy's subset fails the rank conditions, or emission
+    breaks the one-gate-per-nonzero rule (indicates a code bug)."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,13 @@ class FdscCircuit:
 
 
 def check_subset(code: CssCode, s: SubsetS) -> bool:
-    """Both rank conditions: |S| = rank(pi_S A) and |S| = rank(A)."""
-    if s.qubits and not 0 <= s.qubits[0] <= s.qubits[-1] < code.n_qubits:
+    """Both rank conditions, |S| = rank(pi_S A) = rank(A): exactly when
+    the reconstruction solve succeeds."""
+    try:
+        build_reconstruction(code, s)
+    except InvalidSubset:
         return False
-    a = code.x_stabs
-    sub = a.row_select(list(s.qubits))
-    return gf2.rank(sub) == len(s) and gf2.rank(a) == len(s)
+    return True
 
 
 def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
@@ -107,18 +109,12 @@ def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
 
     ``seed=None`` scans qubits in index order (deterministic mode); an int
     seed scans a seeded random permutation.  Always reaches |S| = rank(A)
-    for a valid code; anything less raises InternalInvariantViolation.
+    for a valid code: a rank profile over all rows has length rank(A).
     """
-    a = code.x_stabs
     order = list(range(code.n_qubits))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    chosen = gf2.row_rank_profile(a, order)
-    target = gf2.rank(a)
-    if len(chosen) != target:
-        raise InternalInvariantViolation(
-            f"greedy stalled at {len(chosen)} of rank {target}")
-    return SubsetS(tuple(sorted(chosen)))
+    return SubsetS(tuple(sorted(gf2.row_rank_profile(code.x_stabs, order))))
 
 
 def _require_family(code: CssCode, family: str, strategy: str) -> int:
@@ -131,13 +127,8 @@ def _require_family(code: CssCode, family: str, strategy: str) -> int:
 def toric_comb_qubits(L: int) -> list[int]:
     """All horizontal rows plus the leftmost vertical column, with one edge
     dropped per row cycle and one from the column to leave a spanning tree."""
-    qubits = []
-    for y in range(L):
-        for x in range(L - 1):
-            qubits.append(css.toric_edge_index(L, x, y, 0))
-    for y in range(L - 1):
-        qubits.append(css.toric_edge_index(L, 0, y, 1))
-    return qubits
+    return ([css.toric_edge_index(L, x, y, 0) for y in range(L) for x in range(L - 1)]
+            + [css.toric_edge_index(L, 0, y, 1) for y in range(L - 1)])
 
 
 def _recursive_tree_edges(L: int, ox: int, oy: int, out: list):
@@ -168,21 +159,12 @@ def xcube_dual_qubits(code: CssCode) -> list[int]:
     """Vertical edges plus two boundary planes of horizontal edges, then a
     greedy rank repair (drop dependent members, extend if short)."""
     L = int(code.params["L"])
-    seed_set = []
-    for x in range(L):
-        for y in range(L):
-            for z in range(L):
-                seed_set.append(css.xcube_edge_index(L, x, y, z, 2))
-    for y in range(L):
-        for z in range(L):
-            seed_set.append(css.xcube_edge_index(L, 0, y, z, 0))
-    for x in range(L):
-        for z in range(L):
-            seed_set.append(css.xcube_edge_index(L, x, 0, z, 1))
-    rest = sorted(set(range(code.n_qubits)) - set(seed_set))
-    order = sorted(seed_set) + rest
-    chosen = gf2.row_rank_profile(code.x_stabs, order)
-    return sorted(chosen)
+    r = range(L)
+    seed_set = {css.xcube_edge_index(L, x, y, z, 2) for x in r for y in r for z in r}
+    seed_set |= {css.xcube_edge_index(L, 0, y, z, 0) for y in r for z in r}
+    seed_set |= {css.xcube_edge_index(L, x, 0, z, 1) for x in r for z in r}
+    rest = sorted(set(range(code.n_qubits)) - seed_set)
+    return sorted(gf2.row_rank_profile(code.x_stabs, sorted(seed_set) + rest))
 
 
 def haah_canonical_qubits(L: int) -> list[int]:
@@ -196,57 +178,12 @@ def haah_canonical_qubits(L: int) -> list[int]:
             for x in range(L) for y in range(L) for z in range(L)]
 
 
-def _toric_edge_ends(L: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices x*L + y at both ends of toric edge qubits: (x, y) and its
-    +x neighbour (horizontal edge) or +y neighbour (vertical edge)."""
-    u = q >> 1
-    x, y = u // L, u % L
-    return u, np.where(q & 1, x * L + (y + 1) % L, (x + 1) % L * L + y)
-
-
-def _toric_spanning_tree_parents(code: CssCode, qubits: Sequence[int]):
-    """BFS structure of a toric edge subset, or None if not a spanning tree.
-
-    A subset of edge qubits satisfies both rank conditions exactly when it
-    is a spanning tree of the vertex graph (independent edge rows form a
-    forest; |S| = L^2 - 1 = rank(A) makes it spanning).
-    """
-    L = int(code.params["L"])
-    n_vert = L * L
-    if len(qubits) != n_vert - 1:
-        return None
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vert)]
-    ends = _toric_edge_ends(L, np.asarray(qubits, dtype=np.int64))
-    for q, u, v in zip(qubits, *(e.tolist() for e in ends)):
-        adj[u].append((v, q))
-        adj[v].append((u, q))
-    parent = np.full(n_vert, -1, dtype=np.int64)
-    parent_edge = np.full(n_vert, -1, dtype=np.int64)
-    depth = np.zeros(n_vert, dtype=np.int64)
-    seen = np.zeros(n_vert, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, q in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                parent_edge[v] = q
-                depth[v] = depth[u] + 1
-                stack.append(v)
-    if not seen.all():
-        return None
-    return parent, parent_edge, depth
-
-
 def tree_select(code: CssCode, strategy: str) -> SubsetS:
-    """The named lattice constructions; validates the rank conditions.
+    """The named lattice constructions.
 
-    Validation is family-specific: toric subsets are checked to be spanning
-    trees (equivalent to the rank conditions), the X-cube repair is valid by
-    construction of the rank profile, and the cubic-code subset is checked
-    by the generic rank computations.
+    The X-cube repair is valid by construction of the rank profile; the
+    toric and cubic-code subsets are validated by the reconstruction solve
+    that follows selection in ``synthesize``.
     """
     if strategy == "toric_comb":
         L = _require_family(code, "toric", strategy)
@@ -262,95 +199,117 @@ def tree_select(code: CssCode, strategy: str) -> SubsetS:
         qubits = haah_canonical_qubits(L)
     else:
         raise IncompatibleStrategy(f"unknown tree strategy {strategy!r}")
-    s = SubsetS(tuple(sorted(qubits)))
-    if code.family == "toric":
-        if _toric_spanning_tree_parents(code, s.qubits) is None:
-            raise InternalInvariantViolation(f"{strategy} did not build a spanning tree")
-    elif code.family == "haah":
-        if not check_subset(code, s):
-            raise InternalInvariantViolation(f"{strategy} subset fails rank conditions")
-    return s
+    return SubsetS(tuple(sorted(qubits)))
 
 
 # -- reconstruction --------------------------------------------------------
 
 
-def build_reconstruction(code: CssCode, s: SubsetS,
-                         pivot_order: str = "forward",
-                         method: str = "auto") -> BitMatrix:
-    """The unique N x |S| matrix reconstructing all Z-values from S.
+def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
+    """The columns of the unique N x |S| matrix M with M pi_S A = A, as the
+    rows of an |S| x N matrix (row j is column j of M, for S member j).
 
-    Computed as A (pi_S A)^+ with any right inverse; rows indexed by
-    qubits, columns by sorted S members.  Rows at S positions are unit
-    vectors.  For toric spanning-tree subsets an equivalent tree-path
-    construction is used unless ``method='generic'``.
+    Peeling: while some unused X generator g has exactly one unresolved S
+    member s, resolve s by g: column s of M is A[:, g] XOR the columns of
+    g's other S members, all resolved earlier.  Each round resolves its
+    whole frontier at once and only rescans the generators it touched.
+    Where the peel stalls, the unresolved members U and the unused
+    generators G' on them are solved densely with a right inverse of
+    pi_U A[:, G'].  A complete peel plus a full-row-rank core make
+    pi_S A full row rank, so the final check that every non-pivot
+    generator equals the XOR of M's columns over its S members holds
+    exactly when rank(A) = |S|.  Raises InvalidSubset otherwise.
     """
-    if method not in ("auto", "generic", "tree"):
-        raise ValueError(method)
-    s_list = list(s.qubits)
-    a = code.x_stabs
-    if method != "generic" and code.family == "toric" and "L" in code.params:
-        m = _toric_tree_reconstruction(code, s_list)
-        if m is not None:
-            return m
-        if method == "tree":
-            raise InvalidSubset("subset is not a toric spanning tree")
-    sub = a.row_select(s_list)
-    try:
-        rinv = gf2.right_inverse(sub, pivot_order=pivot_order)
-    except gf2.RankDeficient as e:
-        raise InvalidSubset(str(e)) from e
-    if gf2.rank(a) != len(s_list):
-        raise InvalidSubset("|S| != rank of the X-stabilizer matrix")
-    return gf2.mul(a, rinv)
+    n, k = code.n_qubits, code.n_x
+    cols = np.asarray(s.qubits, dtype=np.int64)
+    if cols.size and not 0 <= cols[0] <= cols[-1] < n:
+        raise InvalidSubset("subset qubit outside the register")
+    col_of = np.full(n, -1, dtype=np.int64)
+    col_of[cols] = np.arange(cols.size)
+    q, g = gf2.nonzero(code.x_stabs)
+    member = col_of[q] >= 0
+    sc, sg = col_of[q[member]], g[member]   # (column, generator), by column
+
+    def grouped(rows, values, size):
+        """Row-grouped list of values, for gf2.spread."""
+        weight = np.bincount(rows, minlength=size)
+        order = np.argsort(rows, kind="stable")
+        return np.cumsum(weight) - weight, weight, values[order]
+
+    gen_qubits = grouped(g, q, k)
+    gen_cols = grouped(sg, sc, k)
+    col_gens = grouped(sc, sg, cols.size)
+    unresolved = gen_cols[1].copy()
+    xor_cols = np.zeros(k, dtype=np.int64)   # XOR of unresolved member columns
+    np.bitwise_xor.at(xor_cols, sg, sc)
+    mt = BitMatrix.zeros(cols.size, n)
+    pivot = np.zeros(k, dtype=bool)
+    resolved = np.zeros(cols.size, dtype=bool)
+
+    def combine(gens, keep, out=None, dst=None):
+        """Rows A[:, g] XOR the columns of M over the S members of g that
+        ``keep`` selects, a mask over (position in gens, column) pairs."""
+        i, c = gf2.spread(*gen_cols, gens)
+        keep = keep(i, c)
+        return gf2.xor_rows(mt, i[keep], c[keep], len(gens),
+                            gf2.spread(*gen_qubits, gens), out, dst)
+
+    frontier = np.flatnonzero(unresolved == 1)
+    while frontier.size:
+        new, first = np.unique(xor_cols[frontier], return_index=True)
+        gens = frontier[first]
+        pivot[gens] = resolved[new] = True
+        combine(gens, lambda i, c: c != new[i], mt, new)
+        i, touched = gf2.spread(*col_gens, new)
+        np.subtract.at(unresolved, touched, 1)
+        np.bitwise_xor.at(xor_cols, touched, new[i])
+        frontier = np.unique(touched[(unresolved[touched] == 1)
+                                     & ~pivot[touched]])
+    rest = np.flatnonzero(~pivot)
+    core_cols = np.flatnonzero(~resolved)
+    if core_cols.size:
+        core = rest[unresolved[rest] > 0]
+        rhs = combine(core, lambda i, c: resolved[c])
+        i, c = gf2.spread(*gen_cols, core)
+        on_core = ~resolved[c]
+        u = np.searchsorted(core_cols, c[on_core])
+        try:
+            r = gf2.right_inverse(BitMatrix.from_entries(
+                np.column_stack((u, i[on_core])), core_cols.size, core.size))
+        except gf2.RankDeficient as e:
+            raise InvalidSubset(f"pi_S A is not full row rank: {e}") from e
+        # M_U = rhs R: column u of M_U XORs the rhs columns that R[:, u] picks
+        gi, u = gf2.nonzero(r)
+        order = np.argsort(u, kind="stable")
+        gf2.xor_rows(rhs, u[order], gi[order], out=mt, dst=core_cols)
+    # exact check (pi_S A)^T M^T == A^T on the non-pivot generators, in
+    # blocks of about 2^26 bits of product
+    for block in np.array_split(rest, rest.size * n >> 26 or 1):
+        members, qubits = (BitMatrix.from_entries(
+            np.column_stack(gf2.spread(*grouping, block)), block.size, width)
+            for grouping, width in ((gen_cols, cols.size), (gen_qubits, n)))
+        if gf2.mul(members, mt) != qubits:
+            raise InvalidSubset("|S| != rank of the X-stabilizer matrix")
+    return mt
 
 
-def _toric_tree_reconstruction(code: CssCode, s_list: list[int]) -> Optional[BitMatrix]:
-    """Path-based M_S for a toric spanning-tree subset (None if not a tree).
-
-    Row q off S holds the tree edges on the path between q's two ends.  All
-    rows walk together, each stepping its deeper end (both ends when level)
-    to the parent until the ends meet: at most tree-depth vectorised steps.
-    """
-    L = int(code.params["L"])
-    bfs = _toric_spanning_tree_parents(code, s_list)
-    if bfs is None:
-        return None
-    parent, parent_edge, depth = bfs
-    col_of = np.full(code.n_qubits, -1, dtype=np.int64)
-    col_of[s_list] = np.arange(len(s_list))
-    rows = np.flatnonzero(col_of < 0)
-    u, v = _toric_edge_ends(L, rows)
-    entries = [np.column_stack((s_list, col_of[s_list]))]
-    live = u != v
-    while live.any():
-        rows, u, v = rows[live], u[live], v[live]
-        up, vp = depth[u] >= depth[v], depth[v] >= depth[u]
-        entries += [np.column_stack((rows[up], col_of[parent_edge[u[up]]])),
-                    np.column_stack((rows[vp], col_of[parent_edge[v[vp]]]))]
-        u, v = np.where(up, parent[u], u), np.where(vp, parent[v], v)
-        live = u != v
-    return BitMatrix.from_entries(np.concatenate(entries), code.n_qubits,
-                                  len(s_list))
-
-
-def emit_circuit(code: CssCode, s: SubsetS, m: BitMatrix,
+def emit_circuit(code: CssCode, s: SubsetS, mt: BitMatrix,
                  metadata: Optional[dict] = None) -> FdscCircuit:
-    """One CX per off-S nonzero of the reconstruction matrix."""
+    """One CX per off-S nonzero of the reconstruction matrix, read from its
+    columns (``mt`` as returned by ``build_reconstruction``), so the gates
+    come out in (control, target) order."""
     controls = np.asarray(s.qubits, dtype=np.int64)
     in_s = np.zeros(code.n_qubits, dtype=bool)
     in_s[controls] = True
-    t, col = gf2.nonzero(m)
+    col, t = gf2.nonzero(mt)
     off = ~in_s[t]
     c, t = controls[col[off]], t[off]
-    expected = gf2.nnz(m) - len(controls)
-    if len(t) != expected:
+    if len(t) != len(col) - len(controls):
         raise InternalInvariantViolation(
-            f"gate count {len(t)} != nnz - |S| = {expected}")
-    order = np.lexsort((t, c))
+            f"gate count {len(t)} != nnz - |S| = {len(col) - len(controls)}")
     # one shared int object per qubit keeps millions of gate tuples small
     qubit = np.arange(code.n_qubits).astype(object)
-    gates = tuple(zip(qubit[c[order]].tolist(), qubit[t[order]].tolist()))
+    gates = tuple(zip(qubit[c].tolist(), qubit[t].tolist()))
     meta = dict(metadata or {})
     meta["gate_count"] = len(gates)
     return FdscCircuit(code.n_qubits, s.qubits, gates, meta)
@@ -363,42 +322,36 @@ def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
 
     Greedy with ``restarts > 1`` tries seeds seed..seed+restarts-1 and keeps
     the smallest-gate-count circuit (ties to the lower seed).  Strategy
-    "explicit" synthesizes from the caller-provided subset.
+    "explicit" synthesizes from the caller-provided subset and raises
+    InvalidSubset if it fails the rank conditions; a built-in strategy
+    whose subset fails them raises InternalInvariantViolation.
     """
+    meta = {"family": code.family, "params": code.params, "strategy": strategy}
     if strategy == "explicit":
         if subset is None:
             raise IncompatibleStrategy("explicit strategy needs a subset")
         s = SubsetS(tuple(sorted(subset)))
-        if not check_subset(code, s):
-            raise InvalidSubset("explicit subset fails the rank conditions")
-        m = build_reconstruction(code, s)
-        return emit_circuit(code, s, m, {"family": code.family,
-                                         "params": code.params,
-                                         "strategy": "explicit"})
+        return emit_circuit(code, s, build_reconstruction(code, s), meta)
     if strategy == "greedy":
-        if restarts > 1:
-            base = 0 if seed is None else seed
-            best = None
-            for k in range(restarts):
-                s = greedy_select(code, base + k)
-                m = build_reconstruction(code, s)
-                if best is None or gf2.nnz(m) < best[0]:
-                    best = (gf2.nnz(m), s, m, base + k)
-            _, s, m, used_seed = best
-            meta = {"family": code.family, "params": code.params,
-                    "strategy": strategy, "seed": used_seed}
-            return emit_circuit(code, s, m, meta)
-        s = greedy_select(code, seed)
-    elif strategy in ("toric_comb", "toric_recursive", "xcube_dual_trees",
-                      "haah_canonical"):
-        s = tree_select(code, strategy)
+        base = 0 if seed is None else seed
+        seeds = range(base, base + restarts) if restarts > 1 else [seed]
+        picks = ((k, greedy_select(code, k)) for k in seeds)
+    elif strategy in STRATEGIES:
+        picks = [(None, tree_select(code, strategy))]
     else:
         raise IncompatibleStrategy(f"unknown strategy {strategy!r}")
-    m = build_reconstruction(code, s)
-    meta = {"family": code.family, "params": code.params, "strategy": strategy}
-    if strategy == "greedy" and seed is not None:
-        meta["seed"] = seed
-    return emit_circuit(code, s, m, meta)
+    best = None
+    for k, s in picks:
+        try:
+            mt = build_reconstruction(code, s)
+        except InvalidSubset as e:
+            raise InternalInvariantViolation(f"{strategy}: {e}") from e
+        if best is None or gf2.nnz(mt) < best[0]:
+            best = (gf2.nnz(mt), k, s, mt)
+    _, k, s, mt = best
+    if k is not None:
+        meta["seed"] = k
+    return emit_circuit(code, s, mt, meta)
 
 
 # -- cubic-code potential solve -------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: dense-elimination oracles and random code generation.
+"""Shared test helpers: dense-elimination oracles, random code generation,
+and the hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -7,9 +8,16 @@ can serve as independent cross-checks.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from fdsc import css
 from fdsc.gf2 import BitMatrix
+
+# Every property draws the same examples on every run: no example
+# database, no wall-clock deadline, a fixed derivation of the examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def dense_rref(a: np.ndarray):

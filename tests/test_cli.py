@@ -171,6 +171,53 @@ def test_scaling_bad_strategy(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ("--sizes", "a"), ("--sizes", "4,-1"), ("--sizes", "0"), ("--sizes", ","),
+    ("--code", "bogus"), ("--code", "file:/nonexistent/code.json"),
+    ("--sizes", "1")])   # below the toric minimum L = 2
+def test_scaling_rejects_bad_sizes_and_code(capsys, flags):
+    argv = {"--code": "toric", "--sizes": "4,8", **dict([flags])}
+    rc, stdout, err = run(capsys, "scaling", "--strategy", "toric_comb",
+                          *(x for kv in argv.items() for x in kv))
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+    assert "failed" not in err
+
+
+def test_scaling_file_code(tmp_path, capsys):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(css.serialize_code(css.build_ghz(4)))
+    rc, stdout, _ = run(capsys, "scaling", "--code", f"file:{code_path}",
+                        "--strategy", "greedy", "--sizes", "1,2",
+                        "--verify-upto", "2")
+    assert rc == 0
+    assert [line.split(",")[5] for line in stdout.splitlines()[1:3]] == ["3", "3"]
+
+
+def test_scaling_counts_only_verification_failures(monkeypatch, capsys):
+    real = cli.verify.verify_circuit
+
+    def fail_at_3(code, circ):
+        report = real(code, circ)
+        return report if code.params["L"] != 3 else \
+            type(report)(False, (0,), (), report.n_checked)
+
+    monkeypatch.setattr(cli.verify, "verify_circuit", fail_at_3)
+    rc, stdout, err = run(capsys, "scaling", "--code", "toric", "--strategy",
+                          "toric_comb", "--sizes", "2,3,4", "--verify-upto", "4")
+    assert rc == 1
+    assert err.startswith("size 3 failed: verification failed")
+    assert json.loads(stdout.splitlines()[-1]) == {"rows": 2, "failures": 1}
+
+
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_synth_rejects_restarts_below_one(capsys, restarts):
+    rc, stdout, err = run(capsys, "synth", "--code", "toric", "--size", "3",
+                          "--strategy", "greedy", "--restarts", restarts)
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ")
+
+
 def test_synth_restarts(tmp_path, capsys):
     outs = []
     for name in ("r1.json", "r2.json"):

@@ -224,7 +224,7 @@ def test_random_codes_commute(seed):
     assert gf2.rank(code.x_stabs) == dense_rank(code.x_stabs.to_dense())
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(data=strategies.data())
 def test_commutation_check_matches_overlap_parities(data):
     """Random dense X/Z pairs, half of them with Z drawn from the orthogonal

@@ -158,7 +158,7 @@ def test_nnz_ghz_reconstruction_column():
     code = css.build_ghz(4)
     m = synth.build_reconstruction(code, synth.SubsetS((0,)))
     assert gf2.nnz(m) == 4
-    assert m.to_dense().tolist() == [[1], [1], [1], [1]]
+    assert m.to_dense().T.tolist() == [[1], [1], [1], [1]]
 
 
 def test_from_entries_round_trip():
@@ -192,6 +192,30 @@ def test_row_spread_matches_dense(shape, density):
         i, cols = gf2.row_spread(m, rows)
         want = [(k, c) for k, r in enumerate(rows) for c in np.flatnonzero(a[r])]
         assert list(zip(i.tolist(), cols.tolist())) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_xor_rows_matches_dense(seed):
+    """Segments of uneven length (and empty ones), bit flips, and the
+    in-place form writing into chosen zero rows of another matrix."""
+    rng = np.random.default_rng(900 + seed)
+    a = rng.integers(0, 2, size=(11, 70)).astype(np.uint8)
+    n = 6
+    seg = np.sort(rng.integers(0, n, size=14))
+    src = rng.integers(0, 11, size=14)
+    flips = (rng.integers(0, n, size=5), rng.integers(0, 70, size=5))
+    want = np.zeros((n, 70), dtype=np.uint8)
+    for i, r in zip(seg, src):
+        want[i] ^= a[r]
+    for i, c in zip(*flips):
+        want[i, c] ^= 1
+    got = gf2.xor_rows(BitMatrix.from_dense(a), seg, src, n, flips)
+    assert np.array_equal(got.to_dense(), want) and padding_ok(got)
+    dst = rng.permutation(9)[:n]
+    out = gf2.xor_rows(BitMatrix.from_dense(a), seg, src, flips=flips,
+                       out=BitMatrix.zeros(9, 70), dst=dst)
+    assert np.array_equal(out.to_dense()[dst], want)
+    assert not np.delete(out.to_dense(), dst, axis=0).any()
 
 
 @pytest.mark.parametrize("n,k,m", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0),

@@ -288,7 +288,7 @@ def test_checks_cover_every_sequence(monkeypatch):
     assert len(seen) > 1 and sum(len(b) for b in seen) == 1000
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(name=strategies.sampled_from(sorted(CASES)),
        n=strategies.integers(1, 6),
        batch=strategies.sampled_from([(1,), (5,), (2, 3), (3, 1)]),

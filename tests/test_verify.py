@@ -266,7 +266,7 @@ def test_matches_oracles_on_one_gate_mutants(family, size, strategy):
             assert not statevector_check(code, mut)
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(seed=strategies.integers(0, 2 ** 32 - 1),
        synthesized=strategies.booleans(), flips=strategies.integers(0, 2))
 def test_matches_oracles_on_random_layers(seed, synthesized, flips):
