@@ -28,6 +28,16 @@ def _load_code(spec: str, size: int | None) -> css.CssCode:
     return css.build_family(spec, size)
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; report a failure as an error line."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return False
+    return True
+
+
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -37,8 +47,7 @@ def cmd_synth(args) -> int:
         if args.restarts < 1:
             raise css.InvalidSize(f"--restarts must be positive, got {args.restarts}")
         code = _load_code(args.code, args.size)
-    except (css.ParseError, css.InvalidSize, css.CommutationViolation,
-            OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
@@ -47,8 +56,8 @@ def cmd_synth(args) -> int:
     except (synth.IncompatibleStrategy, synth.SizeNotPowerOfTwo) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    if args.out:
-        Path(args.out).write_text(synth.serialize_circuit(circ) + "\n")
+    if args.out and not _write(args.out, synth.serialize_circuit(circ) + "\n"):
+        return 2
     print(_json_line({"gate_count": circ.gate_count,
                       "s_size": len(circ.plus_qubits),
                       "n_qubits": circ.n_qubits}))
@@ -59,8 +68,7 @@ def cmd_verify(args) -> int:
     try:
         code = _load_code(args.code, args.size)
         circ = synth.parse_circuit(Path(args.circuit).read_text())
-    except (css.ParseError, css.InvalidSize, css.CommutationViolation,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
@@ -100,8 +108,7 @@ def cmd_scaling(args) -> int:
         # a family's builder rejects every size below its minimum, so the
         # smallest size is the one to probe; a file code ignores the size
         probe = _load_code(args.code, min(sizes))
-    except (css.ParseError, css.InvalidSize, css.CommutationViolation,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rows = []
@@ -133,10 +140,10 @@ def cmd_scaling(args) -> int:
         lines.append(f"{r['family']},{r['strategy']},{r['L']},{r['n_qubits']},"
                      f"{r['s_size']},{r['gate_count']},{r['wall_ms']:.3f}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+    elif not _write(args.out, text):
+        return 2
     result = {"rows": len(rows), "failures": failures}
     if len(rows) >= 3:
         result["fit"] = fit_loglog([r["L"] for r in rows],

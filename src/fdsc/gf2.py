@@ -86,23 +86,13 @@ class BitMatrix:
         np.bitwise_or.at(m.data.reshape(-1), flat, bits)
         return m
 
-    # -- conversions and copies --------------------------------------
+    # -- conversions ---------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         if self.cols == 0:
             return np.zeros((self.rows, 0), dtype=np.uint8)
         bits = np.unpackbits(self.data.view(np.uint8), axis=1, bitorder="little")
         return np.ascontiguousarray(bits[:, :self.cols])
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
-
-    def row_select(self, idx: Sequence[int]) -> "BitMatrix":
-        idx = np.asarray(idx, dtype=np.intp)
-        return BitMatrix(len(idx), self.cols, self.data[idx].copy())
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows

@@ -56,39 +56,63 @@ class SubsetS:
         return len(self.qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FdscCircuit:
     """Initial |+>/|0> assignment plus one commuting CX layer.
 
     Controls always lie in ``plus_qubits`` and targets outside it, so all
-    gates commute pairwise.  Gates are sorted by (control, target).
+    gates commute pairwise.  The gates are held as ``pairs``, one read-only
+    m x 2 int64 array of (control, target) rows, strictly increasing in
+    (control, target) order; the constructor takes any sequence of pairs
+    or such an array, and sorts it only if it is not sorted already.
+    ``gates`` is the same layer as a tuple of int pairs, built on request.
     """
 
     n_qubits: int
     plus_qubits: tuple[int, ...]
-    gates: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        plus = set(self.plus_qubits)
-        if len(plus) != len(self.plus_qubits):
+        plus = np.sort(np.asarray(self.plus_qubits, dtype=np.int64))
+        pairs = np.asarray(self.pairs, dtype=np.int64)
+        pairs = pairs.reshape(len(pairs), 2)   # no gates: shape (0,) to (0, 2)
+        if np.any(plus[1:] == plus[:-1]):
             raise ValueError("a plus qubit is listed twice")
-        if plus and not all(0 <= q < self.n_qubits for q in plus):
+        if plus.size and not 0 <= plus[0] <= plus[-1] < self.n_qubits:
             raise ValueError("plus qubit outside the register")
-        for c, t in self.gates:
-            if not (0 <= t < self.n_qubits):
-                raise ValueError(f"gate target {t} outside the register")
-            if c not in plus or t in plus:
-                raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
-        gates = tuple(sorted(self.gates))
-        dup = next((g for g, h in itertools.pairwise(gates) if g == h), None)
-        if dup is not None:
-            raise ValueError(f"gate {dup} repeated; two equal CX gates cancel")
-        object.__setattr__(self, "gates", gates)
+        c, t = pairs.T
+        bad = (t < 0) | (t >= self.n_qubits) | ~np.isin(c, plus) | np.isin(t, plus)
+        if bad.any():
+            c, t = pairs[bad.argmax()]
+            raise ValueError(f"gate ({c},{t}) breaks the one-layer structure "
+                             f"(control in the plus set, target in the "
+                             f"register outside it)")
+        step = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
+        if not step.all():
+            pairs = pairs[np.lexsort((t, c))]
+            same = np.all(pairs[1:] == pairs[:-1], axis=1)
+            if same.any():
+                c, t = pairs[same.argmax()]
+                raise ValueError(f"gate ({c},{t}) repeated; equal CX gates cancel")
+        pairs = pairs.view()
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FdscCircuit)
+                and (self.n_qubits, self.plus_qubits, self.metadata)
+                == (other.n_qubits, other.plus_qubits, other.metadata)
+                and np.array_equal(self.pairs, other.pairs))
+
+    @property
+    def gates(self) -> tuple[tuple[int, int], ...]:
+        c, t = self.pairs.T
+        return tuple(zip(c.tolist(), t.tolist()))
 
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        return len(self.pairs)
 
 
 # -- subset selection ------------------------------------------------------
@@ -296,23 +320,22 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
 def emit_circuit(code: CssCode, s: SubsetS, mt: BitMatrix,
                  metadata: Optional[dict] = None) -> FdscCircuit:
     """One CX per off-S nonzero of the reconstruction matrix, read from its
-    columns (``mt`` as returned by ``build_reconstruction``), so the gates
-    come out in (control, target) order."""
+    columns (``mt`` as returned by ``build_reconstruction``).  The rows of
+    ``mt`` follow the sorted subset and ``gf2.nonzero`` scans row-major, so
+    the (control, target) array comes out sorted and the circuit keeps it
+    as it is."""
     controls = np.asarray(s.qubits, dtype=np.int64)
     in_s = np.zeros(code.n_qubits, dtype=bool)
     in_s[controls] = True
     col, t = gf2.nonzero(mt)
     off = ~in_s[t]
-    c, t = controls[col[off]], t[off]
-    if len(t) != len(col) - len(controls):
+    pairs = np.column_stack((controls[col[off]], t[off]))
+    if len(pairs) != len(col) - len(controls):
         raise InternalInvariantViolation(
-            f"gate count {len(t)} != nnz - |S| = {len(col) - len(controls)}")
-    # one shared int object per qubit keeps millions of gate tuples small
-    qubit = np.arange(code.n_qubits).astype(object)
-    gates = tuple(zip(qubit[c].tolist(), qubit[t].tolist()))
+            f"gate count {len(pairs)} != nnz - |S| = {len(col) - len(controls)}")
     meta = dict(metadata or {})
-    meta["gate_count"] = len(gates)
-    return FdscCircuit(code.n_qubits, s.qubits, gates, meta)
+    meta["gate_count"] = len(pairs)
+    return FdscCircuit(code.n_qubits, s.qubits, pairs, meta)
 
 
 def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
@@ -416,14 +439,17 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 
 
 def serialize_circuit(circ: FdscCircuit) -> str:
-    doc = {
-        "version": 1,
-        "n_qubits": circ.n_qubits,
-        "plus_qubits": circ.plus_qubits,
-        "gates": circ.gates,  # tuples encode as JSON arrays
-        "metadata": circ.metadata,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """The circuit as compact JSON with sorted keys.  "gates" sorts first,
+    so its list is formatted 2^16 pairs at a time and spliced in front of
+    the rest of the document, which ``json`` writes."""
+    rest = json.dumps({"version": 1, "n_qubits": circ.n_qubits,
+                       "plus_qubits": circ.plus_qubits,
+                       "metadata": circ.metadata},
+                      sort_keys=True, separators=(",", ":"))
+    blocks = np.split(circ.pairs, range(1 << 16, len(circ.pairs), 1 << 16))
+    gates = ",".join(",".join(["[%d,%d]"] * len(b)) % tuple(b.ravel().tolist())
+                     for b in blocks)
+    return '{"gates":[' + gates + "]," + rest[1:]
 
 
 def parse_circuit(text: str) -> FdscCircuit:
@@ -442,8 +468,8 @@ def parse_circuit(text: str) -> FdscCircuit:
                 and all(map(css.is_json_int, ints)) and n >= 0):
             raise css.ParseError("n_qubits and qubit indices must be integers "
                                  "(n_qubits >= 0), gates [control, target] pairs")
-        return FdscCircuit(n, tuple(plus), tuple(map(tuple, gates)), meta)
+        return FdscCircuit(n, tuple(plus), gates, meta)
     except json.JSONDecodeError as e:
         raise css.ParseError(f"invalid JSON: {e}") from e
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise css.ParseError(f"bad circuit document: {e}") from e

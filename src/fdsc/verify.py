@@ -19,7 +19,6 @@ Both checks are exact and need no elimination and no sign bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -39,18 +38,6 @@ STATEVECTOR_CAP = 20
 
 
 @dataclass(frozen=True)
-class CssState:
-    """Circuit output in CSS form: |+> on ``plus``, |0> elsewhere, then
-    CX(controls[i], targets[i]) for every i.  M_c is the identity on the
-    ``plus`` rows plus a 1 at (targets[i], controls[i])."""
-
-    n_qubits: int
-    plus: np.ndarray
-    controls: np.ndarray
-    targets: np.ndarray
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     passed: bool
     failed_x: tuple[int, ...]
@@ -65,11 +52,13 @@ class VerifyReport:
                           sort_keys=True, separators=(",", ":"))
 
 
-def final_state(circ: FdscCircuit) -> CssState:
-    gates = np.fromiter(itertools.chain.from_iterable(circ.gates),
-                        dtype=np.int64, count=2 * len(circ.gates)).reshape(-1, 2)
-    return CssState(circ.n_qubits, np.asarray(circ.plus_qubits, dtype=np.int64),
-                    gates[:, 0], gates[:, 1])
+def final_state(circ: FdscCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output state in CSS form, as int64 arrays (plus, controls,
+    targets): |+> on ``plus``, |0> elsewhere, then CX(controls[i],
+    targets[i]) for every i.  M_c is the identity on the ``plus`` rows plus
+    a 1 at (targets[i], controls[i])."""
+    return (np.asarray(circ.plus_qubits, dtype=np.int64),
+            circ.pairs[:, 0], circ.pairs[:, 1])
 
 
 def _failed_generators(gens: BitMatrix, src: np.ndarray, dst: np.ndarray,
@@ -94,13 +83,11 @@ def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:
     """Check every X and Z generator of the code against the output state."""
     if circ.n_qubits != code.n_qubits:
         raise DimensionMismatch("circuit and code qubit counts differ")
-    state = final_state(circ)
+    plus, controls, targets = final_state(circ)
     in_s = np.zeros(code.n_qubits, dtype=bool)
-    in_s[state.plus] = True
-    failed_x = _failed_generators(code.x_stabs, state.controls, state.targets,
-                                  ~in_s)
-    failed_z = _failed_generators(code.z_stabs, state.targets, state.controls,
-                                  in_s)
+    in_s[plus] = True
+    failed_x = _failed_generators(code.x_stabs, controls, targets, ~in_s)
+    failed_z = _failed_generators(code.z_stabs, targets, controls, in_s)
     return VerifyReport(not failed_x and not failed_z, failed_x, failed_z,
                         code.n_x + code.n_z)
 
@@ -108,28 +95,29 @@ def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:
 # -- state-vector oracle ---------------------------------------------------
 
 
-def _circuit_output_basis(circ: FdscCircuit) -> np.ndarray:
-    """Computational-basis labels of the circuit output superposition."""
-    plus = list(circ.plus_qubits)
-    k = len(plus)
-    labels = np.zeros(1 << k, dtype=np.uint64)
-    idx = np.arange(1 << k, dtype=np.uint64)
-    for pos, q in enumerate(plus):
-        labels |= ((idx >> np.uint64(pos)) & np.uint64(1)) << np.uint64(q)
-    for c, t in circ.gates:
-        bit = (labels >> np.uint64(c)) & np.uint64(1)
-        labels ^= bit << np.uint64(t)
-    return labels
+def _span_state(n_qubits: int, masks: np.ndarray) -> np.ndarray:
+    """Uniform superposition over the XOR span of the uint64 bit masks:
+    basis label i XORs masks[j] for every set bit j of i."""
+    idx = np.arange(1 << len(masks), dtype=np.uint64)
+    labels = np.zeros_like(idx)
+    for pos, mask in enumerate(masks):
+        labels ^= ((idx >> np.uint64(pos)) & np.uint64(1)) * mask
+    vec = np.zeros(1 << n_qubits, dtype=np.float64)
+    np.add.at(vec, labels.astype(np.int64), 1.0)
+    return vec / np.linalg.norm(vec)
 
 
 def circuit_statevector(circ: FdscCircuit) -> np.ndarray:
-    """Amplitude vector of the circuit output (n <= 20)."""
+    """Amplitude vector of the circuit output (n <= 20): the span of the
+    columns of M_c, one bit mask per plus qubit."""
     if circ.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={circ.n_qubits} > {STATEVECTOR_CAP}")
-    labels = _circuit_output_basis(circ)
-    vec = np.zeros(1 << circ.n_qubits, dtype=np.float64)
-    np.add.at(vec, labels.astype(np.int64), 1.0)
-    return vec / np.linalg.norm(vec)
+    plus, controls, targets = (a.astype(np.uint64) for a in final_state(circ))
+    plus = np.sort(plus)
+    columns = np.uint64(1) << plus
+    np.bitwise_or.at(columns, np.searchsorted(plus, controls),
+                     np.uint64(1) << targets)
+    return _span_state(circ.n_qubits, columns)
 
 
 def ground_state_statevector(code: CssCode) -> np.ndarray:
@@ -141,22 +129,10 @@ def ground_state_statevector(code: CssCode) -> np.ndarray:
     if code.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={code.n_qubits} > {STATEVECTOR_CAP}")
     cols = gf2.column_rank_profile(code.x_stabs)
-    dense = code.x_stabs.to_dense()
-    supports = []
-    for j in cols:
-        mask = np.uint64(0)
-        for q in np.flatnonzero(dense[:, j]):
-            mask |= np.uint64(1) << np.uint64(q)
-        supports.append(mask)
-    k = len(supports)
-    labels = np.zeros(1 << k, dtype=np.uint64)
-    idx = np.arange(1 << k, dtype=np.uint64)
-    for pos, mask in enumerate(supports):
-        labels ^= np.where((idx >> np.uint64(pos)) & np.uint64(1), mask,
-                           np.uint64(0))
-    vec = np.zeros(1 << code.n_qubits, dtype=np.float64)
-    np.add.at(vec, labels.astype(np.int64), 1.0)
-    return vec / np.linalg.norm(vec)
+    bits = code.x_stabs.to_dense()[:, cols].astype(np.uint64)
+    shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
+    return _span_state(code.n_qubits,
+                       np.bitwise_or.reduce(bits << shifts, axis=0))
 
 
 def statevector_check(code: CssCode, circ: FdscCircuit) -> bool:

@@ -1,11 +1,14 @@
-"""Shared test helpers: dense-elimination oracles, random code generation,
-and the hypothesis profile every property runs under.
+"""Shared test helpers: dense-elimination oracles, a per-gate circuit
+check, random code generation, and the hypothesis profile every property
+runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from hypothesis import settings
@@ -96,3 +99,22 @@ def padding_ok(m: BitMatrix) -> bool:
     tail = 64 - (m.cols % 64)
     mask = (~np.uint64(0)) >> np.uint64(tail)
     return bool(np.all(m.data[:, -1] & ~mask == 0))
+
+
+def circuit_oracle(n_qubits, plus_qubits, gates):
+    """The one-layer circuit checks, one gate tuple at a time: the sorted
+    gate tuple, or ValueError where ``FdscCircuit`` must reject."""
+    plus = set(plus_qubits)
+    if len(plus) != len(plus_qubits):
+        raise ValueError("a plus qubit is listed twice")
+    if plus and not all(0 <= q < n_qubits for q in plus):
+        raise ValueError("plus qubit outside the register")
+    for c, t in gates:
+        if not (0 <= t < n_qubits):
+            raise ValueError(f"gate target {t} outside the register")
+        if c not in plus or t in plus:
+            raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
+    gates = tuple(sorted(gates))
+    if any(g == h for g, h in itertools.pairwise(gates)):
+        raise ValueError("gate repeated")
+    return gates

@@ -147,8 +147,8 @@ def apply_cx_layer(state: SymplecticState,
     for q in controls | targets:
         if not 0 <= q < state.n_qubits:
             raise IndexOutOfRange(q)
-    sx = state.stab_x.copy()
-    sz = state.stab_z.copy()
+    sx = BitMatrix.from_dense(state.stab_x.to_dense())
+    sz = BitMatrix.from_dense(state.stab_z.to_dense())
     for c, t in gates:
         xc = _col_bits(sx, c)
         zt = _col_bits(sz, t)

@@ -214,7 +214,7 @@ def test_criterion_8_right_inverse_independence():
         code = random_css_code(rng)
         s = synth.greedy_select(code)
         a = code.x_stabs
-        sub = a.row_select(list(s.qubits))
+        sub = gf2.BitMatrix.from_dense(a.to_dense()[list(s.qubits)])
         m = synth.build_reconstruction(code, s).to_dense().T
         for order in ("forward", "reverse"):
             product = gf2.mul(a, gf2.right_inverse(sub, pivot_order=order))

@@ -125,6 +125,38 @@ def test_code_file_rejected_without_traceback(tmp_path, capsys, change):
     assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "--code", "ghz", "--size", "3", "--strategy", "greedy",
+     "--out", "{missing}/x.json"),
+    ("scaling", "--code", "toric", "--strategy", "toric_comb",
+     "--sizes", "2,3", "--out", "{missing}/x.csv"),
+    ("synth", "--code", "file:{binary}", "--strategy", "greedy"),
+    ("scaling", "--code", "file:{binary}", "--strategy", "greedy",
+     "--sizes", "1"),
+])
+def test_unwritable_out_or_unreadable_code_without_traceback(tmp_path, capsys,
+                                                              argv):
+    binary = tmp_path / "code.json"
+    binary.write_bytes(b"\xff\xfe{")   # not UTF-8
+    argv = [a.format(missing=tmp_path / "missing", binary=binary) for a in argv]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_qubits", [10 ** 15, 2 ** 70])
+def test_verify_huge_register_is_a_count_mismatch(tmp_path, capsys, n_qubits):
+    # the register size must not size any allocation before the comparison
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "n_qubits": n_qubits,
+                                "plus_qubits": [0], "gates": [[0, 1], [0, 2]],
+                                "metadata": {}}))
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(path),
+                          "--code", "ghz", "--size", "3")
+    assert rc == 2
+    assert stdout == "" and "qubit counts differ" in err
+
+
 def test_synth_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

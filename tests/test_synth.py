@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import dense_rank, dense_rref, random_css_code
+from conftest import circuit_oracle, dense_rank, dense_rref, random_css_code
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -128,7 +128,7 @@ def test_reconstruction_rejects_bad_subset():
 def right_inverse_products(code, s):
     """Dense A (pi_S A)^+ for both pivot orders of gf2.right_inverse."""
     a = code.x_stabs
-    sub = a.row_select(list(s.qubits))
+    sub = BitMatrix.from_dense(a.to_dense()[list(s.qubits)])
     return [gf2.mul(a, gf2.right_inverse(sub, pivot_order=o)).to_dense()
             for o in ("forward", "reverse")]
 
@@ -336,6 +336,64 @@ def test_fdsc_circuit_rejects_bad_gate():
         FdscCircuit(3, (0,), ((0, 1), (0, 2), (0, 1)))
 
 
+@strategies.composite
+def circuit_inputs(draw):
+    """n <= 12, plus lists with repeats and out-of-range entries, and gate
+    lists with repeats, out-of-range qubits and controls or targets on the
+    wrong side of the plus set."""
+    n = draw(strategies.integers(0, 12))
+    qubit = strategies.integers(-2, n + 1)
+    stray_plus, stray = draw(strategies.sampled_from(
+        [(False, False)] * 4 + [(False, True), (True, False), (True, True)]))
+    plus = draw(strategies.lists(qubit, max_size=n + 2) if stray_plus else
+                strategies.lists(strategies.integers(0, max(n - 1, 0)),
+                                 unique=True, max_size=n))
+    others = [q for q in range(n) if q not in plus]
+
+    def side(qubits):
+        if not qubits:
+            return qubit
+        inside = strategies.sampled_from(qubits)
+        return strategies.one_of(inside, qubit) if stray else inside
+
+    gates = draw(strategies.lists(
+        strategies.tuples(side(plus), side(others)), max_size=3 * n + 2,
+        unique=draw(strategies.booleans())))
+    return n, tuple(plus), gates
+
+
+@settings(max_examples=400)
+@given(case=circuit_inputs())
+def test_fdsc_circuit_matches_per_gate_checks(case):
+    n, plus, gates = case
+    try:
+        want = circuit_oracle(n, plus, gates)
+    except ValueError:
+        want = None
+    for form in (gates, np.array(gates, dtype=np.int64).reshape(-1, 2)):
+        if want is None:
+            with pytest.raises(ValueError):
+                FdscCircuit(n, plus, form)
+            continue
+        circ = FdscCircuit(n, plus, form)
+        assert circ.gates == want
+        assert circ.pairs.dtype == np.int64 and circ.pairs.shape == (len(want), 2)
+        c, t = circ.pairs.T
+        assert np.all((c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1])))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+def test_serialize_circuit_matches_json_of_tuples(m):
+    # a star circuit on 2^16 + 2 qubits: gate blocks of 2^16 pairs split it
+    circ = FdscCircuit(2 ** 16 + 2, (0,), [(0, t) for t in range(1, m + 1)],
+                       {"strategy": "star"})
+    doc = {"version": 1, "n_qubits": circ.n_qubits,
+           "plus_qubits": circ.plus_qubits, "gates": circ.gates,
+           "metadata": circ.metadata}
+    assert synth.serialize_circuit(circ) == json.dumps(
+        doc, sort_keys=True, separators=(",", ":"))
+
+
 def test_circuit_serialization_round_trip():
     code = css.build_toric(2)
     circ = synthesize(code, "toric_comb")
@@ -361,6 +419,8 @@ GHZ3_CIRCUIT = {"version": 1, "n_qubits": 3, "plus_qubits": [0],
     {"gates": 5},
     {"plus_qubits": 0},
     {"metadata": [["strategy", "greedy"]]},
+    {"gates": [[0, 1], [0, 2 ** 70]]},                 # beyond int64
+    {"plus_qubits": [2 ** 70]},
 ])
 def test_parse_circuit_rejects_instead_of_repairing(change):
     assert synth.parse_circuit(json.dumps(GHZ3_CIRCUIT)).gates == ((0, 1), (0, 2))

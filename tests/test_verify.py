@@ -190,11 +190,11 @@ def test_report_json():
 
 def test_final_state_css_form():
     circ = synth.synthesize(css.build_ghz(3), "greedy")
-    state = verify.final_state(circ)
-    assert state.n_qubits == 3
-    assert state.plus.tolist() == [0]
-    assert state.controls.tolist() == [0, 0]
-    assert state.targets.tolist() == [1, 2]
+    plus, controls, targets = verify.final_state(circ)
+    assert plus.tolist() == [0]
+    assert controls.tolist() == [0, 0]
+    assert targets.tolist() == [1, 2]
+    assert plus.dtype == controls.dtype == targets.dtype == np.int64
 
 
 # -- differential checks against the tableau and state-vector oracles --------
