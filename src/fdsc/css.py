@@ -1,10 +1,14 @@
 """CSS stabilizer codes and the concrete lattice families.
 
-A code is held as two stabilizer-support matrices over GF(2): ``x_stabs``
-(n_qubits x #X-generators, column i = support of the i'th X-type product)
-and ``z_stabs`` likewise for Z-type.  Construction validates the CSS
-commutation condition (every X/Z column pair overlaps on an even number
-of qubits) and rejects empty generators.
+A code is held as two sparse supports (``Supports``): ``x_stabs`` lists
+the qubits of each X-type generator and ``z_stabs`` those of each Z-type
+generator, in compressed sparse row form, so a code costs O(nnz) memory
+and every check on it O(nnz log nnz) time.  This module is the only one
+that knows that layout; a packed ``BitMatrix`` is built from it only
+where GF(2) elimination runs.  Construction checks that each support is
+nonempty and strictly increasing within the register, and the CSS
+commutation condition (every X/Z generator pair overlaps on an even
+number of qubits).
 
 Qubit indexing conventions (stable, used by golden tests and file formats):
   ghz    flat 0..n-1
@@ -44,41 +48,118 @@ class CommutationViolation(ValueError):
         self.pair = (i, j)
 
 
+@dataclass(frozen=True, eq=False)
+class Supports:
+    """Generator supports in compressed sparse row form: generator j acts
+    on the qubits qubits[start[j]:start[j + 1]] of an n_qubits register.
+
+    ``start`` (k + 1 offsets rising from 0 to len(qubits)) and ``qubits``
+    are read-only int64 arrays, built by ``from_lists``.  In a code each
+    support is nonempty and strictly increasing within 0..n_qubits-1
+    (``CssCode`` checks this).  Only ``by_qubit``, ``to_dense`` and
+    ``packed`` allocate per qubit.
+    """
+
+    n_qubits: int
+    start: np.ndarray
+    qubits: np.ndarray
+
+    def __post_init__(self):
+        for name in ("start", "qubits"):
+            a = np.asarray(getattr(self, name), dtype=np.int64).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_lists(cls, n_qubits: int, lists) -> "Supports":
+        """Generator j acts on the qubit indices lists[j]."""
+        weight = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        qubits = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                             count=int(weight.sum()))
+        return cls(n_qubits, np.concatenate(([0], np.cumsum(weight))), qubits)
+
+    def __len__(self) -> int:
+        return self.start.size - 1
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Supports) and self.n_qubits == other.n_qubits
+                and np.array_equal(self.start, other.start)
+                and np.array_equal(self.qubits, other.qubits))
+
+    def generators(self) -> np.ndarray:
+        """The generator of each entry of ``qubits``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.start))
+
+    def lists(self) -> list[list[int]]:
+        return [sup.tolist() for sup in np.split(self.qubits, self.start[1:])[:-1]]
+
+    def by_qubit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The qubit-major view (start, weight, generators) for gf2.spread:
+        qubit q's generators, increasing, are generators[start[q]:start[q] +
+        weight[q]].  One stable sort; start and weight are n_qubits long."""
+        weight = np.bincount(self.qubits, minlength=self.n_qubits)
+        order = np.argsort(self.qubits, kind="stable")
+        return np.cumsum(weight) - weight, weight, self.generators()[order]
+
+    def to_dense(self) -> np.ndarray:
+        """The n_qubits x k 0/1 uint8 matrix; column j is generator j."""
+        a = np.zeros((self.n_qubits, len(self)), dtype=np.uint8)
+        a[self.qubits, self.generators()] = 1
+        return a
+
+    def packed(self) -> BitMatrix:
+        """The k x n_qubits generator-by-qubit matrix, packed for elimination."""
+        return BitMatrix.from_entries(np.column_stack((self.generators(), self.qubits)),
+                                      len(self), self.n_qubits)
+
+
 @dataclass(frozen=True)
 class CssCode:
     n_qubits: int
-    x_stabs: BitMatrix
-    z_stabs: BitMatrix
+    x_stabs: Supports
+    z_stabs: Supports
     family: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.x_stabs.rows != self.n_qubits or self.z_stabs.rows != self.n_qubits:
-            raise ParseError("stabilizer matrices must have n_qubits rows")
+        n = self.n_qubits
+        if self.x_stabs.n_qubits != n or self.z_stabs.n_qubits != n:
+            raise ParseError("stabilizer supports must be on n_qubits qubits")
         if self.family not in FAMILIES:
             raise ParseError(f"unknown family {self.family!r}")
-        q, i = gf2.nonzero(self.x_stabs)
-        for name, m, cols in (("x", self.x_stabs, i),
-                              ("z", self.z_stabs, gf2.nonzero(self.z_stabs)[1])):
-            w = np.bincount(cols, minlength=m.cols)
-            if w.size and w.min() == 0:
-                raise ParseError(
-                    f"{name}_stabs column {int(np.argmin(w))} is empty")
+        for name, sup in (("x_stabs", self.x_stabs), ("z_stabs", self.z_stabs)):
+            q, g = sup.qubits, sup.generators()
+            # an entry is bad outside the register or not above the entry
+            # before it in the same generator; the first names its generator
+            bad = (q < 0) | (q >= n)
+            bad[1:] |= (g[1:] == g[:-1]) & (q[1:] <= q[:-1])
+            if bad.any():
+                raise ParseError(f"{name}[{g[bad.argmax()]}] must increase "
+                                 f"strictly within 0..{n - 1}")
+            empty = np.diff(sup.start) == 0
+            if empty.any():
+                raise ParseError(f"{name}[{empty.argmax()}] is empty")
         # X generator i and Z generator j anticommute when they share an odd
-        # number of qubits: count the pairs (i, j) over every shared qubit.
-        k, j = gf2.row_spread(self.z_stabs, q)
-        pairs, counts = np.unique(i[k] * self.n_z + j, return_counts=True)
+        # number of qubits: count pairs (i, j) over shared qubits, each X entry
+        # found by binary search in the Z entries by qubit (no n_qubits table).
+        order = np.argsort(self.z_stabs.qubits, kind="stable")
+        zq, xq = self.z_stabs.qubits[order], self.x_stabs.qubits
+        lo = np.searchsorted(zq, xq)
+        e, j = gf2.spread(lo, np.searchsorted(zq, xq, "right") - lo,
+                          self.z_stabs.generators()[order], np.arange(xq.size))
+        i = self.x_stabs.generators()[e]
+        pairs, counts = np.unique(i * self.n_z + j, return_counts=True)
         odd = pairs[counts & 1 == 1]
         if odd.size:
             raise CommutationViolation(*map(int, divmod(odd[0], self.n_z)))
 
     @property
     def n_x(self) -> int:
-        return self.x_stabs.cols
+        return len(self.x_stabs)
 
     @property
     def n_z(self) -> int:
-        return self.z_stabs.cols
+        return len(self.z_stabs)
 
 
 # -- lattice index helpers ------------------------------------------------
@@ -121,25 +202,27 @@ def qubit_coords(code: CssCode, q: int) -> tuple:
     and custom codes)."""
     if not 0 <= q < code.n_qubits:
         raise IndexError(q)
-    if code.family == "toric":
-        return toric_edge_coords(int(code.params["L"]), q)
-    if code.family == "xcube":
-        return xcube_edge_coords(int(code.params["L"]), q)
-    if code.family == "haah":
-        return haah_qubit_coords(int(code.params["L"]), q)
-    return (q,)
+    coords = {"toric": toric_edge_coords, "xcube": xcube_edge_coords,
+              "haah": haah_qubit_coords}.get(code.family)
+    return coords(int(code.params["L"]), q) if coords else (q,)
 
 
 # -- family builders ------------------------------------------------------
+
+
+def _stencil(n: int, columns, weight: int) -> Supports:
+    """Generator j acts on row j of the qubit arrays ``columns`` stacked
+    side by side and cut into rows of ``weight``, each in any order."""
+    rows = np.stack(columns, axis=1).reshape(-1, weight)
+    return Supports.from_lists(n, np.sort(rows, axis=1).tolist())
 
 
 def build_ghz(n: int) -> CssCode:
     """All-ones X generator plus the pairwise Z_0 Z_i generators."""
     if n < 2:
         raise InvalidSize("GHZ needs n >= 2")
-    x = BitMatrix.from_dense(np.ones((n, 1), dtype=np.uint8))
-    z = BitMatrix.from_entries([(q, i - 1) for i in range(1, n) for q in (0, i)],
-                               n, n - 1)
+    x = Supports.from_lists(n, [range(n)])
+    z = Supports.from_lists(n, [(0, i) for i in range(1, n)])
     return CssCode(n, x, z, family="ghz", params={"n": n})
 
 
@@ -148,23 +231,12 @@ def build_toric(L: int) -> CssCode:
     if L < 2:
         raise InvalidSize("toric code needs L >= 2")
     n = 2 * L * L
-    xe, ze = [], []
-    for vx in range(L):
-        for vy in range(L):
-            c = vx * L + vy
-            for q in (toric_edge_index(L, vx, vy, 0),
-                      toric_edge_index(L, vx - 1, vy, 0),
-                      toric_edge_index(L, vx, vy, 1),
-                      toric_edge_index(L, vx, vy - 1, 1)):
-                xe.append((q, c))
-            for q in (toric_edge_index(L, vx, vy, 0),
-                      toric_edge_index(L, vx, vy + 1, 0),
-                      toric_edge_index(L, vx, vy, 1),
-                      toric_edge_index(L, vx + 1, vy, 1)):
-                ze.append((q, c))
-    x = BitMatrix.from_entries(xe, n, L * L)
-    z = BitMatrix.from_entries(ze, n, L * L)
-    return CssCode(n, x, z, family="toric", params={"L": L})
+    vx, vy = np.divmod(np.arange(L * L), L)
+    stars = ((vx, vy, 0), (vx - 1, vy, 0), (vx, vy, 1), (vx, vy - 1, 1))
+    plaquettes = ((vx, vy, 0), (vx, vy + 1, 0), (vx, vy, 1), (vx + 1, vy, 1))
+    x, z = ([toric_edge_index(L, *e) for e in edges] for edges in (stars, plaquettes))
+    return CssCode(n, _stencil(n, x, 4), _stencil(n, z, 4), family="toric",
+                   params={"L": L})
 
 
 _XCUBE_PERP = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -175,33 +247,16 @@ def build_xcube(L: int) -> CssCode:
     if L < 2:
         raise InvalidSize("X-cube needs L >= 2")
     n = 3 * L ** 3
-    xe, ze = [], []
-    for cx in range(L):
-        for cy in range(L):
-            for cz in range(L):
-                col = (cx * L + cy) * L + cz
-                for axis in range(3):
-                    a, b = _XCUBE_PERP[axis]
-                    for da in (0, 1):
-                        for db in (0, 1):
-                            v = [cx, cy, cz]
-                            v[a] += da
-                            v[b] += db
-                            xe.append((xcube_edge_index(L, *v, axis), col))
-    for vx in range(L):
-        for vy in range(L):
-            for vz in range(L):
-                base = 3 * ((vx * L + vy) * L + vz)
-                for axis in range(3):
-                    a, b = _XCUBE_PERP[axis]
-                    for ax in (a, b):
-                        for d in (0, -1):
-                            v = [vx, vy, vz]
-                            v[ax] += d
-                            ze.append((xcube_edge_index(L, *v, ax), base + axis))
-    x = BitMatrix.from_entries(xe, n, L ** 3)
-    z = BitMatrix.from_entries(ze, n, 3 * L ** 3)
-    return CssCode(n, x, z, family="xcube", params={"L": L})
+    c = np.arange(L ** 3)
+    v = np.stack((c // (L * L), c // L % L, c % L))   # cube or vertex coords
+    unit = np.eye(3, dtype=np.int64)[:, :, None]       # unit[a] steps along a
+    x = [xcube_edge_index(L, *(v + da * unit[a] + db * unit[b]), axis)
+         for axis, (a, b) in _XCUBE_PERP.items() for da in (0, 1) for db in (0, 1)]
+    # Z generator 3 * vertex + axis: the four edges at the vertex across axis
+    z = [xcube_edge_index(L, *(v + d * unit[ax]), ax)
+         for axis in range(3) for ax in _XCUBE_PERP[axis] for d in (0, -1)]
+    return CssCode(n, _stencil(n, x, 12), _stencil(n, z, 4), family="xcube",
+                   params={"L": L})
 
 
 # Corner offsets of the cube stabilizers, by vertex-qubit slot.
@@ -217,56 +272,34 @@ def build_haah(L: int) -> CssCode:
     if L < 1:
         raise InvalidSize("cubic code needs L >= 1")
     n = 2 * (L + 1) ** 3
-    xe, ze = [], []
-    for cx in range(L):
-        for cy in range(L):
-            for cz in range(L):
-                col = (cx * L + cy) * L + cz
-                for offs, slot, acc in ((HAAH_X1, 1, xe), (HAAH_X2, 2, xe),
-                                        (HAAH_Z1, 1, ze), (HAAH_Z2, 2, ze)):
-                    for (dx, dy, dz) in offs:
-                        q = haah_qubit_index(L, cx + dx, cy + dy, cz + dz, slot)
-                        acc.append((q, col))
-    x = BitMatrix.from_entries(xe, n, L ** 3)
-    z = BitMatrix.from_entries(ze, n, L ** 3)
-    return CssCode(n, x, z, family="haah", params={"L": L})
+    c = np.arange(L ** 3)
+    cx, cy, cz = c // (L * L), c // L % L, c % L
+    x, z = ([haah_qubit_index(L, cx + dx, cy + dy, cz + dz, slot)
+             for slot, offsets in enumerate(patterns, 1) for dx, dy, dz in offsets]
+            for patterns in ((HAAH_X1, HAAH_X2), (HAAH_Z1, HAAH_Z2)))
+    return CssCode(n, _stencil(n, x, 8), _stencil(n, z, 8), family="haah",
+                   params={"L": L})
 
 
+_BUILDERS = {"ghz": build_ghz, "toric": build_toric, "xcube": build_xcube,
+             "haah": build_haah}
 _FAMILY_QUBITS = {"ghz": lambda n: n, "toric": lambda L: 2 * L * L,
                   "xcube": lambda L: 3 * L ** 3, "haah": lambda L: 2 * (L + 1) ** 3}
 
 
 def build_family(family: str, size: int) -> CssCode:
-    if family == "ghz":
-        return build_ghz(size)
-    if family == "toric":
-        return build_toric(size)
-    if family == "xcube":
-        return build_xcube(size)
-    if family == "haah":
-        return build_haah(size)
-    raise ParseError(f"unknown family {family!r}")
+    if family not in _BUILDERS:
+        raise ParseError(f"unknown family {family!r}")
+    return _BUILDERS[family](size)
 
 
 # -- serialization --------------------------------------------------------
 
 
-def _support_lists(m: BitMatrix) -> list[list[int]]:
-    q, j = gf2.nonzero(m)
-    order = np.argsort(j, kind="stable")  # by column, rows stay ascending
-    ends = np.cumsum(np.bincount(j, minlength=m.cols))
-    return [sup.tolist() for sup in np.split(q[order], ends)[:-1]]
-
-
 def serialize_code(code: CssCode) -> str:
-    doc = {
-        "version": 1,
-        "n_qubits": code.n_qubits,
-        "x_stabs": _support_lists(code.x_stabs),
-        "z_stabs": _support_lists(code.z_stabs),
-        "family": code.family,
-        "params": code.params,
-    }
+    doc = {"version": 1, "n_qubits": code.n_qubits, "x_stabs": code.x_stabs.lists(),
+           "z_stabs": code.z_stabs.lists(), "family": code.family,
+           "params": code.params}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -278,8 +311,9 @@ def is_json_int(v) -> bool:
 def parse_code(text: str) -> CssCode:
     """Parse the JSON code format; validates all CssCode invariants.
 
-    Malformed input is rejected, never repaired: indices must be integers,
-    each support list strictly increasing, and a ghz/toric/xcube/haah tag
+    Malformed input is rejected, never repaired: indices must be JSON
+    integers (checked here), each support list strictly increasing within
+    the register (checked by ``CssCode``), and a ghz/toric/xcube/haah tag
     must name exactly the code ``build_family`` gives for its size.
     """
     try:
@@ -299,21 +333,19 @@ def parse_code(text: str) -> CssCode:
     if not isinstance(params, dict):
         raise ParseError("params must be a JSON object")
 
-    def from_lists(name, lists) -> BitMatrix:
+    def supports(name, lists) -> Supports:
         if not isinstance(lists, list):
             raise ParseError(f"{name} must be a list of support lists")
-        entries = []
         for j, sup in enumerate(lists):
             if not (isinstance(sup, list) and all(map(is_json_int, sup))):
                 raise ParseError(f"{name}[{j}] must be a list of qubit indices")
-            if any(a >= b for a, b in itertools.pairwise([-1, *sup, n])):
-                raise ParseError(f"{name}[{j}] must increase strictly "
-                                 f"within 0..{n - 1}")
-            entries += ((q, j) for q in sup)
-        return BitMatrix.from_entries(entries, n, len(lists))
+        return Supports.from_lists(n, lists)
 
-    code = CssCode(n, from_lists("x_stabs", xs), from_lists("z_stabs", zs),
-                   family=family, params=params)
+    try:
+        code = CssCode(n, supports("x_stabs", xs), supports("z_stabs", zs),
+                       family=family, params=params)
+    except OverflowError as e:   # an index beyond int64
+        raise ParseError(f"qubit index out of range: {e}") from e
     size = params.get("n" if family == "ghz" else "L")
     try:  # qubit count first: never build a family far larger than the file
         if family != "custom" and not (

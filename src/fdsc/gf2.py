@@ -1,4 +1,7 @@
-"""Bit-packed dense linear algebra over GF(2).
+"""Bit-packed dense linear algebra over GF(2): elimination (rank, rank
+profiles, right inverse, solve), the product, and row XORs by position.
+Codes are not stored here; ``css`` packs a code's supports only where
+elimination runs.
 
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
@@ -98,9 +101,6 @@ class BitMatrix:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
                 and self.cols == other.cols and np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        raise TypeError("BitMatrix is unhashable")
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
@@ -144,28 +144,22 @@ def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the image, by Gaussian elimination on a working copy."""
-    work = m.data.copy()
-    return len(_eliminate(work, range(m.cols)))
+    return len(_eliminate(m.data.copy(), range(m.cols)))
 
 
 def column_rank_profile(m: BitMatrix) -> list[int]:
     """Lexicographically first set of independent columns (pivot columns)."""
-    work = m.data.copy()
-    return [col for _, col in _eliminate(work, range(m.cols))]
+    return [col for _, col in _eliminate(m.data.copy(), range(m.cols))]
 
 
 def row_rank_profile(m: BitMatrix, order: Optional[Sequence[int]] = None) -> list[int]:
-    """Row indices forming the first independent row set in the given scan order.
-
-    Equivalent to greedily keeping each row that is independent of the rows
-    kept before it.  Returns indices into ``m`` (not positions in ``order``).
+    """Row indices of m^T forming its first independent row set in the given
+    scan order (default index order): each row independent of the rows kept
+    before it.  Takes the transpose, so those rows are columns of ``m`` and
+    the scan is one elimination in that column order.
     """
-    if order is None:
-        order = range(m.rows)
-    order = list(order)
-    mt = BitMatrix.from_dense(m.to_dense()[order].T)
-    profile = column_rank_profile(mt)
-    return [order[j] for j in profile]
+    return [col for _, col in _eliminate(m.data.copy(),
+                                         range(m.cols) if order is None else order)]
 
 
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -194,14 +188,6 @@ def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
         keep = vals != 0
         vals, pos, base = vals[keep], pos[keep] + 1, base[keep]
     return np.repeat(rows, count), cols
-
-
-def row_spread(m: BitMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Set bits of rows[0], rows[1], ... as pairs (i, col) with bit col set
-    in row rows[i], ordered by i and then col.  Rows may repeat."""
-    q, c = nonzero(m)
-    weight = np.bincount(q, minlength=m.rows)
-    return spread(np.cumsum(weight) - weight, weight, c, rows)
 
 
 def spread(start: np.ndarray, weight: np.ndarray, values: np.ndarray,

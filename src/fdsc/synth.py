@@ -138,7 +138,7 @@ def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
     order = list(range(code.n_qubits))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    return SubsetS(tuple(sorted(gf2.row_rank_profile(code.x_stabs, order))))
+    return SubsetS(tuple(sorted(gf2.row_rank_profile(code.x_stabs.packed(), order))))
 
 
 def _require_family(code: CssCode, family: str, strategy: str) -> int:
@@ -188,7 +188,8 @@ def xcube_dual_qubits(code: CssCode) -> list[int]:
     seed_set |= {css.xcube_edge_index(L, 0, y, z, 0) for y in r for z in r}
     seed_set |= {css.xcube_edge_index(L, x, 0, z, 1) for x in r for z in r}
     rest = sorted(set(range(code.n_qubits)) - seed_set)
-    return sorted(gf2.row_rank_profile(code.x_stabs, sorted(seed_set) + rest))
+    return sorted(gf2.row_rank_profile(code.x_stabs.packed(),
+                                       sorted(seed_set) + rest))
 
 
 def haah_canonical_qubits(L: int) -> list[int]:
@@ -250,9 +251,10 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
         raise InvalidSubset("subset qubit outside the register")
     col_of = np.full(n, -1, dtype=np.int64)
     col_of[cols] = np.arange(cols.size)
-    q, g = gf2.nonzero(code.x_stabs)
+    a = code.x_stabs
+    q, g = a.qubits, a.generators()
     member = col_of[q] >= 0
-    sc, sg = col_of[q[member]], g[member]   # (column, generator), by column
+    sc, sg = col_of[q[member]], g[member]   # (column, generator), by generator
 
     def grouped(rows, values, size):
         """Row-grouped list of values, for gf2.spread."""
@@ -260,7 +262,7 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
         order = np.argsort(rows, kind="stable")
         return np.cumsum(weight) - weight, weight, values[order]
 
-    gen_qubits = grouped(g, q, k)
+    gen_qubits = a.start[:-1], np.diff(a.start), q
     gen_cols = grouped(sg, sc, k)
     col_gens = grouped(sc, sg, cols.size)
     unresolved = gen_cols[1].copy()

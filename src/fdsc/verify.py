@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .css import CssCode
+from .css import CssCode, Supports
 from .gf2 import BitMatrix, DimensionMismatch
 from .synth import FdscCircuit
 
@@ -61,19 +61,19 @@ def final_state(circ: FdscCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             circ.pairs[:, 0], circ.pairs[:, 1])
 
 
-def _failed_generators(gens: BitMatrix, src: np.ndarray, dst: np.ndarray,
+def _failed_generators(gens: Supports, src: np.ndarray, dst: np.ndarray,
                        checked: np.ndarray) -> tuple[int, ...]:
-    """Sorted indices of the generators (columns) g of ``gens`` for which
-    g[q] differs from the XOR of g[src[i]] over all i with dst[i] == q, at
-    some checked qubit q.  Every ``dst`` entry must be a checked qubit.
+    """Sorted indices of the generators g of ``gens`` for which g[q]
+    differs from the XOR of g[src[i]] over all i with dst[i] == q, at some
+    checked qubit q.  Every ``dst`` entry must be a checked qubit.
 
-    The parities are counted over (generator, qubit) pairs: each set bit of
-    ``gens`` in a checked row, plus each set bit of row src[i] moved to row
-    dst[i].  Cost is nnz plus the summed row weights of ``src``.
+    The parities are counted over (generator, qubit) pairs: each generator
+    on a checked qubit, plus each generator on qubit src[i] moved to qubit
+    dst[i].  Cost is about nnz plus the generators on the ``src`` qubits.
     """
     own = np.flatnonzero(checked)
-    i, g = gf2.row_spread(gens, np.concatenate([own, src]))
-    n = gens.rows
+    i, g = gf2.spread(*gens.by_qubit(), np.concatenate([own, src]))
+    n = gens.n_qubits
     pairs, counts = np.unique(g * n + np.concatenate([own, dst])[i],
                               return_counts=True)
     return tuple(np.unique(pairs[counts & 1 == 1] // n).tolist())
@@ -128,8 +128,8 @@ def ground_state_statevector(code: CssCode) -> np.ndarray:
     """
     if code.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={code.n_qubits} > {STATEVECTOR_CAP}")
-    cols = gf2.column_rank_profile(code.x_stabs)
-    bits = code.x_stabs.to_dense()[:, cols].astype(np.uint64)
+    a = code.x_stabs.to_dense()
+    bits = a[:, gf2.column_rank_profile(BitMatrix.from_dense(a))].astype(np.uint64)
     shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
     return _span_state(code.n_qubits,
                        np.bitwise_or.reduce(bits << shifts, axis=0))

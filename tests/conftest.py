@@ -1,6 +1,6 @@
 """Shared test helpers: dense-elimination oracles, a per-gate circuit
-check, random code generation, and the hypothesis profile every property
-runs under.
+check, the per-entry code-file rules, codes from dense arrays, random code
+generation, and the hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -66,6 +66,28 @@ def dense_nullspace(a: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.uint8).reshape(len(basis), cols)
 
 
+def dense_supports(a) -> css.Supports:
+    """Supports of the columns of a dense n x k 0/1 array."""
+    a = np.asarray(a, dtype=np.uint8)
+    return css.Supports.from_lists(a.shape[0], [np.flatnonzero(col) for col in a.T])
+
+
+def dense_code(a, b) -> css.CssCode:
+    """The custom code with X supports the columns of ``a``, Z those of ``b``."""
+    return css.CssCode(len(a), dense_supports(a), dense_supports(b))
+
+
+def support_lists_ok(n: int, lists) -> bool:
+    """The code-file rules for one support field, entry by entry: a list
+    of nonempty lists of JSON integers, each strictly increasing within
+    0..n-1."""
+    return isinstance(lists, list) and all(
+        isinstance(sup, list) and sup
+        and all(type(q) is int for q in sup)
+        and all(a < b for a, b in itertools.pairwise([-1, *sup, n]))
+        for sup in lists)
+
+
 def random_css_code(rng: np.random.Generator, n_max: int = 30) -> css.CssCode:
     """Random valid CSS code: random X supports, Z generators from the
     orthogonal complement of the X column space."""
@@ -89,7 +111,7 @@ def random_css_code(rng: np.random.Generator, n_max: int = 30) -> css.CssCode:
                     bcols.append(v)
                     break
         b = np.array(bcols, dtype=np.uint8).T
-        return css.CssCode(n, BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+        return dense_code(a, b)
 
 
 def padding_ok(m: BitMatrix) -> bool:

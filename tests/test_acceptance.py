@@ -200,7 +200,8 @@ def test_criterion_7_greedy_convergence():
     for k in range(50):
         code = random_css_code(rng)
         s = synth.greedy_select(code, seed=k)
-        if len(s) != gf2.rank(code.x_stabs) or not synth.check_subset(code, s):
+        a = gf2.BitMatrix.from_dense(code.x_stabs.to_dense())
+        if len(s) != gf2.rank(a) or not synth.check_subset(code, s):
             ok = False
             bad.append(f"random #{k}")
     report(7, ok, "200 toric seeds + 50 random codes" if ok else "; ".join(bad))
@@ -213,7 +214,7 @@ def test_criterion_8_right_inverse_independence():
     for _ in range(50):
         code = random_css_code(rng)
         s = synth.greedy_select(code)
-        a = code.x_stabs
+        a = gf2.BitMatrix.from_dense(code.x_stabs.to_dense())
         sub = gf2.BitMatrix.from_dense(a.to_dense()[list(s.qubits)])
         m = synth.build_reconstruction(code, s).to_dense().T
         for order in ("forward", "reverse"):

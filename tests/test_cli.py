@@ -157,6 +157,33 @@ def test_verify_huge_register_is_a_count_mismatch(tmp_path, capsys, n_qubits):
     assert stdout == "" and "qubit counts differ" in err
 
 
+@pytest.mark.parametrize("n_qubits", [10 ** 13, 10 ** 30])
+def test_verify_huge_code_is_a_count_mismatch(tmp_path, capsys, n_qubits):
+    # loading a code allocates nothing per qubit, so a huge register in the
+    # code file reaches the qubit-count comparison with the circuit
+    circ = tmp_path / "c.json"
+    circ.write_text(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
+                                                             "greedy")))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({**json.loads(css.serialize_code(css.build_ghz(3))),
+                                "n_qubits": n_qubits, "family": "custom",
+                                "params": {}}))
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(circ),
+                          "--code", f"file:{code}")
+    assert rc == 2
+    assert stdout == "" and "qubit counts differ" in err
+
+
+def test_code_file_index_beyond_int64_is_a_parse_error(tmp_path, capsys):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"version": 1, "n_qubits": 2 ** 70,
+                                "x_stabs": [[0, 2 ** 64]], "z_stabs": []}))
+    rc, stdout, err = run(capsys, "synth", "--code", f"file:{code}",
+                          "--strategy", "greedy")
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_synth_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

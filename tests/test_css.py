@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import event, given, settings, strategies
 
-from conftest import dense_nullspace, dense_rank, random_css_code
+from conftest import (dense_code, dense_nullspace, dense_rank, dense_supports,
+                      random_css_code, support_lists_ok)
 from fdsc import css, gf2
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
 from fdsc.gf2 import BitMatrix
@@ -41,12 +42,16 @@ def test_ghz7_commutation():
     assert not overlap_parities(css.build_ghz(7)).any()
 
 
+def packed_rank(sup: css.Supports) -> int:
+    return gf2.rank(BitMatrix.from_dense(sup.to_dense()))
+
+
 def test_toric_l2_structure():
     code = css.build_toric(2)
     assert code.n_qubits == 8
     assert code.n_x == 4
     assert (code.x_stabs.to_dense().sum(axis=0) == 4).all()
-    assert gf2.rank(code.x_stabs) == 3
+    assert packed_rank(code.x_stabs) == 3
 
 
 @pytest.mark.parametrize("L", [2, 3, 5])
@@ -63,8 +68,8 @@ def test_toric_l3_commutation():
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_toric_single_global_relation(L):
     code = css.build_toric(L)
-    assert gf2.rank(code.x_stabs) == L * L - 1
-    assert gf2.rank(code.z_stabs) == L * L - 1
+    assert packed_rank(code.x_stabs) == L * L - 1
+    assert packed_rank(code.z_stabs) == L * L - 1
 
 
 def test_toric_invalid_size():
@@ -107,7 +112,7 @@ def test_haah_qubit_count():
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_haah_x_generators_independent(L):
     code = css.build_haah(L)
-    assert gf2.rank(code.x_stabs) == L ** 3
+    assert packed_rank(code.x_stabs) == L ** 3
 
 
 def test_haah_corner_patterns():
@@ -200,20 +205,31 @@ def test_hand_serialized_toric_matches_builder():
                 css.toric_edge_index(L, px, py + 1, 0),
                 css.toric_edge_index(L, px, py, 1),
                 css.toric_edge_index(L, px + 1, py, 1)}))
-    import json
     doc = json.dumps({"version": 1, "n_qubits": 8, "x_stabs": x_sets[::-1],
                       "z_stabs": z_sets, "family": "custom", "params": {}})
     parsed = css.parse_code(doc)
-    def colset(m):
-        d = m.to_dense()
-        return {tuple(np.flatnonzero(d[:, j])) for j in range(m.cols)}
+    def colset(sup):
+        return {tuple(np.flatnonzero(col)) for col in sup.to_dense().T}
     assert colset(parsed.x_stabs) == colset(code.x_stabs)
     assert colset(parsed.z_stabs) == colset(code.z_stabs)
 
 
 def test_empty_generator_rejected():
     with pytest.raises(ParseError):
-        css.CssCode(3, BitMatrix.zeros(3, 1), BitMatrix.zeros(3, 0))
+        dense_code(np.zeros((3, 1)), np.zeros((3, 0)))
+
+
+def test_supports_on_another_register_rejected():
+    with pytest.raises(ParseError):
+        css.CssCode(4, dense_supports(np.ones((3, 1))), dense_supports(np.ones((4, 0))))
+
+
+@pytest.mark.parametrize("family,size", [("ghz", 5), ("toric", 3), ("xcube", 2),
+                                         ("haah", 2)])
+def test_packed_is_the_transposed_dense_matrix(family, size):
+    code = css.build_family(family, size)
+    for sup in (code.x_stabs, code.z_stabs):
+        assert np.array_equal(sup.packed().to_dense(), sup.to_dense().T)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -221,7 +237,7 @@ def test_random_codes_commute(seed):
     rng = np.random.default_rng(seed)
     code = random_css_code(rng)
     assert not overlap_parities(code).any()
-    assert gf2.rank(code.x_stabs) == dense_rank(code.x_stabs.to_dense())
+    assert packed_rank(code.x_stabs) == dense_rank(code.x_stabs.to_dense())
 
 
 @settings(max_examples=200)
@@ -249,7 +265,7 @@ def test_commutation_check_matches_overlap_parities(data):
     b = columns(data.draw(strategies.integers(0, 5)),
                 dense_nullspace(a.T) if commuting and a.shape[1] else None)
     b = b[:, b.any(axis=0)]  # a combination may cancel to zero
-    x, z = BitMatrix.from_dense(a), BitMatrix.from_dense(b)
+    x, z = dense_supports(a), dense_supports(b)
     odd = np.argwhere(overlap_parities(SimpleNamespace(x_stabs=x, z_stabs=z)))
     if odd.size == 0:
         css.CssCode(n, x, z)
@@ -308,3 +324,61 @@ def test_parse_code_rejects_instead_of_repairing(change):
 def test_parse_code_accepts_matching_tag():
     code = css.parse_code(json.dumps({**GHZ3, "family": "ghz", "params": {"n": 3}}))
     assert code == css.build_ghz(3)
+
+
+def test_supports_are_small_and_read_only():
+    code = css.build_toric(128)
+    arrays = [a for sup in (code.x_stabs, code.z_stabs)
+              for a in (sup.start, sup.qubits)]
+    assert sum(a.nbytes for a in arrays) < 2 * 2 ** 20   # dense packed: 134 MB
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def support_fields(n):
+    """A support field as a code file may hold it: mostly valid lists, some
+    unsorted, repeated, out of range, negative, float or boolean entries,
+    some entries that are not lists, and fields that are not lists."""
+    valid = strategies.sets(strategies.integers(0, n - 1), min_size=1).map(sorted)
+    entry = strategies.one_of(strategies.integers(-2, n + 1),
+                              strategies.floats(-1, n + 1), strategies.booleans())
+    other = strategies.one_of(strategies.integers(-1, n), strategies.none(),
+                              strategies.text(max_size=2))
+    support = strategies.one_of(valid, strategies.lists(entry, max_size=5), other)
+    clean = strategies.lists(valid, max_size=4)
+    return strategies.one_of(clean, clean, clean,
+                             strategies.lists(support, max_size=4), other)
+
+
+@settings(max_examples=300)
+@given(data=strategies.data())
+def test_parse_code_fuzz_matches_entry_rules(data):
+    """parse_code raises ParseError exactly when the per-entry rules reject
+    a field; otherwise the code holds the lists as given (or the pair
+    anticommutes) and serialization round-trips."""
+    n = data.draw(strategies.integers(1, 6))
+    xs, zs = data.draw(support_fields(n)), data.draw(support_fields(n))
+    text = json.dumps({"version": 1, "n_qubits": n, "x_stabs": xs, "z_stabs": zs})
+    if not (support_lists_ok(n, xs) and support_lists_ok(n, zs)):
+        event("rejected")
+        with pytest.raises(ParseError):
+            css.parse_code(text)
+        return
+    a = np.zeros((n, len(xs)), dtype=int)
+    b = np.zeros((n, len(zs)), dtype=int)
+    for m, lists in ((a, xs), (b, zs)):
+        for j, sup in enumerate(lists):
+            m[sup, j] = 1
+    if ((a.T @ b) % 2).any():
+        event("anticommuting")
+        with pytest.raises(CommutationViolation):
+            css.parse_code(text)
+        return
+    event("accepted")
+    code = css.parse_code(text)
+    assert np.array_equal(code.x_stabs.to_dense(), a)
+    assert np.array_equal(code.z_stabs.to_dense(), b)
+    again = css.serialize_code(code)
+    assert json.loads(again)["x_stabs"] == xs and json.loads(again)["z_stabs"] == zs
+    assert css.parse_code(again) == code

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_rank, padding_ok
+from conftest import dense_rank, dense_supports, padding_ok
 from fdsc import css, gf2
 from fdsc.gf2 import BitMatrix, DimensionMismatch, RankDeficient
 from tableau_oracle import EchelonBasis
@@ -20,7 +20,7 @@ def test_rank_duplicate_rows():
 def test_rank_toric_vertex_matrix():
     # product of all vertex operators is the identity: rank = L^2 - 1
     code = css.build_toric(2)
-    assert gf2.rank(code.x_stabs) == 3
+    assert gf2.rank(BitMatrix.from_dense(code.x_stabs.to_dense())) == 3
     assert dense_rank(code.x_stabs.to_dense()) == 3
 
 
@@ -184,12 +184,17 @@ def test_nonzero_matches_dense(shape):
                                            ((3, 128), 0.9), ((7, 200), 1.0),
                                            ((6, 0), 0.5), ((0, 9), 0.5)])
 def test_row_spread_matches_dense(shape, density):
+    """Spreading rows of the qubit x generator matrix through the code's
+    qubit-major view (gf2.spread over Supports.by_qubit; rows may repeat)
+    lists each row's set columns as the dense matrix does."""
     rng = np.random.default_rng(sum(shape))
     a = (rng.random(shape) < density).astype(np.uint8)
     m = BitMatrix.from_dense(a)
     assert [x.tolist() for x in gf2.nonzero(m)] == [x.tolist() for x in np.nonzero(a)]
+    sup = dense_supports(a)
+    assert np.array_equal(sup.to_dense(), a)
     for rows in ([], rng.integers(0, shape[0], size=15) if shape[0] else []):
-        i, cols = gf2.row_spread(m, rows)
+        i, cols = gf2.spread(*sup.by_qubit(), rows)
         want = [(k, c) for k, r in enumerate(rows) for c in np.flatnonzero(a[r])]
         assert list(zip(i.tolist(), cols.tolist())) == want
 
@@ -241,12 +246,25 @@ def test_transpose_matches_numpy():
 def test_row_rank_profile_prefix_property():
     rng = np.random.default_rng(2)
     a = rng.integers(0, 2, size=(20, 8))
-    m = BitMatrix.from_dense(a)
-    profile = gf2.row_rank_profile(m)
+    profile = gf2.row_rank_profile(BitMatrix.from_dense(a.T))
     # each selected row increases the rank of the prefix
     for k in range(1, len(profile) + 1):
         assert dense_rank(a[profile[:k]]) == k
     assert len(profile) == dense_rank(a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_rank_profile_follows_scan_order(seed):
+    """The greedy scan in a shuffled order keeps exactly the rows that
+    raise the rank of the rows kept before them."""
+    rng = np.random.default_rng(40 + seed)
+    a = rng.integers(0, 2, size=(30, 70)) * (rng.random((30, 1)) < 0.7)
+    order = rng.permutation(30).tolist()
+    kept = []
+    for r in order:
+        if dense_rank(a[kept + [r]]) > len(kept):
+            kept.append(r)
+    assert gf2.row_rank_profile(BitMatrix.from_dense(a.T), order) == kept
 
 
 def test_column_rank_profile_lex_first():

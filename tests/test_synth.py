@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import circuit_oracle, dense_rank, dense_rref, random_css_code
+from conftest import (circuit_oracle, dense_code, dense_rank, dense_rref,
+                      random_css_code)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -28,8 +29,7 @@ def test_greedy_toric_l2():
 
 
 def test_greedy_no_x_stabilizers():
-    code = css.CssCode(2, BitMatrix.zeros(2, 0),
-                       BitMatrix.from_dense([[1], [1]]))
+    code = dense_code(np.zeros((2, 0)), [[1], [1]])
     assert greedy_select(code).qubits == ()
 
 
@@ -38,7 +38,7 @@ def test_greedy_seeded_satisfies_conditions(seed):
     rng = np.random.default_rng(seed)
     code = random_css_code(rng)
     s = greedy_select(code, seed=seed)
-    assert len(s) == gf2.rank(code.x_stabs)
+    assert len(s) == gf2.rank(BitMatrix.from_dense(code.x_stabs.to_dense()))
     assert check_subset(code, s)
 
 
@@ -127,7 +127,7 @@ def test_reconstruction_rejects_bad_subset():
 
 def right_inverse_products(code, s):
     """Dense A (pi_S A)^+ for both pivot orders of gf2.right_inverse."""
-    a = code.x_stabs
+    a = BitMatrix.from_dense(code.x_stabs.to_dense())
     sub = BitMatrix.from_dense(a.to_dense()[list(s.qubits)])
     return [gf2.mul(a, gf2.right_inverse(sub, pivot_order=o)).to_dense()
             for o in ("forward", "reverse")]
@@ -270,8 +270,7 @@ def test_emit_ghz_gates():
 
 
 def test_emit_trivial_code():
-    code = css.CssCode(3, BitMatrix.zeros(3, 0),
-                       BitMatrix.from_dense([[1], [1], [0]]))
+    code = dense_code(np.zeros((3, 0)), [[1], [1], [0]])
     circ = synthesize(code, "greedy")
     assert circ.gates == () and circ.plus_qubits == ()
 

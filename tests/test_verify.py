@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import tableau_oracle as tableau
-from conftest import dense_rank, random_css_code
+from conftest import dense_code, dense_rank, random_css_code
 from fdsc import css, gf2, synth, verify
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import FdscCircuit, SubsetS
@@ -310,8 +310,7 @@ def test_toric_l2_superposition_term_count():
 
 
 def test_trivial_code_statevector():
-    code = css.CssCode(3, BitMatrix.zeros(3, 0),
-                       BitMatrix.from_dense([[1], [1], [1]]))
+    code = dense_code(np.zeros((3, 0)), [[1], [1], [1]])
     circ = synth.synthesize(code, "greedy")
     vec = verify.circuit_statevector(circ)
     assert vec[0] == 1.0 and np.count_nonzero(vec) == 1
