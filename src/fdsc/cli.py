@@ -1,7 +1,7 @@
 """Command-line pipeline: synthesize, verify, scaling studies, group networks.
 
-Exit codes: 0 success / verification pass, 1 verification or oracle failure,
-2 usage or file-format errors, 3 strategy incompatible with the code.
+Exit codes: 0 success / verification pass, 1 a command's own failed check,
+2 usage, file-format, I/O or too-large input, 3 incompatible strategy.
 """
 
 from __future__ import annotations
@@ -28,36 +28,18 @@ def _load_code(spec: str, size: int | None) -> css.CssCode:
     return css.build_family(spec, size)
 
 
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; report a failure as an error line."""
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return False
-    return True
-
-
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_synth(args) -> int:
-    try:
-        if args.restarts < 1:
-            raise css.InvalidSize(f"--restarts must be positive, got {args.restarts}")
-        code = _load_code(args.code, args.size)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        circ = synth.synthesize(code, args.strategy, seed=args.seed,
-                                restarts=args.restarts)
-    except (synth.IncompatibleStrategy, synth.SizeNotPowerOfTwo) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    if args.out and not _write(args.out, synth.serialize_circuit(circ) + "\n"):
-        return 2
+    if args.restarts < 1:
+        raise css.InvalidSize(f"--restarts must be positive, got {args.restarts}")
+    code = _load_code(args.code, args.size)
+    circ = synth.synthesize(code, args.strategy, seed=args.seed,
+                            restarts=args.restarts)
+    if args.out:
+        Path(args.out).write_text(synth.serialize_circuit(circ) + "\n")
     print(_json_line({"gate_count": circ.gate_count,
                       "s_size": len(circ.plus_qubits),
                       "n_qubits": circ.n_qubits}))
@@ -65,26 +47,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        code = _load_code(args.code, args.size)
-        circ = synth.parse_circuit(Path(args.circuit).read_text())
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        report = verify.verify_circuit(code, circ)
-        oracle_ok = True
-        if args.oracle:
-            oracle_ok = verify.statevector_check(code, circ)
-    except (verify.TooLarge, verify.DimensionMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    code = _load_code(args.code, args.size)
+    circ = synth.parse_circuit(Path(args.circuit).read_text())
+    report = verify.verify_circuit(code, circ)
+    oracle_ok = not args.oracle or verify.statevector_check(code, circ)
     print(report.to_json())
-    if not report.passed or not oracle_ok:
-        if not oracle_ok:
-            print("error: state-vector oracle mismatch", file=sys.stderr)
-        return 1
-    return 0
+    if not oracle_ok:
+        print("error: state-vector oracle mismatch", file=sys.stderr)
+    return 0 if report.passed and oracle_ok else 1
 
 
 def fit_loglog(sizes, counts) -> dict:
@@ -100,28 +70,20 @@ def fit_loglog(sizes, counts) -> dict:
 
 
 def cmd_scaling(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        if not sizes or min(sizes) < 1:
-            raise css.InvalidSize(f"--sizes must list positive integers, "
-                                  f"got {args.sizes!r}")
-        # a family's builder rejects every size below its minimum, so the
-        # smallest size is the one to probe; a file code ignores the size
-        probe = _load_code(args.code, min(sizes))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes or min(sizes) < 1:
+        raise css.InvalidSize(f"--sizes must list positive integers, "
+                              f"got {args.sizes!r}")
+    # a family's builder rejects every size below its minimum, so the
+    # smallest size is the one to probe; a file code ignores the size
+    probe = _load_code(args.code, min(sizes))
     rows = []
     failures = 0
     for L in sizes:
         code = probe if args.code.startswith("file:") or L == min(sizes) \
             else css.build_family(args.code, L)
         t0 = time.perf_counter()   # wall_ms: synthesis and verification
-        try:
-            circ = synth.synthesize(code, args.strategy, seed=args.seed)
-        except (synth.IncompatibleStrategy, synth.SizeNotPowerOfTwo) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3
+        circ = synth.synthesize(code, args.strategy, seed=args.seed)
         if args.verify_upto and L <= args.verify_upto:
             report = verify.verify_circuit(code, circ)
             if not report.passed:  # per-size failure; run continues
@@ -140,10 +102,10 @@ def cmd_scaling(args) -> int:
         lines.append(f"{r['family']},{r['strategy']},{r['L']},{r['n_qubits']},"
                      f"{r['s_size']},{r['gate_count']},{r['wall_ms']:.3f}")
     text = "\n".join(lines) + "\n"
-    if not args.out:
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
         sys.stdout.write(text)
-    elif not _write(args.out, text):
-        return 2
     result = {"rows": len(rows), "failures": failures}
     if len(rows) >= 3:
         result["fit"] = fit_loglog([r["L"] for r in rows],
@@ -163,18 +125,13 @@ def _load_group(spec: str):
 
 
 def cmd_groups(args) -> int:
-    try:
-        group, series = _load_group(args.group)
-        lengths = [int(x) for x in args.lengths.split(",") if x]
-        if not lengths or min(lengths) < 1:
-            raise groups.InvalidSize(f"--lengths must list positive integers, "
-                                     f"got {args.lengths!r}")
-        if args.trials < 1:
-            raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
-    except (groups.ParseError, groups.InvalidSize, groups.GroupStructureError,
-            ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    group, series = _load_group(args.group)
+    lengths = [int(x) for x in args.lengths.split(",") if x]
+    if not lengths or min(lengths) < 1:
+        raise groups.InvalidSize(f"--lengths must list positive integers, "
+                                 f"got {args.lengths!r}")
+    if args.trials < 1:
+        raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
     print("n,depth,ancillas")
     all_ok = True
     for row in groups.depth_report(group, series, lengths):
@@ -233,9 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command.  This is the one place that maps errors to exit
+    codes; any other exception is a bug and propagates with its traceback
+    (``synth.InternalInvariantViolation`` is an ``AssertionError``)."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except synth.IncompatibleStrategy as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: input too large to hold in memory: {e}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,19 +36,12 @@ class BitMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: Optional[np.ndarray] = None):
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        if data is None:
-            data = np.zeros((rows, _words(cols)), dtype=np.uint64)
-        else:
-            if data.shape != (rows, _words(cols)):
-                raise DimensionMismatch(
-                    f"data shape {data.shape} != {(rows, _words(cols))}")
-            data = np.ascontiguousarray(data, dtype=np.uint64)
-        self.data = data
+        self.data = np.zeros((rows, _words(cols)), dtype=np.uint64)
 
     # -- constructors -------------------------------------------------
 

@@ -17,15 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .css import is_json_int
+from .css import InvalidSize, ParseError, is_json_int
 
 # Slot values evaluated per block by the checks: 1 MB of int64, enough for
 # numpy to amortise its per-call cost, small enough to keep memory flat.
 _BLOCK_CELLS = 1 << 17
-
-
-class InvalidSize(ValueError):
-    """Group-family parameter out of range."""
 
 
 class LengthMismatch(ValueError):
@@ -34,10 +30,6 @@ class LengthMismatch(ValueError):
 
 class GroupStructureError(ValueError):
     """Multiplication table or series fails a group axiom."""
-
-
-class ParseError(ValueError):
-    """Malformed group description file."""
 
 
 @dataclass(frozen=True)
@@ -284,8 +276,8 @@ def plan_network(group: FiniteGroup, series: SolvableSeries, n: int) -> MulNetwo
         raise InvalidSize("sequence length must be >= 1")
     series.validate(group)
     chain = [list(s) for s in series.subgroups]
-    if len(chain) == 2:
-        # abelian group: a single simultaneous combine layer
+    if len(chain) <= 2:
+        # abelian or trivial group: a single simultaneous combine layer
         if not group.is_abelian():
             raise GroupStructureError("one-step series requires an abelian group")
         b = _Builder(n)

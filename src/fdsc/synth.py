@@ -29,7 +29,7 @@ class IncompatibleStrategy(ValueError):
     """Strategy does not apply to this code family."""
 
 
-class SizeNotPowerOfTwo(ValueError):
+class SizeNotPowerOfTwo(IncompatibleStrategy):
     """The recursive tree strategy needs L = 2^k."""
 
 

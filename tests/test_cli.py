@@ -1,12 +1,17 @@
 """Command-line pipeline: exit codes, file formats, determinism, fits."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies
 
-from fdsc import cli, css, synth
+from fdsc import cli, css, gf2, groups, synth, verify
 
 
 def run(capsys, *argv):
@@ -358,3 +363,141 @@ def test_groups_file_round_trip(tmp_path, capsys):
     rc, _, _ = run(capsys, "groups", "--group", f"file:{path}",
                    "--lengths", "3,5", "--trials", "25")
     assert rc == 0
+
+
+def test_groups_trivial_group_file(tmp_path, capsys):
+    # the trivial group's series is the single entry {e}
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"order": 1, "table": [[0]], "series": [[0]]}))
+    rc, stdout, _ = run(capsys, "groups", "--group", f"file:{path}",
+                        "--lengths", "1,2,5")
+    assert rc == 0
+    assert stdout.splitlines() == ["n,depth,ancillas", "1,1,1", "2,1,1", "5,1,1"]
+
+
+# Each asks numpy for one array beyond the 128 TiB user address space
+# (71 PiB, 71 PiB, 2.8 PiB, 909 TiB), so it is refused at once on any host.
+@pytest.mark.parametrize("argv", [
+    ("synth", "--code", "toric", "--size", "100000000",
+     "--strategy", "toric_comb"),
+    ("scaling", "--code", "toric", "--strategy", "toric_comb",
+     "--sizes", "100000000"),
+    ("groups", "--group", "dihedral:10000000", "--lengths", "2"),
+    ("verify", "--code", "file:{code}", "--circuit", "{circuit}"),
+])
+def test_oversized_input_exits_2(tmp_path, capsys, argv):
+    code, circuit = tmp_path / "code.json", tmp_path / "circuit.json"
+    code.write_text(json.dumps({"version": 1, "n_qubits": 10 ** 15,
+                                "family": "custom", "params": {},
+                                "x_stabs": [[0, 1]], "z_stabs": [[0, 1]]}))
+    circuit.write_text(json.dumps({"version": 1, "n_qubits": 10 ** 15,
+                                   "plus_qubits": [0], "gates": [[0, 1]],
+                                   "metadata": {}}))
+    argv = [a.format(code=code, circuit=circuit) for a in argv]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+    assert "too large to hold in memory" in err
+
+
+def test_bug_propagates_past_the_exit_code_policy(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise synth.InternalInvariantViolation("emission broke its invariant")
+
+    monkeypatch.setattr(cli.synth, "synthesize", broken)
+    with pytest.raises(synth.InternalInvariantViolation):
+        cli.main(["synth", "--code", "ghz", "--size", "3", "--strategy", "greedy"])
+
+
+@pytest.mark.parametrize("module", [css, gf2, synth, verify, groups])
+def test_every_error_class_is_an_input_error_or_a_bug(module):
+    # ValueError subclasses exit 2 or 3; AssertionError subclasses are bugs.
+    # An input error outside both would escape the policy in cli.main.
+    errors = [c for c in vars(module).values()
+              if isinstance(c, type) and issubclass(c, BaseException)
+              and c.__module__ == module.__name__]
+    assert errors
+    for cls in errors:
+        assert issubclass(cls, (ValueError, AssertionError)), cls
+
+
+# -- fuzzing the file readers through the CLI --------------------------------
+
+# Out-of-range integers stay beyond the address space when they size an
+# array: an n_qubits between about 1e8 and 2^47 would really be allocated.
+REPLACEMENTS = strategies.sampled_from(
+    [-1, 0, 1, 2, 3, 2 ** 50, 2 ** 63, 2 ** 70,
+     0.5, 1.0, True, False, "1", None, [[0]]])
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@strategies.composite
+def one_mutation(draw, doc):
+    """``doc`` with one value replaced, one key dropped, or one list entry
+    duplicated or removed."""
+    doc = copy.deepcopy(doc)
+    path = draw(strategies.sampled_from(list(_paths(doc))[1:]))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    key = path[-1]
+    kinds = ["replace", "delete"] + (["duplicate"] if isinstance(parent, list)
+                                     else [])
+    kind = draw(strategies.sampled_from(kinds))
+    if kind == "replace":
+        parent[key] = draw(REPLACEMENTS)
+    elif kind == "delete":
+        del parent[key]
+    else:
+        parent.insert(key, parent[key])
+    return doc
+
+
+def _fuzz_run(tmp_dir, reader, doc):
+    """Run ``reader``'s command on ``doc`` and check the exit-code contract."""
+    path = tmp_dir / f"{reader}.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main([a.format(path=path) for a in FUZZ_ARGV[reader]])
+    assert rc in (0, 1, 2)
+    assert rc != 2 or out.getvalue() == ""
+    return rc
+
+
+_D3, _D3_SERIES = groups.make_dihedral(3)
+FUZZ_DOCS = {
+    "code": {**json.loads(css.serialize_code(css.build_toric(2))),
+             "family": "custom", "params": {}},
+    "circuit": json.loads(synth.serialize_circuit(
+        synth.synthesize(css.build_toric(2), "toric_comb"))),
+    "group": {"order": 6, "table": _D3.table.tolist(),
+              "series": [list(s) for s in _D3_SERIES.subgroups]},
+}
+FUZZ_ARGV = {
+    "code": ["synth", "--code", "file:{path}", "--strategy", "greedy"],
+    "circuit": ["verify", "--circuit", "{path}", "--code", "toric",
+                "--size", "2", "--oracle"],
+    "group": ["groups", "--group", "file:{path}", "--lengths", "2",
+              "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZ_DOCS))
+def test_fuzz_base_documents_pass(tmp_path, reader):
+    assert _fuzz_run(tmp_path, reader, FUZZ_DOCS[reader]) == 0
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZ_DOCS))
+@settings(max_examples=200)
+@given(data=strategies.data())
+def test_fuzz_file_reader(tmp_path_factory, reader, data):
+    doc = data.draw(one_mutation(FUZZ_DOCS[reader]))
+    event(f"exit {_fuzz_run(tmp_path_factory.getbasetemp(), reader, doc)}")
