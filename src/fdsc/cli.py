@@ -132,10 +132,11 @@ def cmd_groups(args) -> int:
                                  f"got {args.lengths!r}")
     if args.trials < 1:
         raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
+    rows = groups.depth_report(group, series, lengths)   # before any output
     print("n,depth,ancillas")
-    all_ok = True
-    for row in groups.depth_report(group, series, lengths):
+    for row in rows:
         print(f"{row['n']},{row['depth']},{row['ancillas']}")
+    all_ok = True
     for n in lengths:
         if group.order ** n <= 100_000:
             ok = groups.exhaustive_check(group, series, n)
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     except synth.IncompatibleStrategy as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except MemoryError as e:
+    except (MemoryError, OverflowError) as e:
         print(f"error: input too large to hold in memory: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:

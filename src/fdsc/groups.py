@@ -183,19 +183,24 @@ def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> Optional
 # -- network ---------------------------------------------------------------
 
 
-@dataclass
-class Node:
-    kind: str                    # quotient-lookup | normal-lookup | abelian-combine
-    #                            | chi-lookup | phi-lookup | section-lift | group-mul
-    inputs: tuple[int, ...]
-    output: int
+@dataclass(frozen=True)
+class NodeSet:
+    """The nodes of one layer that share a table, as slot arrays.  In a
+    lookup set ``inputs`` has shape (arity, m) and node i writes
+    ``table[inputs[0][i], inputs[1][i], ...]`` to slot ``outputs[i]``; in a
+    combine set ``inputs`` is flat and ``outputs[j]`` is the product of the
+    slots ``inputs[j:]``."""
+
     table: np.ndarray
+    outputs: np.ndarray
+    inputs: np.ndarray
+    combine: bool = False
 
 
 @dataclass
 class MulNetwork:
     n_inputs: int
-    layers: tuple[tuple[Node, ...], ...]
+    layers: tuple[tuple[NodeSet, ...], ...]
     output: int
     n_slots: int
 
@@ -210,64 +215,41 @@ class MulNetwork:
 
 class _Builder:
     def __init__(self, n_inputs: int):
-        self.next_slot = n_inputs
-        self.layers: list[list[Node]] = []
+        self.n_slots = n_inputs
+        self.layers: list[tuple[NodeSet, ...]] = []
 
-    def slot(self) -> int:
-        s = self.next_slot
-        self.next_slot += 1
-        return s
+    def slots(self, count: int) -> np.ndarray:
+        block = np.arange(self.n_slots, self.n_slots + count)
+        self.n_slots += count
+        return block
 
-    def layer(self, nodes: list[Node]) -> None:
-        self.layers.append(nodes)
+    def fold(self, table: np.ndarray, inputs: np.ndarray) -> int:
+        """One layer multiplying all input slots into a new slot."""
+        out = self.slots(1)
+        self.layers.append((NodeSet(table, out, inputs, combine=True),))
+        return int(out[0])
 
 
-def _plan(level: _Level, inputs: list[int], b: _Builder) -> int:
+def _plan(level: _Level, inputs: np.ndarray, b: _Builder) -> int:
     """Emit layers computing the ordered product of the input slots."""
-    n = len(inputs)
-    h_slots = []
-    n_slots = []
-    split_layer = []
-    for g in inputs:
-        h = b.slot()
-        split_layer.append(Node("quotient-lookup", (g,), h, level.tau))
-        h_slots.append(h)
-    for g in inputs:
-        nl = b.slot()
-        split_layer.append(Node("normal-lookup", (g,), nl, level.norm_part))
-        n_slots.append(nl)
-    b.layer(split_layer)
-    suffix = [0] * n
-    suffix_layer = []
-    for j in range(n):
-        s = b.slot()
-        suffix_layer.append(Node("abelian-combine", tuple(h_slots[j:]), s,
-                                 level.h_table))
-        suffix[j] = s
-    b.layer(suffix_layer)
-    lookup_layer = []
-    lift = b.slot()
-    lookup_layer.append(Node("section-lift", (suffix[0],), lift, level.psi))
-    nseq = []
-    for i in range(n - 1):
-        c = b.slot()
-        lookup_layer.append(Node("chi-lookup", (h_slots[i], suffix[i + 1]), c,
-                                 level.chi))
-        v = b.slot()
-        lookup_layer.append(Node("phi-lookup", (suffix[i + 1], n_slots[i]), v,
-                                 level.phi))
-        nseq.extend((c, v))
-    nseq.append(n_slots[n - 1])
-    b.layer(lookup_layer)
-    if level.sub is not None:
-        n_out = _plan(level.sub, nseq, b)
-    else:
-        # remaining chain is {e} <= N with N abelian: fold in one layer
-        n_out = b.slot()
-        b.layer([Node("abelian-combine", tuple(nseq), n_out, level.n_table)])
-    out = b.slot()
-    b.layer([Node("group-mul", (lift, n_out), out, level.merge)])
-    return out
+    n = inputs.size
+    h, norm, suffix = b.slots(3 * n).reshape(3, n)
+    b.layers.append((NodeSet(level.tau, h, inputs[None]),
+                     NodeSet(level.norm_part, norm, inputs[None])))
+    b.layers.append((NodeSet(level.h_table, suffix, h, combine=True),))
+    lift = b.slots(1)
+    chi_phi = b.slots(2 * (n - 1)).reshape(n - 1, 2)
+    b.layers.append((
+        NodeSet(level.psi, lift, suffix[None, :1]),
+        NodeSet(level.chi, chi_phi[:, 0], np.stack((h[:-1], suffix[1:]))),
+        NodeSet(level.phi, chi_phi[:, 1], np.stack((suffix[1:], norm[:-1])))))
+    nseq = np.append(chi_phi, norm[-1])
+    # with no sub-level the rest of the chain is {e} <= N, N abelian
+    n_out = b.fold(level.n_table, nseq) if level.sub is None \
+        else _plan(level.sub, nseq, b)
+    out = b.slots(1)
+    b.layers.append((NodeSet(level.merge, out, np.array([lift, [n_out]])),))
+    return int(out[0])
 
 
 def plan_network(group: FiniteGroup, series: SolvableSeries, n: int) -> MulNetwork:
@@ -275,26 +257,26 @@ def plan_network(group: FiniteGroup, series: SolvableSeries, n: int) -> MulNetwo
     if n < 1:
         raise InvalidSize("sequence length must be >= 1")
     series.validate(group)
-    chain = [list(s) for s in series.subgroups]
-    if len(chain) <= 2:
+    inputs = np.arange(n)
+    if inputs.size != n:       # numpy gives [] for 2^63 - 1 <= n < 2^64
+        raise InvalidSize(f"sequence length {n} is too large")
+    b = _Builder(n)
+    if len(series.subgroups) <= 2:
         # abelian or trivial group: a single simultaneous combine layer
         if not group.is_abelian():
             raise GroupStructureError("one-step series requires an abelian group")
-        b = _Builder(n)
-        out = b.slot()
-        b.layer([Node("abelian-combine", tuple(range(n)), out, group.table)])
-        return MulNetwork(n, tuple(tuple(l) for l in b.layers), out, b.next_slot)
-    level = _build_level(group, chain)
-    b = _Builder(n)
-    out = _plan(level, list(range(n)), b)
-    return MulNetwork(n, tuple(tuple(l) for l in b.layers), out, b.next_slot)
+        out = b.fold(group.table, inputs)
+    else:
+        out = _plan(_build_level(group, series.subgroups), inputs, b)
+    return MulNetwork(n, tuple(b.layers), out, b.n_slots)
 
 
 def evaluate(net: MulNetwork, seq) -> np.ndarray:
     """Layer-by-layer evaluation of sequences laid along the last axis of
     ``seq``, with any batch shape in front (one sequence gives a 0-d
-    result).  Every slot is written once, by a layer after those that wrote
-    its inputs, so each node writes straight into the slot array."""
+    result).  Every slot is written once, by a layer after those that
+    wrote its inputs, so each node set writes straight into the slots: a
+    lookup set by one gather, a combine set by one running product."""
     seqs = np.asarray(seq, dtype=np.int64)
     if seqs.shape[-1:] != (net.n_inputs,):
         raise LengthMismatch(f"expected {net.n_inputs} elements along the "
@@ -302,14 +284,16 @@ def evaluate(net: MulNetwork, seq) -> np.ndarray:
     slots = np.empty((net.n_slots, *seqs.shape[:-1]), dtype=np.int64)
     slots[:net.n_inputs] = np.moveaxis(seqs, -1, 0)
     for layer in net.layers:
-        for node in layer:
-            if node.kind == "abelian-combine":
-                acc = slots[node.inputs[0]]
-                for s in node.inputs[1:]:
-                    acc = node.table[acc, slots[s]]
-                slots[node.output] = acc
-            else:
-                slots[node.output] = node.table[tuple(slots[s] for s in node.inputs)]
+        for nodes in layer:
+            if not nodes.combine:
+                slots[nodes.outputs] = nodes.table[tuple(slots[nodes.inputs])]
+                continue
+            acc = None
+            for j in range(len(nodes.inputs) - 1, -1, -1):
+                x = slots[nodes.inputs[j]]
+                acc = x if acc is None else nodes.table[x, acc]
+                if j < len(nodes.outputs):
+                    slots[nodes.outputs[j]] = acc
     return slots[net.output]
 
 

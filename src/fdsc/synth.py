@@ -415,26 +415,14 @@ def haah_phi_solve(L: int, z: np.ndarray, slot: int = 1) -> np.ndarray:
 
 
 def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
-    """All-qubit Z values generated by a cube potential (open boundary)."""
+    """All-qubit Z values generated by a cube potential (open boundary):
+    A phi over the cubic code's X generators, one per cube."""
     phi = np.asarray(phi, dtype=np.uint8) & 1
     if phi.shape != (L ** 3,):
         raise ValueError(f"phi must have L^3 = {L**3} entries")
-    z = np.zeros(2 * (L + 1) ** 3, dtype=np.uint8)
-
-    def at(x, y, z_):
-        if not (0 <= x < L and 0 <= y < L and 0 <= z_ < L):
-            return 0
-        return int(phi[(x * L + y) * L + z_])
-
-    for x in range(L + 1):
-        for y in range(L + 1):
-            for zc in range(L + 1):
-                for slot, offsets in _HAAH_X.items():
-                    v = 0
-                    for dx, dy, dz in offsets:
-                        v ^= at(x - dx, y - dy, zc - dz)
-                    z[css.haah_qubit_index(L, x, y, zc, slot)] = v
-    return z
+    x = css.build_haah(L).x_stabs
+    hit = x.qubits[phi[x.generators()] == 1]
+    return (np.bincount(hit, minlength=x.n_qubits) & 1).astype(np.uint8)
 
 
 # -- circuit serialization -------------------------------------------------

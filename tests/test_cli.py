@@ -400,6 +400,30 @@ def test_oversized_input_exits_2(tmp_path, capsys, argv):
     assert "too large to hold in memory" in err
 
 
+# numpy's arange gives an empty array for 2^63 - 1 <= n < 2^64 and refuses
+# larger n; lengths from about 10^6 to 2^62 would really be allocated
+@pytest.mark.parametrize("group", ["dihedral:4", "abelian:2,4"])
+@pytest.mark.parametrize("length", [2 ** 63 - 1, 2 ** 63, 10 ** 30])
+def test_groups_huge_length_exits_2_before_output(capsys, group, length):
+    rc, stdout, err = run(capsys, "groups", "--group", group,
+                          "--lengths", f"2,{length}")
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_qubits", [2 ** 63, 2 ** 70, 10 ** 30])
+def test_greedy_on_huge_register_exits_2(tmp_path, capsys, n_qubits):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"version": 1, "n_qubits": n_qubits,
+                                "family": "custom", "params": {},
+                                "x_stabs": [[0, 1], [1, 2]],
+                                "z_stabs": [[0, 1, 2]]}))
+    rc, stdout, err = run(capsys, "synth", "--code", f"file:{code}",
+                          "--strategy", "greedy")
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bug_propagates_past_the_exit_code_policy(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise synth.InternalInvariantViolation("emission broke its invariant")

@@ -44,8 +44,24 @@ def make_d4_centre():
     return g, series
 
 
+def make_s4_cycle():
+    """S4 relabelled so that the 4-cycle i -> i+1 is element 1, the minimum
+    of the odd coset: its square is a double transposition, so the cocycle
+    chi takes values in A4 that are not central there."""
+    g, series = make_s4()
+    perms = list(itertools.permutations(range(4)))
+    cycle = perms.index((1, 2, 3, 0))
+    order = np.array([0, cycle] + [i for i in range(1, 24) if i != cycle])
+    pos = np.argsort(order)
+    g = FiniteGroup.from_table(pos[g.table[np.ix_(order, order)]])
+    series = SolvableSeries(tuple(tuple(sorted(pos[list(s)].tolist()))
+                                  for s in series.subgroups))
+    series.validate(g)
+    return g, series
+
+
 CASES = {"D3": lambda: make_dihedral(3), "D4": lambda: make_dihedral(4),
-         "D4c": make_d4_centre,
+         "D4c": make_d4_centre, "S4c": make_s4_cycle,
          "D8": lambda: make_dihedral(8), "Z2xZ4": lambda: make_abelian([2, 4]),
          "S4": make_s4}
 
@@ -218,12 +234,32 @@ def test_network_layer_outputs_disjoint():
         _, net = planned(name, n)
         written = set(range(n))
         for layer in net.layers:
-            outs = [node.output for node in layer]
+            outs = [int(s) for nodes in layer for s in nodes.outputs]
             assert len(outs) == len(set(outs)) and written.isdisjoint(outs)
-            assert all(set(node.inputs) <= written for node in layer)
+            for nodes in layer:
+                assert set(nodes.inputs.ravel().tolist()) <= written
+                if nodes.combine:   # outputs[j] multiplies inputs[j:]
+                    assert nodes.inputs.ndim == 1
+                    assert len(nodes.outputs) <= len(nodes.inputs)
+                else:
+                    assert nodes.inputs.shape[1:] == nodes.outputs.shape
             written.update(outs)
         assert written == set(range(net.n_slots))
         assert net.ancilla_count == net.n_slots - n
+
+
+@pytest.mark.parametrize("name, n, nodes, ancillas", [
+    ("D4", 9, [18, 9, 17, 1, 1], 46),
+    ("S4", 5, [10, 5, 9, 18, 9, 17, 1, 1, 1], 71),
+    ("Z2xZ4", 9, [1], 1),
+    ("D64", 256, [512, 256, 511, 1, 1], 1281),
+])
+def test_plan_shape_pinned(name, n, nodes, ancillas):
+    # nodes per layer, depth and ancillas of the planned networks
+    g, series = CASES.get(name, lambda: make_dihedral(int(name[1:])))()
+    net = plan_network(g, series, n)
+    assert [sum(len(s.outputs) for s in layer) for layer in net.layers] == nodes
+    assert net.depth == len(nodes) and net.ancilla_count == ancillas
 
 
 def test_s4_recursive_level():
@@ -237,7 +273,7 @@ def test_s4_recursive_level():
 
 
 @pytest.mark.parametrize("name", ["D3", "D4", "D5", "D6", "D7", "D8", "S4",
-                                  "D4c"])
+                                  "D4c", "S4c"])
 def test_level_identities(name):
     # checked against the table by scalar products, not the array build
     g, series = CASES.get(name, lambda: make_dihedral(int(name[1:])))()
@@ -269,6 +305,18 @@ def test_d4_centre_series_nontrivial_cocycle():
     for n in (1, 2, 3, 4):
         assert groups.exhaustive_check(g, series, n)
     assert groups.random_check(g, series, 64, trials=300, seed=4)
+
+
+def test_s4_cocycle_not_central_in_normal_subgroup():
+    # the network must keep chi and phi values in sequence order
+    g, series = make_s4_cycle()
+    level = groups._build_level(g, [list(s) for s in series.subgroups])
+    n_group = level.sub.group
+    chi = np.unique(level.chi)
+    assert (n_group.table[chi] != n_group.table[:, chi].T).any()
+    for n in (1, 2, 3):
+        assert groups.exhaustive_check(g, series, n)
+    assert groups.random_check(g, series, 40, trials=500, seed=5)
 
 
 def test_checks_cover_every_sequence(monkeypatch):
