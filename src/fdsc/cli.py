@@ -107,7 +107,7 @@ def cmd_scaling(args) -> int:
     else:
         sys.stdout.write(text)
     result = {"rows": len(rows), "failures": failures}
-    if len(rows) >= 3:
+    if len({r["L"] for r in rows}) >= 3:   # a line through 3+ distinct sizes
         result["fit"] = fit_loglog([r["L"] for r in rows],
                                    [r["gate_count"] for r in rows])
     print(_json_line(result))

@@ -54,7 +54,7 @@ class Supports:
     on the qubits qubits[start[j]:start[j + 1]] of an n_qubits register.
 
     ``start`` (k + 1 offsets rising from 0 to len(qubits)) and ``qubits``
-    are read-only int64 arrays, built by ``from_lists``.  In a code each
+    are read-only int64 arrays, as given or from ``from_lists``.  In a code each
     support is nonempty and strictly increasing within 0..n_qubits-1
     (``CssCode`` checks this).  Only ``by_qubit``, ``to_dense`` and
     ``packed`` allocate per qubit.
@@ -213,8 +213,8 @@ def qubit_coords(code: CssCode, q: int) -> tuple:
 def _stencil(n: int, columns, weight: int) -> Supports:
     """Generator j acts on row j of the qubit arrays ``columns`` stacked
     side by side and cut into rows of ``weight``, each in any order."""
-    rows = np.stack(columns, axis=1).reshape(-1, weight)
-    return Supports.from_lists(n, np.sort(rows, axis=1).tolist())
+    rows = np.sort(np.stack(columns, axis=1).reshape(-1, weight), axis=1)
+    return Supports(n, np.arange(0, rows.size + 1, weight), rows.ravel())
 
 
 def build_ghz(n: int) -> CssCode:

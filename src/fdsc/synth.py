@@ -13,17 +13,13 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import css, gf2
 from .css import CssCode
 from .gf2 import BitMatrix
-
-STRATEGIES = ("greedy", "toric_comb", "toric_recursive", "xcube_dual_trees",
-              "haah_canonical", "explicit")
-
 
 class IncompatibleStrategy(ValueError):
     """Strategy does not apply to this code family."""
@@ -141,90 +137,77 @@ def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
     return SubsetS(tuple(sorted(gf2.row_rank_profile(code.x_stabs.packed(), order))))
 
 
-def _require_family(code: CssCode, family: str, strategy: str) -> int:
-    if code.family != family or "L" not in code.params:
-        raise IncompatibleStrategy(
-            f"{strategy} needs a {family} code with lattice size params")
-    return int(code.params["L"])
-
-
-def toric_comb_qubits(L: int) -> list[int]:
+def toric_comb_qubits(code: CssCode) -> np.ndarray:
     """All horizontal rows plus the leftmost vertical column, with one edge
     dropped per row cycle and one from the column to leave a spanning tree."""
-    return ([css.toric_edge_index(L, x, y, 0) for y in range(L) for x in range(L - 1)]
-            + [css.toric_edge_index(L, 0, y, 1) for y in range(L - 1)])
+    L = int(code.params["L"])
+    x, y = np.indices((L - 1, L))
+    return np.concatenate((css.toric_edge_index(L, x, y, 0).ravel(),
+                           css.toric_edge_index(L, 0, np.arange(L - 1), 1)))
 
 
-def _recursive_tree_edges(L: int, ox: int, oy: int, out: list):
-    """Self-similar tree: left and right columns plus the top row, built
-    from four half-size copies attached on the top, left, and right."""
-    if L == 2:
-        out.append((ox, oy, 1))          # left column
-        out.append((ox + 1, oy, 1))      # right column
-        out.append((ox, oy + 1, 0))      # top row
-        return
-    m = L // 2
-    for (qx, qy) in ((0, 0), (m, 0), (0, m), (m, m)):
-        _recursive_tree_edges(m, ox + qx, oy + qy, out)
-    out.append((ox, oy + m - 1, 1))           # left attachment
-    out.append((ox + L - 1, oy + m - 1, 1))   # right attachment
-    out.append((ox + m - 1, oy + L - 1, 0))   # top attachment
-
-
-def toric_recursive_qubits(L: int) -> list[int]:
+def toric_recursive_qubits(code: CssCode) -> np.ndarray:
+    """Self-similar tree: each m x m block (m = 2, 4, ..., L) joins its four
+    half-size blocks by one edge at the mid-height of its left and right
+    columns and one at the mid-width of its top row."""
+    L = int(code.params["L"])
     if L < 2 or L & (L - 1):
         raise SizeNotPowerOfTwo(f"L={L} is not a power of two >= 2")
-    edges: list = []
-    _recursive_tree_edges(L, 0, 0, edges)
-    return [css.toric_edge_index(L, x, y, o) for (x, y, o) in edges]
+    edges = []
+    for k in range(1, L.bit_length()):
+        m, h = 1 << k, 1 << k - 1
+        ox, oy = np.indices((L >> k, L >> k)).reshape(2, -1) * m
+        edges += [css.toric_edge_index(L, ox, oy + h - 1, 1),          # left
+                  css.toric_edge_index(L, ox + m - 1, oy + h - 1, 1),  # right
+                  css.toric_edge_index(L, ox + h - 1, oy + m - 1, 0)]  # top
+    return np.concatenate(edges)
 
 
-def xcube_dual_qubits(code: CssCode) -> list[int]:
-    """Vertical edges plus two boundary planes of horizontal edges, then a
-    greedy rank repair (drop dependent members, extend if short)."""
+def xcube_dual_qubits(code: CssCode) -> np.ndarray:
+    """Vertical edges plus two boundary planes of horizontal edges, less
+    each seed whose A-row depends on earlier ones: a rank profile over the
+    seeds alone.  They span A's row space, so none is missing (and the
+    reconstruction solve would reject a short set)."""
     L = int(code.params["L"])
-    r = range(L)
-    seed_set = {css.xcube_edge_index(L, x, y, z, 2) for x in r for y in r for z in r}
-    seed_set |= {css.xcube_edge_index(L, 0, y, z, 0) for y in r for z in r}
-    seed_set |= {css.xcube_edge_index(L, x, 0, z, 1) for x in r for z in r}
-    rest = sorted(set(range(code.n_qubits)) - seed_set)
-    return sorted(gf2.row_rank_profile(code.x_stabs.packed(),
-                                       sorted(seed_set) + rest))
+    v, h = np.indices((L, L, L)).reshape(3, -1), np.indices((L, L)).reshape(2, -1)
+    seeds = np.concatenate((css.xcube_edge_index(L, *v, 2),
+                            css.xcube_edge_index(L, 0, *h, 0),
+                            css.xcube_edge_index(L, h[0], 0, h[1], 1)))
+    return np.array(gf2.row_rank_profile(code.x_stabs.packed(),
+                                         np.sort(seeds).tolist()), dtype=np.int64)
 
 
-def haah_canonical_qubits(L: int) -> list[int]:
+def haah_canonical_qubits(code: CssCode) -> np.ndarray:
     """Second-slot qubits on the L^3 interior vertex block.
 
     Either per-vertex slot works (each corner relation is triangular in the
     coordinate sum), but the second-slot choice reproduces the published
     gate counts and control patterns.
     """
-    return [css.haah_qubit_index(L, x, y, z, 2)
-            for x in range(L) for y in range(L) for z in range(L)]
+    L = int(code.params["L"])
+    return css.haah_qubit_index(L, *np.indices((L, L, L)).reshape(3, -1), 2)
+
+
+# Each lattice strategy: the code family it applies to, and its subset of
+# that family's code.
+LATTICE = {"toric_comb": ("toric", toric_comb_qubits),
+           "toric_recursive": ("toric", toric_recursive_qubits),
+           "xcube_dual_trees": ("xcube", xcube_dual_qubits),
+           "haah_canonical": ("haah", haah_canonical_qubits)}
+STRATEGIES = ("greedy", *LATTICE)
 
 
 def tree_select(code: CssCode, strategy: str) -> SubsetS:
-    """The named lattice constructions.
-
-    The X-cube repair is valid by construction of the rank profile; the
-    toric and cubic-code subsets are validated by the reconstruction solve
-    that follows selection in ``synthesize``.
-    """
-    if strategy == "toric_comb":
-        L = _require_family(code, "toric", strategy)
-        qubits = toric_comb_qubits(L)
-    elif strategy == "toric_recursive":
-        L = _require_family(code, "toric", strategy)
-        qubits = toric_recursive_qubits(L)
-    elif strategy == "xcube_dual_trees":
-        _require_family(code, "xcube", strategy)
-        qubits = xcube_dual_qubits(code)
-    elif strategy == "haah_canonical":
-        L = _require_family(code, "haah", strategy)
-        qubits = haah_canonical_qubits(L)
-    else:
-        raise IncompatibleStrategy(f"unknown tree strategy {strategy!r}")
-    return SubsetS(tuple(sorted(qubits)))
+    """The named lattice construction, on a code of its family.  The
+    reconstruction solve that follows selection in ``synthesize``
+    validates the subset."""
+    if strategy not in LATTICE:
+        raise IncompatibleStrategy(f"unknown strategy {strategy!r}")
+    family, qubits = LATTICE[strategy]
+    if code.family != family or "L" not in code.params:
+        raise IncompatibleStrategy(
+            f"{strategy} needs a {family} code with lattice size params")
+    return SubsetS(tuple(np.sort(qubits(code)).tolist()))
 
 
 # -- reconstruction --------------------------------------------------------
@@ -341,30 +324,22 @@ def emit_circuit(code: CssCode, s: SubsetS, mt: BitMatrix,
 
 
 def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
-               restarts: int = 1,
-               subset: Optional[Sequence[int]] = None) -> FdscCircuit:
+               restarts: int = 1) -> FdscCircuit:
     """Select S, build the reconstruction, and emit the circuit.
 
     Greedy with ``restarts > 1`` tries seeds seed..seed+restarts-1 and keeps
-    the smallest-gate-count circuit (ties to the lower seed).  Strategy
-    "explicit" synthesizes from the caller-provided subset and raises
-    InvalidSubset if it fails the rank conditions; a built-in strategy
-    whose subset fails them raises InternalInvariantViolation.
+    the smallest-gate-count circuit (ties to the lower seed).  A subset
+    that fails the rank conditions is a bug here: it raises
+    InternalInvariantViolation.  For a subset of the caller's own, use
+    ``build_reconstruction`` and ``emit_circuit``, which raise InvalidSubset.
     """
     meta = {"family": code.family, "params": code.params, "strategy": strategy}
-    if strategy == "explicit":
-        if subset is None:
-            raise IncompatibleStrategy("explicit strategy needs a subset")
-        s = SubsetS(tuple(sorted(subset)))
-        return emit_circuit(code, s, build_reconstruction(code, s), meta)
     if strategy == "greedy":
         base = 0 if seed is None else seed
         seeds = range(base, base + restarts) if restarts > 1 else [seed]
         picks = ((k, greedy_select(code, k)) for k in seeds)
-    elif strategy in STRATEGIES:
-        picks = [(None, tree_select(code, strategy))]
     else:
-        raise IncompatibleStrategy(f"unknown strategy {strategy!r}")
+        picks = [(None, tree_select(code, strategy))]
     best = None
     for k, s in picks:
         try:

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,38 @@ def test_scaling_bad_strategy(capsys):
     rc, _, _ = run(capsys, "scaling", "--code", "toric", "--strategy",
                    "haah_canonical", "--sizes", "2,3")
     assert rc == 3
+
+
+FAMILY_SIZES = {"ghz": 4, "toric": 2, "xcube": 2, "haah": 1}
+
+
+@pytest.mark.parametrize("strategy", synth.STRATEGIES)
+def test_every_strategy_runs_on_its_family_only(strategy, capsys):
+    own = synth.LATTICE[strategy][0] if strategy != "greedy" else None
+    for family, size in FAMILY_SIZES.items():
+        rc, stdout, err = run(capsys, "synth", "--code", family, "--size",
+                              str(size), "--strategy", strategy)
+        if own in (None, family):
+            assert rc == 0 and json.loads(stdout)["n_qubits"] > 0, err
+        else:
+            assert rc == 3 and stdout == "" and err.startswith("error: ")
+
+
+def test_explicit_strategy_is_gone(capsys):
+    rc, stdout, err = run(capsys, "synth", "--code", "toric", "--size", "2",
+                          "--strategy", "explicit")
+    assert rc == 3 and stdout == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes", ["3,3,3", "2,2,5"])
+def test_scaling_fits_only_three_distinct_sizes(sizes, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's RankWarning fails the test
+        rc, stdout, err = run(capsys, "scaling", "--code", "toric",
+                              "--strategy", "toric_comb", "--sizes", sizes)
+    assert rc == 0 and err == ""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    assert result == {"rows": 3, "failures": 0}
 
 
 @pytest.mark.parametrize("flags", [

@@ -91,6 +91,20 @@ def test_xcube_subset_conditions(L):
     assert check_subset(code, s)
 
 
+@pytest.mark.parametrize("L", range(2, 9))
+def test_xcube_subset_closed_form(L):
+    # the seeds the rank repair keeps: both in-plane coordinates below L - 1,
+    # |S| = (L - 1)^2 (L + 2) = rank(A), log2 GSD = 6L - 3 for X-cube
+    r = range(L - 1)
+    want = sorted([css.xcube_edge_index(L, x, y, z, 2) for x in r for y in r
+                   for z in range(L)]
+                  + [css.xcube_edge_index(L, 0, y, z, 0) for y in r for z in r]
+                  + [css.xcube_edge_index(L, x, 0, z, 1) for x in r for z in r])
+    s = tree_select(css.build_xcube(L), "xcube_dual_trees")
+    assert s.qubits == tuple(want)
+    assert len(s) == (L - 1) ** 2 * (L + 2)
+
+
 def test_reconstruction_ghz_all_ones():
     code = css.build_ghz(4)
     m = build_reconstruction(code, SubsetS((0,)))
@@ -253,11 +267,13 @@ def test_explicit_rejects_repeated_or_outside_qubits():
     s = tree_select(code, "toric_comb").qubits
     for bad in (s + (s[0],), (-1,) + s[1:], s[:-1] + (code.n_qubits,)):
         with pytest.raises(InvalidSubset):
-            synthesize(code, "explicit", subset=bad)
+            subset = SubsetS(tuple(sorted(bad)))
+            emit_circuit(code, subset, build_reconstruction(code, subset))
 
 
 def test_builtin_subset_failing_rank_conditions_is_internal_error(monkeypatch):
-    monkeypatch.setattr(synth, "toric_comb_qubits", lambda L: [0, 1])
+    monkeypatch.setitem(synth.LATTICE, "toric_comb",
+                        ("toric", lambda code: np.array([0, 1])))
     with pytest.raises(synth.InternalInvariantViolation):
         synthesize(css.build_toric(2), "toric_comb")
 
@@ -307,10 +323,10 @@ def test_circuit_structure_invariants():
 def test_explicit_strategy():
     code = css.build_toric(2)
     s = tree_select(code, "toric_comb")
-    circ = synthesize(code, "explicit", subset=s.qubits)
+    circ = emit_circuit(code, s, build_reconstruction(code, s))
     assert circ.gate_count == synthesize(code, "toric_comb").gate_count
     with pytest.raises(InvalidSubset):
-        synthesize(code, "explicit", subset=(0, 1))
+        build_reconstruction(code, SubsetS((0, 1)))
 
 
 def test_greedy_restarts_deterministic():
@@ -483,6 +499,6 @@ def test_canonical_columns_match_adjacent_solve():
 
 def test_recursive_tree_edge_count():
     for L in (2, 4, 8, 16, 32):
-        qs = synth.toric_recursive_qubits(L)
+        qs = synth.toric_recursive_qubits(css.build_toric(L)).tolist()
         assert len(qs) == L * L - 1
         assert len(set(qs)) == len(qs)
