@@ -21,7 +21,7 @@ def _load_code(spec: str, size: int | None) -> css.CssCode:
     if spec.startswith("file:"):
         path = Path(spec[5:])
         return css.parse_code(path.read_text())
-    if spec not in ("ghz", "toric", "xcube", "haah"):
+    if spec not in css.SHAPES:
         raise css.ParseError(f"unknown code {spec!r}")
     if size is None:
         raise css.ParseError("--size is required for built-in families")
@@ -107,7 +107,7 @@ def cmd_scaling(args) -> int:
     else:
         sys.stdout.write(text)
     result = {"rows": len(rows), "failures": failures}
-    if len({r["L"] for r in rows}) >= 3:   # a line through 3+ distinct sizes
+    if len({r["n_qubits"] for r in rows}) >= 3:   # a line through 3+ codes
         result["fit"] = fit_loglog([r["L"] for r in rows],
                                    [r["gate_count"] for r in rows])
     print(_json_line(result))
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("synth", help="synthesize a preparation circuit")
     ps.add_argument("--code", required=True,
-                    help="ghz|toric|xcube|haah|file:PATH")
+                    help="|".join((*css.SHAPES, "file:PATH")))
     ps.add_argument("--size", type=int, default=None)
     ps.add_argument("--strategy", required=True)
     ps.add_argument("--seed", type=int, default=None)

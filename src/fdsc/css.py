@@ -10,18 +10,21 @@ nonempty and strictly increasing within the register, and the CSS
 commutation condition (every X/Z generator pair overlaps on an even
 number of qubits).
 
-Qubit indexing conventions (stable, used by golden tests and file formats):
-  ghz    flat 0..n-1
-  toric  edge (x, y, o) -> 2*(x*L + y) + o, o=0 horizontal (+x), o=1 vertical (+y)
-  xcube  edge (x, y, z, axis) -> 3*((x*L + y)*L + z) + axis, axis in {0,1,2}
-  haah   vertex qubit (x, y, z, i) -> 2*(((x*(L+1)) + y)*(L+1) + z) + (i-1),
-         vertices 0..L per axis (open boundary), i in {1, 2}
+Qubit layout (stable, a file-format convention): a family's qubits are
+one row-major array of the shape ``SHAPES`` gives for its size, so qubit
+q sits at ``np.unravel_index(q, shape)``; custom codes are (n_qubits,).
+  ghz    (n,)                qubit q
+  toric  (L, L, 2)           edge (x, y, o), o=0 horizontal (+x), 1 vertical (+y)
+  xcube  (L, L, L, 3)        edge (x, y, z, axis), axis in {0, 1, 2}
+  haah   (L+1, L+1, L+1, 2)  vertex (x, y, z), 0..L per axis (open boundary),
+                             slot 0 for qubit 1 and 1 for qubit 2
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,13 @@ import numpy as np
 from . import gf2
 from .gf2 import BitMatrix
 
-FAMILIES = ("ghz", "toric", "xcube", "haah", "custom")
+# Each family's qubits as a row-major array, by the family's size (n for
+# ghz, L for the lattices).
+SHAPES = {"ghz": lambda n: (n,),
+          "toric": lambda L: (L, L, 2),
+          "xcube": lambda L: (L, L, L, 3),
+          "haah": lambda L: (L + 1, L + 1, L + 1, 2)}
+FAMILIES = (*SHAPES, "custom")
 
 
 class InvalidSize(ValueError):
@@ -162,49 +171,24 @@ class CssCode:
         return len(self.z_stabs)
 
 
-# -- lattice index helpers ------------------------------------------------
+# -- qubit layout ----------------------------------------------------------
 
 
-def toric_edge_index(L: int, x: int, y: int, o: int) -> int:
-    return 2 * ((x % L) * L + (y % L)) + o
+def qubit_index(family: str, size: int, *coords):
+    """The qubit at ``coords`` in the family's shape, each coordinate taken
+    modulo its axis (the torus wrap); coordinates may be broadcast arrays."""
+    q = np.ravel_multi_index(coords, SHAPES[family](size), mode="wrap")
+    return int(q) if q.ndim == 0 else q
 
 
-def toric_edge_coords(L: int, q: int) -> tuple[int, int, int]:
-    o = q & 1
-    v = q >> 1
-    return v // L, v % L, o
-
-
-def xcube_edge_index(L: int, x: int, y: int, z: int, axis: int) -> int:
-    return 3 * (((x % L) * L + (y % L)) * L + (z % L)) + axis
-
-
-def xcube_edge_coords(L: int, q: int) -> tuple[int, int, int, int]:
-    axis = q % 3
-    v = q // 3
-    return v // (L * L), (v // L) % L, v % L, axis
-
-
-def haah_qubit_index(L: int, x: int, y: int, z: int, i: int) -> int:
-    side = L + 1
-    return 2 * ((x * side + y) * side + z) + (i - 1)
-
-
-def haah_qubit_coords(L: int, q: int) -> tuple[int, int, int, int]:
-    side = L + 1
-    i = (q & 1) + 1
-    v = q >> 1
-    return v // (side * side), (v // side) % side, v % side, i
-
-
-def qubit_coords(code: CssCode, q: int) -> tuple:
-    """Family-specific lattice coordinates of a qubit (flat index for ghz
-    and custom codes)."""
+def qubit_coords(code: CssCode, q: int) -> tuple[int, ...]:
+    """Qubit q's position in its family's shape, or ``(q,)`` for a custom
+    code."""
     if not 0 <= q < code.n_qubits:
         raise IndexError(q)
-    coords = {"toric": toric_edge_coords, "xcube": xcube_edge_coords,
-              "haah": haah_qubit_coords}.get(code.family)
-    return coords(int(code.params["L"]), q) if coords else (q,)
+    size = code.params.get("n" if code.family == "ghz" else "L")
+    shape = SHAPES[code.family](size) if code.family in SHAPES else (code.n_qubits,)
+    return tuple(map(int, np.unravel_index(q, shape)))
 
 
 # -- family builders ------------------------------------------------------
@@ -230,11 +214,12 @@ def build_toric(L: int) -> CssCode:
     """Toric code on an L x L torus: vertex stars (X) and plaquettes (Z)."""
     if L < 2:
         raise InvalidSize("toric code needs L >= 2")
-    n = 2 * L * L
+    n = math.prod(SHAPES["toric"](L))
     vx, vy = np.divmod(np.arange(L * L), L)
     stars = ((vx, vy, 0), (vx - 1, vy, 0), (vx, vy, 1), (vx, vy - 1, 1))
     plaquettes = ((vx, vy, 0), (vx, vy + 1, 0), (vx, vy, 1), (vx + 1, vy, 1))
-    x, z = ([toric_edge_index(L, *e) for e in edges] for edges in (stars, plaquettes))
+    x, z = ([qubit_index("toric", L, *e) for e in edges]
+            for edges in (stars, plaquettes))
     return CssCode(n, _stencil(n, x, 4), _stencil(n, z, 4), family="toric",
                    params={"L": L})
 
@@ -246,14 +231,14 @@ def build_xcube(L: int) -> CssCode:
     """X-cube model on an L^3 torus: cube operators (X) and vertex crosses (Z)."""
     if L < 2:
         raise InvalidSize("X-cube needs L >= 2")
-    n = 3 * L ** 3
+    n = math.prod(SHAPES["xcube"](L))
     c = np.arange(L ** 3)
     v = np.stack((c // (L * L), c // L % L, c % L))   # cube or vertex coords
     unit = np.eye(3, dtype=np.int64)[:, :, None]       # unit[a] steps along a
-    x = [xcube_edge_index(L, *(v + da * unit[a] + db * unit[b]), axis)
+    x = [qubit_index("xcube", L, *(v + da * unit[a] + db * unit[b]), axis)
          for axis, (a, b) in _XCUBE_PERP.items() for da in (0, 1) for db in (0, 1)]
     # Z generator 3 * vertex + axis: the four edges at the vertex across axis
-    z = [xcube_edge_index(L, *(v + d * unit[ax]), ax)
+    z = [qubit_index("xcube", L, *(v + d * unit[ax]), ax)
          for axis in range(3) for ax in _XCUBE_PERP[axis] for d in (0, -1)]
     return CssCode(n, _stencil(n, x, 12), _stencil(n, z, 4), family="xcube",
                    params={"L": L})
@@ -271,11 +256,11 @@ def build_haah(L: int) -> CssCode:
     corner-pattern generator per cube."""
     if L < 1:
         raise InvalidSize("cubic code needs L >= 1")
-    n = 2 * (L + 1) ** 3
+    n = math.prod(SHAPES["haah"](L))
     c = np.arange(L ** 3)
     cx, cy, cz = c // (L * L), c // L % L, c % L
-    x, z = ([haah_qubit_index(L, cx + dx, cy + dy, cz + dz, slot)
-             for slot, offsets in enumerate(patterns, 1) for dx, dy, dz in offsets]
+    x, z = ([qubit_index("haah", L, cx + dx, cy + dy, cz + dz, slot)
+             for slot, offsets in enumerate(patterns) for dx, dy, dz in offsets]
             for patterns in ((HAAH_X1, HAAH_X2), (HAAH_Z1, HAAH_Z2)))
     return CssCode(n, _stencil(n, x, 8), _stencil(n, z, 8), family="haah",
                    params={"L": L})
@@ -283,8 +268,6 @@ def build_haah(L: int) -> CssCode:
 
 _BUILDERS = {"ghz": build_ghz, "toric": build_toric, "xcube": build_xcube,
              "haah": build_haah}
-_FAMILY_QUBITS = {"ghz": lambda n: n, "toric": lambda L: 2 * L * L,
-                  "xcube": lambda L: 3 * L ** 3, "haah": lambda L: 2 * (L + 1) ** 3}
 
 
 def build_family(family: str, size: int) -> CssCode:
@@ -349,7 +332,7 @@ def parse_code(text: str) -> CssCode:
     size = params.get("n" if family == "ghz" else "L")
     try:  # qubit count first: never build a family far larger than the file
         if family != "custom" and not (
-                is_json_int(size) and _FAMILY_QUBITS[family](size) == n
+                is_json_int(size) and math.prod(SHAPES[family](size)) == n
                 and code == build_family(family, size)):
             raise ParseError(f"not the {family} code that its params name")
     except InvalidSize as e:

@@ -46,10 +46,6 @@ class BitMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls.from_entries(np.repeat(np.arange(n), 2).reshape(n, 2), n, n)
 
@@ -204,7 +200,7 @@ def xor_rows(m: BitMatrix, seg, src, n: int = 0, flips=None,
     returned.
     """
     if out is None:
-        out, dst = BitMatrix.zeros(n, m.cols), np.arange(n)
+        out, dst = BitMatrix(n, m.cols), np.arange(n)
     seg, src = np.asarray(seg), np.asarray(src)
     if seg.size:
         # rank by rank over segments sorted longest first: one gather per
@@ -246,7 +242,7 @@ def right_inverse(m: BitMatrix, pivot_order: str = "forward") -> BitMatrix:
     pivots = _eliminate(aug, cols, reduced=True)
     if len(pivots) < m.rows:
         raise RankDeficient(f"rank {len(pivots)} < {m.rows} rows")
-    out = BitMatrix.zeros(m.cols, m.rows)
+    out = BitMatrix(m.cols, m.rows)
     off = _words(m.cols)
     for prow, pcol in pivots:
         out.data[pcol] = aug[prow, off:]

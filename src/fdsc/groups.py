@@ -96,6 +96,8 @@ class SolvableSeries:
 
     def validate(self, group: FiniteGroup) -> None:
         chain = [_sorted_ids(s) for s in self.subgroups]
+        if any(len(ids) != len(s) for ids, s in zip(chain, self.subgroups)):
+            raise GroupStructureError("series entry lists an element twice")
         if not chain or chain[0].tolist() != [group.identity]:
             raise GroupStructureError("series must start at the trivial subgroup")
         if not np.array_equal(chain[-1], np.arange(group.order)):

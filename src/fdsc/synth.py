@@ -142,8 +142,8 @@ def toric_comb_qubits(code: CssCode) -> np.ndarray:
     dropped per row cycle and one from the column to leave a spanning tree."""
     L = int(code.params["L"])
     x, y = np.indices((L - 1, L))
-    return np.concatenate((css.toric_edge_index(L, x, y, 0).ravel(),
-                           css.toric_edge_index(L, 0, np.arange(L - 1), 1)))
+    return np.concatenate((css.qubit_index("toric", L, x, y, 0).ravel(),
+                           css.qubit_index("toric", L, 0, np.arange(L - 1), 1)))
 
 
 def toric_recursive_qubits(code: CssCode) -> np.ndarray:
@@ -157,9 +157,9 @@ def toric_recursive_qubits(code: CssCode) -> np.ndarray:
     for k in range(1, L.bit_length()):
         m, h = 1 << k, 1 << k - 1
         ox, oy = np.indices((L >> k, L >> k)).reshape(2, -1) * m
-        edges += [css.toric_edge_index(L, ox, oy + h - 1, 1),          # left
-                  css.toric_edge_index(L, ox + m - 1, oy + h - 1, 1),  # right
-                  css.toric_edge_index(L, ox + h - 1, oy + m - 1, 0)]  # top
+        edges += [css.qubit_index("toric", L, ox, oy + h - 1, 1),          # left
+                  css.qubit_index("toric", L, ox + m - 1, oy + h - 1, 1),  # right
+                  css.qubit_index("toric", L, ox + h - 1, oy + m - 1, 0)]  # top
     return np.concatenate(edges)
 
 
@@ -170,9 +170,9 @@ def xcube_dual_qubits(code: CssCode) -> np.ndarray:
     reconstruction solve would reject a short set)."""
     L = int(code.params["L"])
     v, h = np.indices((L, L, L)).reshape(3, -1), np.indices((L, L)).reshape(2, -1)
-    seeds = np.concatenate((css.xcube_edge_index(L, *v, 2),
-                            css.xcube_edge_index(L, 0, *h, 0),
-                            css.xcube_edge_index(L, h[0], 0, h[1], 1)))
+    seeds = np.concatenate((css.qubit_index("xcube", L, *v, 2),
+                            css.qubit_index("xcube", L, 0, *h, 0),
+                            css.qubit_index("xcube", L, h[0], 0, h[1], 1)))
     return np.array(gf2.row_rank_profile(code.x_stabs.packed(),
                                          np.sort(seeds).tolist()), dtype=np.int64)
 
@@ -185,7 +185,7 @@ def haah_canonical_qubits(code: CssCode) -> np.ndarray:
     gate counts and control patterns.
     """
     L = int(code.params["L"])
-    return css.haah_qubit_index(L, *np.indices((L, L, L)).reshape(3, -1), 2)
+    return css.qubit_index("haah", L, *np.indices((L, L, L)).reshape(3, -1), 1)
 
 
 # Each lattice strategy: the code family it applies to, and its subset of
@@ -251,7 +251,7 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     unresolved = gen_cols[1].copy()
     xor_cols = np.zeros(k, dtype=np.int64)   # XOR of unresolved member columns
     np.bitwise_xor.at(xor_cols, sg, sc)
-    mt = BitMatrix.zeros(cols.size, n)
+    mt = BitMatrix(cols.size, n)
     pivot = np.zeros(k, dtype=bool)
     resolved = np.zeros(cols.size, dtype=bool)
 
@@ -363,12 +363,13 @@ _HAAH_X = {1: css.HAAH_X1, 2: css.HAAH_X2}
 def haah_phi_solve(L: int, z: np.ndarray, slot: int = 1) -> np.ndarray:
     """Invert a corner relation on one slot's Z values to the cube potential.
 
-    ``z[(x*L + y)*L + w]`` holds the slot-``slot`` Z value at vertex (x,y,w)
-    for 0 <= x,y,w <= L-1.  That value is the XOR of phi over the cubes at
-    (x,y,w) minus the slot's X-stencil offsets (``css.HAAH_X1`` or
-    ``css.HAAH_X2``).  Apart from the cube at offset 0, each lies strictly
-    closer to the origin, so sweeping in increasing x+y+w order is
-    triangular and always solvable; out-of-range cubes count as zero.
+    ``z[(x*L + y)*L + w]`` holds the Z value of qubit ``slot`` (layout slot
+    ``slot - 1``) at vertex (x,y,w) for 0 <= x,y,w <= L-1.  That value is
+    the XOR of phi over the cubes at (x,y,w) minus the slot's X-stencil
+    offsets (``css.HAAH_X1`` or ``css.HAAH_X2``).  Apart from the cube at
+    offset 0, each lies strictly closer to the origin, so sweeping in
+    increasing x+y+w order is triangular and always solvable; out-of-range
+    cubes count as zero.
     """
     z = np.asarray(z, dtype=np.uint8) & 1
     if z.shape != (L ** 3,):

@@ -170,7 +170,7 @@ def test_criterion_6_haah():
     for L in (2, 3, 4):
         phi = rng.integers(0, 2, L ** 3).astype(np.uint8)
         z = synth.haah_z_from_phi(L, phi)
-        z1 = np.array([z[css.haah_qubit_index(L, x, y, zz, 1)]
+        z1 = np.array([z[css.qubit_index("haah", L, x, y, zz, 0)]
                        for x in range(L) for y in range(L) for zz in range(L)])
         if not np.array_equal(synth.haah_phi_solve(L, z1), phi):
             ok = False

@@ -291,6 +291,18 @@ def test_scaling_file_code(tmp_path, capsys):
     assert [line.split(",")[5] for line in stdout.splitlines()[1:3]] == ["3", "3"]
 
 
+def test_scaling_file_code_reports_no_fit(tmp_path, capsys):
+    # one file code at every size: three rows, one n_qubits, no line to fit
+    code_path = tmp_path / "t3.json"
+    code_path.write_text(css.serialize_code(css.build_toric(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, stdout, err = run(capsys, "scaling", "--code", f"file:{code_path}",
+                              "--strategy", "greedy", "--sizes", "2,4,8")
+    assert rc == 0 and err == ""
+    assert json.loads(stdout.splitlines()[-1]) == {"rows": 3, "failures": 0}
+
+
 def test_scaling_counts_only_verification_failures(monkeypatch, capsys):
     real = cli.verify.verify_circuit
 
@@ -396,6 +408,15 @@ def test_groups_file_round_trip(tmp_path, capsys):
     rc, _, _ = run(capsys, "groups", "--group", f"file:{path}",
                    "--lengths", "3,5", "--trials", "25")
     assert rc == 0
+
+
+def test_groups_file_series_repeating_an_element(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]],
+                                "series": [[0], [0, 1, 1]]}))
+    rc, stdout, err = run(capsys, "groups", "--group", f"file:{path}",
+                          "--lengths", "2")
+    assert rc == 2 and stdout == "" and "twice" in err
 
 
 def test_groups_trivial_group_file(tmp_path, capsys):

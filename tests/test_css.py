@@ -1,5 +1,7 @@
 """Code families: structure, commutation, documented indexing, serialization."""
 
+import hashlib
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -124,37 +126,44 @@ def test_haah_corner_patterns():
     assert (slot1 == 4).all() and (slot2 == 4).all()
 
 
-# -- lattice index round trips ----------------------------------------------
+# -- qubit layout --------------------------------------------------------------
+
+# The layout of the css docstring written out without css.SHAPES: per family,
+# the coordinate ranges and the row-major index formula, both by size.
+LAYOUT = {
+    "ghz": (lambda n: (n,), lambda n, q: q),
+    "toric": (lambda L: (L, L, 2), lambda L, x, y, o: 2 * (x * L + y) + o),
+    "xcube": (lambda L: (L, L, L, 3),
+              lambda L, x, y, z, a: 3 * ((x * L + y) * L + z) + a),
+    "haah": (lambda L: (L + 1, L + 1, L + 1, 2),
+             lambda L, x, y, z, s: 2 * ((x * (L + 1) + y) * (L + 1) + z) + s),
+}
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
-def test_toric_index_round_trip(L):
-    for q in range(2 * L * L):
-        x, y, o = css.toric_edge_coords(L, q)
-        assert css.toric_edge_index(L, x, y, o) == q
-
-
-@pytest.mark.parametrize("L", [2, 3])
-def test_xcube_index_round_trip(L):
-    for q in range(3 * L ** 3):
-        x, y, z, axis = css.xcube_edge_coords(L, q)
-        assert css.xcube_edge_index(L, x, y, z, axis) == q
-
-
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_haah_index_round_trip(L):
-    for q in range(2 * (L + 1) ** 3):
-        x, y, z, i = css.haah_qubit_coords(L, q)
-        assert css.haah_qubit_index(L, x, y, z, i) == q
-
-
-def test_qubit_coords_dispatch():
-    assert css.qubit_coords(css.build_ghz(4), 2) == (2,)
-    assert css.qubit_coords(css.build_toric(3), 5) == css.toric_edge_coords(3, 5)
-    assert css.qubit_coords(css.build_xcube(2), 17) == css.xcube_edge_coords(2, 17)
-    assert css.qubit_coords(css.build_haah(2), 31) == css.haah_qubit_coords(2, 31)
-    with pytest.raises(IndexError):
-        css.qubit_coords(css.build_ghz(4), 4)
+@pytest.mark.parametrize("family, size", [
+    ("ghz", 4), ("toric", 2), ("toric", 3), ("toric", 4), ("xcube", 2),
+    ("xcube", 3), ("haah", 1), ("haah", 2), ("haah", 3)])
+def test_qubit_layout(family, size):
+    ranges, formula = LAYOUT[family]
+    code = css.build_family(family, size)
+    coords = list(itertools.product(*map(range, ranges(size))))
+    qubits = [formula(size, *c) for c in coords]
+    assert sorted(qubits) == list(range(code.n_qubits))
+    for c, q in zip(coords, qubits):
+        assert css.qubit_index(family, size, *c) == q
+        assert css.qubit_coords(code, q) == c
+    assert css.qubit_index(family, size, *np.array(coords).T).tolist() == qubits
+    if family in ("toric", "xcube"):   # every lattice axis wraps on the torus
+        for axis in range(len(ranges(size)) - 1):
+            for x, same in ((-1, size - 1), (size, 0)):
+                c, c_same = [1] * len(ranges(size)), [1] * len(ranges(size))
+                c[axis], c_same[axis] = x, same
+                assert css.qubit_index(family, size, *c) == formula(size, *c_same)
+    for q in (-1, code.n_qubits):
+        with pytest.raises(IndexError):
+            css.qubit_coords(code, q)
+    custom = css.CssCode(code.n_qubits, code.x_stabs, code.z_stabs)
+    assert css.qubit_coords(custom, code.n_qubits - 1) == (code.n_qubits - 1,)
 
 
 # -- serialization -----------------------------------------------------------
@@ -193,18 +202,18 @@ def test_hand_serialized_toric_matches_builder():
     for vx in range(L):
         for vy in range(L):
             x_sets.append(sorted({
-                css.toric_edge_index(L, vx, vy, 0),
-                css.toric_edge_index(L, vx - 1, vy, 0),
-                css.toric_edge_index(L, vx, vy, 1),
-                css.toric_edge_index(L, vx, vy - 1, 1)}))
+                css.qubit_index("toric", L, vx, vy, 0),
+                css.qubit_index("toric", L, vx - 1, vy, 0),
+                css.qubit_index("toric", L, vx, vy, 1),
+                css.qubit_index("toric", L, vx, vy - 1, 1)}))
     z_sets = []
     for px in range(L):
         for py in range(L):
             z_sets.append(sorted({
-                css.toric_edge_index(L, px, py, 0),
-                css.toric_edge_index(L, px, py + 1, 0),
-                css.toric_edge_index(L, px, py, 1),
-                css.toric_edge_index(L, px + 1, py, 1)}))
+                css.qubit_index("toric", L, px, py, 0),
+                css.qubit_index("toric", L, px, py + 1, 0),
+                css.qubit_index("toric", L, px, py, 1),
+                css.qubit_index("toric", L, px + 1, py, 1)}))
     doc = json.dumps({"version": 1, "n_qubits": 8, "x_stabs": x_sets[::-1],
                       "z_stabs": z_sets, "family": "custom", "params": {}})
     parsed = css.parse_code(doc)
@@ -286,6 +295,15 @@ def test_family_serialize_round_trip(family, size):
     again = css.parse_code(text)
     assert again == code
     assert css.serialize_code(again) == text
+
+
+@pytest.mark.parametrize("family, size, digest", [
+    ("ghz", 5, "057fa166ee67"), ("toric", 3, "e2ba8cecf100"),
+    ("xcube", 2, "ef4739c0d110"), ("haah", 2, "f87500baac71")])
+def test_code_file_bytes_pinned(family, size, digest):
+    # code files are a stable format: their bytes pin the qubit layout too
+    text = css.serialize_code(css.build_family(family, size))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
 
 
 GHZ3 = {"version": 1, "n_qubits": 3, "x_stabs": [[0, 1, 2]],

@@ -132,7 +132,7 @@ def test_solve_underdetermined():
 
 
 def test_solve_no_solution():
-    m = BitMatrix.zeros(2, 3)
+    m = BitMatrix(2, 3)
     assert gf2.solve(m, np.array([1, 0], dtype=np.uint8)) is None
 
 
@@ -149,7 +149,7 @@ def test_solve_random(seed):
 
 
 def test_nnz():
-    assert gf2.nnz(BitMatrix.zeros(4, 70)) == 0
+    assert gf2.nnz(BitMatrix(4, 70)) == 0
     assert gf2.nnz(BitMatrix.identity(5)) == 5
 
 
@@ -218,7 +218,7 @@ def test_xor_rows_matches_dense(seed):
     assert np.array_equal(got.to_dense(), want) and padding_ok(got)
     dst = rng.permutation(9)[:n]
     out = gf2.xor_rows(BitMatrix.from_dense(a), seg, src, flips=flips,
-                       out=BitMatrix.zeros(9, 70), dst=dst)
+                       out=BitMatrix(9, 70), dst=dst)
     assert np.array_equal(out.to_dense()[dst], want)
     assert not np.delete(out.to_dense(), dst, axis=0).any()
 
@@ -291,10 +291,10 @@ def test_echelon_basis_decompose(seed):
 
 
 def test_zero_dimension_edge_cases():
-    empty = BitMatrix.zeros(4, 0)
+    empty = BitMatrix(4, 0)
     assert gf2.rank(empty) == 0
     assert gf2.nnz(empty) == 0
-    wide = BitMatrix.zeros(0, 7)
+    wide = BitMatrix(0, 7)
     assert gf2.rank(wide) == 0
     r = gf2.right_inverse(wide)
     assert (r.rows, r.cols) == (7, 0)

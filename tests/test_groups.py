@@ -381,6 +381,14 @@ def test_series_validation_failures():
         SolvableSeries(((0,), tuple(range(6)))).validate(g)
 
 
+@pytest.mark.parametrize("series", [((0,), (0, 1, 1)), ((0, 0), (0, 1))])
+def test_series_entry_listing_an_element_twice_is_rejected(series):
+    # rejected, never deduplicated into the valid series ((0,), (0, 1))
+    g = FiniteGroup.from_table([[0, 1], [1, 0]])
+    with pytest.raises(GroupStructureError, match="twice"):
+        SolvableSeries(series).validate(g)
+
+
 def test_series_validation_names_first_offender():
     g, _ = make_dihedral(3)
     # {e, m} is a subgroup, but r m r^-1 = m r^-2 lies outside it

@@ -1,6 +1,7 @@
 """Subset selection, reconstruction, emission, and the cubic-code potential."""
 
 import collections
+import hashlib
 import json
 
 import numpy as np
@@ -96,10 +97,10 @@ def test_xcube_subset_closed_form(L):
     # the seeds the rank repair keeps: both in-plane coordinates below L - 1,
     # |S| = (L - 1)^2 (L + 2) = rank(A), log2 GSD = 6L - 3 for X-cube
     r = range(L - 1)
-    want = sorted([css.xcube_edge_index(L, x, y, z, 2) for x in r for y in r
+    want = sorted([css.qubit_index("xcube", L, x, y, z, 2) for x in r for y in r
                    for z in range(L)]
-                  + [css.xcube_edge_index(L, 0, y, z, 0) for y in r for z in r]
-                  + [css.xcube_edge_index(L, x, 0, z, 1) for x in r for z in r])
+                  + [css.qubit_index("xcube", L, 0, y, z, 0) for y in r for z in r]
+                  + [css.qubit_index("xcube", L, x, 0, z, 1) for x in r for z in r])
     s = tree_select(css.build_xcube(L), "xcube_dual_trees")
     assert s.qubits == tuple(want)
     assert len(s) == (L - 1) ** 2 * (L + 2)
@@ -416,6 +417,19 @@ def test_circuit_serialization_round_trip():
     assert again == circ
 
 
+@pytest.mark.parametrize("family, size, strategy, digest", [
+    ("toric", 4, "toric_comb", "4513344786"),
+    ("toric", 4, "toric_recursive", "b50b0ea9c3"),
+    ("xcube", 3, "xcube_dual_trees", "966f6a3a97"),
+    ("haah", 2, "haah_canonical", "dd1990bfa5"),
+    ("ghz", 5, "greedy", "be77cc7e9b")])
+def test_circuit_file_bytes_pinned(family, size, strategy, digest):
+    # identical flags give byte-identical circuit files, release to release
+    circ = synthesize(css.build_family(family, size), strategy)
+    text = synth.serialize_circuit(circ)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+
+
 GHZ3_CIRCUIT = {"version": 1, "n_qubits": 3, "plus_qubits": [0],
                 "gates": [[0, 1], [0, 2]], "metadata": {}}
 
@@ -455,10 +469,10 @@ def test_phi_round_trip(L):
     rng = np.random.default_rng(L)
     phi = rng.integers(0, 2, L ** 3).astype(np.uint8)
     z = synth.haah_z_from_phi(L, phi)
-    z1 = np.array([z[css.haah_qubit_index(L, x, y, zz, 1)]
+    z1 = np.array([z[css.qubit_index("haah", L, x, y, zz, 0)]
                    for x in range(L) for y in range(L) for zz in range(L)])
     assert np.array_equal(synth.haah_phi_solve(L, z1), phi)
-    z2 = np.array([z[css.haah_qubit_index(L, x, y, zz, 2)]
+    z2 = np.array([z[css.qubit_index("haah", L, x, y, zz, 1)]
                    for x in range(L) for y in range(L) for zz in range(L)])
     assert np.array_equal(synth.haah_phi_solve(L, z2, slot=2), phi)
 
@@ -467,7 +481,7 @@ def test_phi_single_seed_fractal_vs_reconstruction():
     # slot-1 subset: the potential solve is an independent route to M_S columns
     L = 4
     code = css.build_haah(L)
-    s1 = SubsetS(tuple(sorted(css.haah_qubit_index(L, x, y, z, 1)
+    s1 = SubsetS(tuple(sorted(css.qubit_index("haah", L, x, y, z, 0)
                               for x in range(L) for y in range(L)
                               for z in range(L))))
     m = build_reconstruction(code, s1)
@@ -477,7 +491,7 @@ def test_phi_single_seed_fractal_vs_reconstruction():
     phi = synth.haah_phi_solve(L, z1)
     assert phi[0] == 1
     expected = synth.haah_z_from_phi(L, phi)
-    col = list(s1.qubits).index(css.haah_qubit_index(L, 0, 0, 0, 1))
+    col = list(s1.qubits).index(css.qubit_index("haah", L, 0, 0, 0, 0))
     assert np.array_equal(dense[:, col], expected)
     # support grows with distance from the seeded corner
     shell = [expected[2 * v:2 * v + 2].sum()
