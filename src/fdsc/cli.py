@@ -75,23 +75,26 @@ def cmd_scaling(args) -> int:
         raise css.InvalidSize(f"--sizes must list positive integers, "
                               f"got {args.sizes!r}")
     # a family's builder rejects every size below its minimum, so the
-    # smallest size is the one to probe; a file code ignores the size
+    # smallest size is the one to probe; a file code ignores the size, so
+    # it is synthesized (and verified, if any size asks) once for all rows
     probe = _load_code(args.code, min(sizes))
-    rows = []
-    failures = 0
+    from_file = args.code.startswith("file:")
+    rows, failures, run = [], 0, None
     for L in sizes:
-        code = probe if args.code.startswith("file:") or L == min(sizes) \
-            else css.build_family(args.code, L)
-        t0 = time.perf_counter()   # wall_ms: synthesis and verification
-        circ = synth.synthesize(code, args.strategy, seed=args.seed)
-        if args.verify_upto and L <= args.verify_upto:
-            report = verify.verify_circuit(code, circ)
-            if not report.passed:  # per-size failure; run continues
-                print(f"size {L} failed: verification failed: "
-                      f"{report.to_json()}", file=sys.stderr)
-                failures += 1
-                continue
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+        if not (from_file and run):
+            code = probe if from_file or L == min(sizes) \
+                else css.build_family(args.code, L)
+            t0 = time.perf_counter()   # wall_ms: synthesis and verification
+            circ = synth.synthesize(code, args.strategy, seed=args.seed)
+            checked = (min(sizes) if from_file else L) <= args.verify_upto
+            report = verify.verify_circuit(code, circ) if checked else None
+            run = circ, report, (time.perf_counter() - t0) * 1000.0
+        circ, report, wall_ms = run
+        if L <= args.verify_upto and not report.passed:  # per-size failure
+            print(f"size {L} failed: verification failed: "
+                  f"{report.to_json()}", file=sys.stderr)
+            failures += 1
+            continue
         rows.append({"family": code.family, "strategy": args.strategy, "L": L,
                      "n_qubits": code.n_qubits,
                      "s_size": len(circ.plus_qubits),

@@ -1,14 +1,16 @@
-"""CSS stabilizer codes and the concrete lattice families.
+"""CSS stabilizer codes, the lattice families, and ``Supports``, the one
+sparse row-grouped-list type (compressed sparse rows, CSR).
 
-A code is held as two sparse supports (``Supports``): ``x_stabs`` lists
-the qubits of each X-type generator and ``z_stabs`` those of each Z-type
-generator, in compressed sparse row form, so a code costs O(nnz) memory
-and every check on it O(nnz log nnz) time.  This module is the only one
-that knows that layout; a packed ``BitMatrix`` is built from it only
-where GF(2) elimination runs.  Construction checks that each support is
-nonempty and strictly increasing within the register, and the CSS
-commutation condition (every X/Z generator pair overlaps on an even
-number of qubits).
+This module alone knows the CSR layout: code supports, their transpose,
+the reconstruction's restricted lists, row gathers (``Supports.spread``)
+and the parity count over (row, column) pairs (``odd_pairs``).  A code is
+two ``Supports`` (``x_stabs`` and ``z_stabs``, each generator's qubits), so
+it costs O(nnz) memory and every check on it O(nnz log nnz) time; packed
+``BitMatrix`` rows are built only for elimination and products.
+Construction checks that each support is nonempty and strictly increasing
+within the register, and the CSS commutation condition (every X/Z
+generator pair overlaps on an even number of qubits).  ``load_json``
+reads the JSON of every file format.
 
 Qubit layout (stable, a file-format convention): a family's qubits are
 one row-major array of the shape ``SHAPES`` gives for its size, so qubit
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
 from .gf2 import BitMatrix
 
 # Each family's qubits as a row-major array, by the family's size (n for
@@ -57,16 +58,29 @@ class CommutationViolation(ValueError):
         self.pair = (i, j)
 
 
+def _gather(lo: np.ndarray, w: np.ndarray, values: np.ndarray):
+    """Pairs (i, v), ordered by i, for each v in values[lo[i]:lo[i] + w[i]]."""
+    # position in values of each entry: its slice's start plus its rank
+    pos = np.arange(w.sum()) + np.repeat(lo - (np.cumsum(w) - w), w)
+    return np.repeat(np.arange(lo.size), w), values[pos]
+
+
+def odd_pairs(rows, cols, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows[e], cols[e]) listed an odd number of times, sorted,
+    as a row array and a column array; columns lie in 0..n_cols-1."""
+    pairs, counts = np.unique(rows * n_cols + cols, return_counts=True)
+    return np.divmod(pairs[counts & 1 == 1], n_cols)
+
+
 @dataclass(frozen=True, eq=False)
 class Supports:
-    """Generator supports in compressed sparse row form: generator j acts
-    on the qubits qubits[start[j]:start[j + 1]] of an n_qubits register.
+    """A row-grouped list: row j holds the columns qubits[start[j]:start[j
+    + 1]] of 0..n_qubits-1.  In a code, row j is generator j's qubits.
 
     ``start`` (k + 1 offsets rising from 0 to len(qubits)) and ``qubits``
-    are read-only int64 arrays, as given or from ``from_lists``.  In a code each
-    support is nonempty and strictly increasing within 0..n_qubits-1
-    (``CssCode`` checks this).  Only ``by_qubit``, ``to_dense`` and
-    ``packed`` allocate per qubit.
+    are read-only int64 arrays.  A code's supports are nonempty and strictly
+    increasing (``CssCode`` checks this).  Only ``transpose``, ``restrict``,
+    ``to_dense`` and ``packed`` allocate per column.
     """
 
     n_qubits: int
@@ -96,19 +110,35 @@ class Supports:
                 and np.array_equal(self.qubits, other.qubits))
 
     def generators(self) -> np.ndarray:
-        """The generator of each entry of ``qubits``."""
+        """The row of each entry of ``qubits``."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
     def lists(self) -> list[list[int]]:
         return [sup.tolist() for sup in np.split(self.qubits, self.start[1:])[:-1]]
 
-    def by_qubit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The qubit-major view (start, weight, generators) for gf2.spread:
-        qubit q's generators, increasing, are generators[start[q]:start[q] +
-        weight[q]].  One stable sort; start and weight are n_qubits long."""
+    def spread(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of rows[0], rows[1], ... (rows may repeat), as pairs
+        (i, column) for each column of row rows[i], ordered by i."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lo = self.start[rows]
+        return _gather(lo, self.start[rows + 1] - lo, self.qubits)
+
+    def transpose(self) -> "Supports":
+        """Column c's rows, increasing, as row c (one stable sort)."""
         weight = np.bincount(self.qubits, minlength=self.n_qubits)
         order = np.argsort(self.qubits, kind="stable")
-        return np.cumsum(weight) - weight, weight, self.generators()[order]
+        return Supports(len(self), np.concatenate(([0], np.cumsum(weight))),
+                        self.generators()[order])
+
+    def restrict(self, cols) -> "Supports":
+        """The same rows over the columns ``cols`` alone, column cols[i]
+        renamed i; entries keep their order, so no sort."""
+        label = np.full(self.n_qubits, -1, dtype=np.int64)
+        label[cols] = np.arange(len(cols))
+        new = label[self.qubits]
+        keep = new >= 0
+        start = np.concatenate(([0], np.cumsum(keep)))[self.start]
+        return Supports(len(cols), start, new[keep])
 
     def to_dense(self) -> np.ndarray:
         """The n_qubits x k 0/1 uint8 matrix; column j is generator j."""
@@ -116,10 +146,12 @@ class Supports:
         a[self.qubits, self.generators()] = 1
         return a
 
-    def packed(self) -> BitMatrix:
-        """The k x n_qubits generator-by-qubit matrix, packed for elimination."""
-        return BitMatrix.from_entries(np.column_stack((self.generators(), self.qubits)),
-                                      len(self), self.n_qubits)
+    def packed(self, rows=None) -> BitMatrix:
+        """Rows ``rows`` (default all) as a packed matrix over the n_qubits
+        columns, for elimination and products."""
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows)
+        return BitMatrix.from_entries(np.column_stack(self.spread(rows)),
+                                      rows.size, self.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -149,18 +181,15 @@ class CssCode:
             if empty.any():
                 raise ParseError(f"{name}[{empty.argmax()}] is empty")
         # X generator i and Z generator j anticommute when they share an odd
-        # number of qubits: count pairs (i, j) over shared qubits, each X entry
-        # found by binary search in the Z entries by qubit (no n_qubits table).
+        # number of qubits; Z entries by binary search (no n_qubits table)
         order = np.argsort(self.z_stabs.qubits, kind="stable")
         zq, xq = self.z_stabs.qubits[order], self.x_stabs.qubits
         lo = np.searchsorted(zq, xq)
-        e, j = gf2.spread(lo, np.searchsorted(zq, xq, "right") - lo,
-                          self.z_stabs.generators()[order], np.arange(xq.size))
-        i = self.x_stabs.generators()[e]
-        pairs, counts = np.unique(i * self.n_z + j, return_counts=True)
-        odd = pairs[counts & 1 == 1]
-        if odd.size:
-            raise CommutationViolation(*map(int, divmod(odd[0], self.n_z)))
+        e, j = _gather(lo, np.searchsorted(zq, xq, "right") - lo,
+                       self.z_stabs.generators()[order])
+        i, j = odd_pairs(self.x_stabs.generators()[e], j, self.n_z)
+        if i.size:
+            raise CommutationViolation(int(i[0]), int(j[0]))
 
     @property
     def n_x(self) -> int:
@@ -291,6 +320,24 @@ def is_json_int(v) -> bool:
     return type(v) is int
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def load_json(text: str):
+    """The JSON document in ``text``; ParseError for invalid or too deeply
+    nested JSON, or an object that repeats a key (the last would win)."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ParseError(f"invalid JSON: {e}") from e
+
+
 def parse_code(text: str) -> CssCode:
     """Parse the JSON code format; validates all CssCode invariants.
 
@@ -299,14 +346,12 @@ def parse_code(text: str) -> CssCode:
     the register (checked by ``CssCode``), and a ghz/toric/xcube/haah tag
     must name exactly the code ``build_family`` gives for its size.
     """
+    doc = load_json(text)
     try:
-        doc = json.loads(text)
         version, n, xs, zs = (doc[k] for k in
                               ("version", "n_qubits", "x_stabs", "z_stabs"))
         family = doc.get("family", "custom")
         params = doc.get("params", {})
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
     except (KeyError, TypeError, AttributeError) as e:
         raise ParseError(f"missing field: {e}") from e
     if not is_json_int(version) or version != 1:

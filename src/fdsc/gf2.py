@@ -1,7 +1,7 @@
 """Bit-packed dense linear algebra over GF(2): elimination (rank, rank
-profiles, right inverse, solve), the product, and row XORs by position.
-Codes are not stored here; ``css`` packs a code's supports only where
-elimination runs.
+profiles, right inverse, solve), the product, row XORs by position and
+set-bit scans.  Packed matrices only: sparse row-grouped lists and codes
+live in ``css``, which packs a code's supports only where elimination runs.
 
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
@@ -136,19 +136,18 @@ def rank(m: BitMatrix) -> int:
     return len(_eliminate(m.data.copy(), range(m.cols)))
 
 
-def column_rank_profile(m: BitMatrix) -> list[int]:
-    """Lexicographically first set of independent columns (pivot columns)."""
-    return [col for _, col in _eliminate(m.data.copy(), range(m.cols))]
-
-
 def row_rank_profile(m: BitMatrix, order: Optional[Sequence[int]] = None) -> list[int]:
     """Row indices of m^T forming its first independent row set in the given
-    scan order (default index order): each row independent of the rows kept
-    before it.  Takes the transpose, so those rows are columns of ``m`` and
-    the scan is one elimination in that column order.
+    scan order (default index order, which gives m's column rank profile,
+    ``column_rank_profile``): each row independent of the rows kept before
+    it.  Takes the transpose, so those rows are columns of ``m`` and the
+    scan is one elimination in that column order.
     """
     return [col for _, col in _eliminate(m.data.copy(),
                                          range(m.cols) if order is None else order)]
+
+
+column_rank_profile = row_rank_profile
 
 
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -177,18 +176,6 @@ def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
         keep = vals != 0
         vals, pos, base = vals[keep], pos[keep] + 1, base[keep]
     return np.repeat(rows, count), cols
-
-
-def spread(start: np.ndarray, weight: np.ndarray, values: np.ndarray,
-           rows) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of rows[0], rows[1], ... of a row-grouped list, as pairs
-    (i, value) for each value of row rows[i], ordered by i.  Row r holds
-    values[start[r]:start[r] + weight[r]]; the work follows the output."""
-    rows = np.asarray(rows, dtype=np.int64)
-    w = weight[rows]
-    # position in values of each spread entry: its row's start plus its rank
-    pos = np.arange(w.sum()) + np.repeat(start[rows] - (np.cumsum(w) - w), w)
-    return np.repeat(np.arange(rows.size), w), values[pos]
 
 
 def xor_rows(m: BitMatrix, seg, src, n: int = 0, flips=None,

@@ -11,13 +11,12 @@ remaining 2n-1 normal-subgroup elements are multiplied recursively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .css import InvalidSize, ParseError, is_json_int
+from .css import InvalidSize, ParseError, is_json_int, load_json
 
 # Slot values evaluated per block by the checks: 1 MB of int64, enough for
 # numpy to amortise its per-call cost, small enough to keep memory flat.
@@ -335,14 +334,9 @@ def make_abelian(orders: Sequence[int]) -> tuple[FiniteGroup, SolvableSeries]:
 
 def parse_group(text: str) -> tuple[FiniteGroup, SolvableSeries]:
     """JSON group format: {"order": n, "table": [[..]], "series": [[ids]..]}."""
+    doc = load_json(text)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
-    try:
-        order = doc["order"]
-        table = doc["table"]
-        series = doc["series"]
+        order, table, series = (doc[k] for k in ("order", "table", "series"))
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing field: {e}") from e
     if not is_json_int(order):

@@ -232,25 +232,13 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     cols = np.asarray(s.qubits, dtype=np.int64)
     if cols.size and not 0 <= cols[0] <= cols[-1] < n:
         raise InvalidSubset("subset qubit outside the register")
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[cols] = np.arange(cols.size)
     a = code.x_stabs
-    q, g = a.qubits, a.generators()
-    member = col_of[q] >= 0
-    sc, sg = col_of[q[member]], g[member]   # (column, generator), by generator
-
-    def grouped(rows, values, size):
-        """Row-grouped list of values, for gf2.spread."""
-        weight = np.bincount(rows, minlength=size)
-        order = np.argsort(rows, kind="stable")
-        return np.cumsum(weight) - weight, weight, values[order]
-
-    gen_qubits = a.start[:-1], np.diff(a.start), q
-    gen_cols = grouped(sg, sc, k)
-    col_gens = grouped(sc, sg, cols.size)
-    unresolved = gen_cols[1].copy()
+    gen_cols = a.restrict(cols)   # each generator's S members
+    col_gens = gen_cols.transpose()
+    sg = gen_cols.generators()
+    unresolved = np.bincount(sg, minlength=k)
     xor_cols = np.zeros(k, dtype=np.int64)   # XOR of unresolved member columns
-    np.bitwise_xor.at(xor_cols, sg, sc)
+    np.bitwise_xor.at(xor_cols, sg, gen_cols.qubits)
     mt = BitMatrix(cols.size, n)
     pivot = np.zeros(k, dtype=bool)
     resolved = np.zeros(cols.size, dtype=bool)
@@ -258,10 +246,10 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     def combine(gens, keep, out=None, dst=None):
         """Rows A[:, g] XOR the columns of M over the S members of g that
         ``keep`` selects, a mask over (position in gens, column) pairs."""
-        i, c = gf2.spread(*gen_cols, gens)
+        i, c = gen_cols.spread(gens)
         keep = keep(i, c)
-        return gf2.xor_rows(mt, i[keep], c[keep], len(gens),
-                            gf2.spread(*gen_qubits, gens), out, dst)
+        return gf2.xor_rows(mt, i[keep], c[keep], len(gens), a.spread(gens),
+                            out, dst)
 
     frontier = np.flatnonzero(unresolved == 1)
     while frontier.size:
@@ -269,7 +257,7 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
         gens = frontier[first]
         pivot[gens] = resolved[new] = True
         combine(gens, lambda i, c: c != new[i], mt, new)
-        i, touched = gf2.spread(*col_gens, new)
+        i, touched = col_gens.spread(new)
         np.subtract.at(unresolved, touched, 1)
         np.bitwise_xor.at(xor_cols, touched, new[i])
         frontier = np.unique(touched[(unresolved[touched] == 1)
@@ -279,12 +267,8 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     if core_cols.size:
         core = rest[unresolved[rest] > 0]
         rhs = combine(core, lambda i, c: resolved[c])
-        i, c = gf2.spread(*gen_cols, core)
-        on_core = ~resolved[c]
-        u = np.searchsorted(core_cols, c[on_core])
-        try:
-            r = gf2.right_inverse(BitMatrix.from_entries(
-                np.column_stack((u, i[on_core])), core_cols.size, core.size))
+        try:   # pi_U A[:, G']: each member of U on its generators in G'
+            r = gf2.right_inverse(col_gens.restrict(core).packed(core_cols))
         except gf2.RankDeficient as e:
             raise InvalidSubset(f"pi_S A is not full row rank: {e}") from e
         # M_U = rhs R: column u of M_U XORs the rhs columns that R[:, u] picks
@@ -294,10 +278,7 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     # exact check (pi_S A)^T M^T == A^T on the non-pivot generators, in
     # blocks of about 2^26 bits of product
     for block in np.array_split(rest, rest.size * n >> 26 or 1):
-        members, qubits = (BitMatrix.from_entries(
-            np.column_stack(gf2.spread(*grouping, block)), block.size, width)
-            for grouping, width in ((gen_cols, cols.size), (gen_qubits, n)))
-        if gf2.mul(members, mt) != qubits:
+        if gf2.mul(gen_cols.packed(block), mt) != a.packed(block):
             raise InvalidSubset("|S| != rank of the X-stabilizer matrix")
     return mt
 
@@ -356,38 +337,31 @@ def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
 
 # -- cubic-code potential solve -------------------------------------------
 
-# X-stencil corner offsets by vertex-qubit slot; each starts at (0, 0, 0).
-_HAAH_X = {1: css.HAAH_X1, 2: css.HAAH_X2}
+# X-stencil corner offsets by layout slot; each starts at (0, 0, 0).
+_HAAH_X = {0: css.HAAH_X1, 1: css.HAAH_X2}
 
 
-def haah_phi_solve(L: int, z: np.ndarray, slot: int = 1) -> np.ndarray:
+def haah_phi_solve(L: int, z: np.ndarray, slot: int = 0) -> np.ndarray:
     """Invert a corner relation on one slot's Z values to the cube potential.
 
-    ``z[(x*L + y)*L + w]`` holds the Z value of qubit ``slot`` (layout slot
-    ``slot - 1``) at vertex (x,y,w) for 0 <= x,y,w <= L-1.  That value is
-    the XOR of phi over the cubes at (x,y,w) minus the slot's X-stencil
-    offsets (``css.HAAH_X1`` or ``css.HAAH_X2``).  Apart from the cube at
-    offset 0, each lies strictly closer to the origin, so sweeping in
-    increasing x+y+w order is triangular and always solvable; out-of-range
-    cubes count as zero.
+    ``z[(x*L + y)*L + w]`` holds the Z value of layout slot ``slot`` (0 or
+    1, as in ``css.SHAPES``) at vertex (x,y,w) for 0 <= x,y,w <= L-1.  That
+    value is the XOR of phi over the cubes at (x,y,w) minus the slot's
+    X-stencil offsets (``css.HAAH_X1`` or ``css.HAAH_X2``).  Apart from the
+    cube at offset 0, each lies strictly closer to the origin, so sweeping
+    in increasing x+y+w order is triangular and always solvable;
+    out-of-range cubes count as zero.
     """
     z = np.asarray(z, dtype=np.uint8) & 1
     if z.shape != (L ** 3,):
         raise ValueError(f"z must have L^3 = {L**3} entries")
-    offsets = _HAAH_X[slot][1:]
-    phi = np.zeros(L ** 3, dtype=np.uint8)
-    for ssum in range(3 * L - 2):
-        for x in range(min(ssum, L - 1) + 1):
-            for y in range(min(ssum - x, L - 1) + 1):
-                zc = ssum - x - y
-                if not 0 <= zc <= L - 1:
-                    continue
-                v = z[(x * L + y) * L + zc]
-                for dx, dy, dz in offsets:
-                    if x >= dx and y >= dy and zc >= dz:
-                        v ^= phi[((x - dx) * L + y - dy) * L + zc - dz]
-                phi[(x * L + y) * L + zc] = v
-    return phi
+    z, phi = z.reshape(L, L, L), np.zeros((L, L, L), dtype=np.uint8)
+    for x, y, w in sorted(np.ndindex(L, L, L), key=sum):
+        phi[x, y, w] = z[x, y, w]
+        for dx, dy, dw in _HAAH_X[slot][1:]:
+            if x >= dx and y >= dy and w >= dw:
+                phi[x, y, w] ^= phi[x - dx, y - dy, w - dw]
+    return phi.ravel()
 
 
 def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
@@ -421,8 +395,8 @@ def serialize_circuit(circ: FdscCircuit) -> str:
 def parse_circuit(text: str) -> FdscCircuit:
     """Parse the JSON circuit format.  Malformed input is rejected, never
     repaired: every qubit index must be an integer and every gate a pair."""
+    doc = css.load_json(text)
     try:
-        doc = json.loads(text)
         version, n, plus, gates = (doc[k] for k in
                                    ("version", "n_qubits", "plus_qubits", "gates"))
         meta = doc.get("metadata", {})
@@ -435,7 +409,5 @@ def parse_circuit(text: str) -> FdscCircuit:
             raise css.ParseError("n_qubits and qubit indices must be integers "
                                  "(n_qubits >= 0), gates [control, target] pairs")
         return FdscCircuit(n, tuple(plus), gates, meta)
-    except json.JSONDecodeError as e:
-        raise css.ParseError(f"invalid JSON: {e}") from e
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise css.ParseError(f"bad circuit document: {e}") from e

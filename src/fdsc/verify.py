@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .css import CssCode, Supports
+from .css import CssCode, Supports, odd_pairs
 from .gf2 import BitMatrix, DimensionMismatch
 from .synth import FdscCircuit
 
@@ -72,11 +72,9 @@ def _failed_generators(gens: Supports, src: np.ndarray, dst: np.ndarray,
     dst[i].  Cost is about nnz plus the generators on the ``src`` qubits.
     """
     own = np.flatnonzero(checked)
-    i, g = gf2.spread(*gens.by_qubit(), np.concatenate([own, src]))
-    n = gens.n_qubits
-    pairs, counts = np.unique(g * n + np.concatenate([own, dst])[i],
-                              return_counts=True)
-    return tuple(np.unique(pairs[counts & 1 == 1] // n).tolist())
+    i, g = gens.transpose().spread(np.concatenate([own, src]))
+    failed, _ = odd_pairs(g, np.concatenate([own, dst])[i], gens.n_qubits)
+    return tuple(np.unique(failed).tolist())
 
 
 def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:

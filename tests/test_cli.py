@@ -303,6 +303,43 @@ def test_scaling_file_code_reports_no_fit(tmp_path, capsys):
     assert json.loads(stdout.splitlines()[-1]) == {"rows": 3, "failures": 0}
 
 
+def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
+    # a file code ignores --sizes: one synthesis and one verification give
+    # every row, and every size up to --verify-upto still counts a failure
+    code_path = tmp_path / "t3.json"
+    code_path.write_text(css.serialize_code(css.build_toric(3)))
+    calls = []
+
+    def counted(name, real):
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    monkeypatch.setattr(cli.synth, "synthesize",
+                        counted("synth", cli.synth.synthesize))
+    monkeypatch.setattr(cli.verify, "verify_circuit",
+                        counted("verify", cli.verify.verify_circuit))
+    argv = ("scaling", "--code", f"file:{code_path}", "--strategy", "greedy",
+            "--sizes", "2,4,8")
+    rc, stdout, _ = run(capsys, *argv, "--verify-upto", "8")
+    assert rc == 0 and calls == ["synth", "verify"]
+    rows = [line.split(",") for line in stdout.splitlines()[1:4]]
+    assert [r[2] for r in rows] == ["2", "4", "8"]
+    assert len({tuple(r[:2] + r[3:]) for r in rows}) == 1   # wall_ms too
+    calls.clear()
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and calls == ["synth"]
+
+    def failing(code, circ):
+        calls.append("verify")
+        return verify.VerifyReport(False, (0,), (), 1)
+
+    calls.clear()
+    monkeypatch.setattr(cli.verify, "verify_circuit", failing)
+    rc, stdout, err = run(capsys, *argv, "--verify-upto", "4")
+    assert rc == 1 and calls == ["synth", "verify"]
+    assert [line.split()[1] for line in err.splitlines()] == ["2", "4"]
+    assert json.loads(stdout.splitlines()[-1]) == {"rows": 1, "failures": 2}
+
+
 def test_scaling_counts_only_verification_failures(monkeypatch, capsys):
     real = cli.verify.verify_circuit
 
@@ -417,6 +454,34 @@ def test_groups_file_series_repeating_an_element(tmp_path, capsys):
     rc, stdout, err = run(capsys, "groups", "--group", f"file:{path}",
                           "--lengths", "2")
     assert rc == 2 and stdout == "" and "twice" in err
+
+
+@pytest.mark.parametrize("reader", ["code", "circuit", "group"])
+def test_repeated_json_key_exits_2(tmp_path, capsys, reader):
+    # a repeated key is rejected, not resolved by keeping its last value:
+    # each file's later value alone would load and pass
+    texts = {
+        "code": '{"n_qubits":99,' + css.serialize_code(css.build_ghz(3))[1:],
+        "circuit": '{"gates":[[0,7]],' + synth.serialize_circuit(
+            synth.synthesize(css.build_toric(2), "toric_comb"))[1:],
+        "group": '{"order":2,"table":[[0,1],[1,0]],"series":[[0],[0,1,1]],'
+                 '"series":[[0],[0,1]]}',
+    }
+    path = tmp_path / f"{reader}.json"
+    path.write_text(texts[reader])
+    argv = [a.format(path=path) for a in FUZZ_ARGV[reader]]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: repeated JSON key") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader", ["code", "circuit", "group"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, reader):
+    path = tmp_path / f"{reader}.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [a.format(path=path) for a in FUZZ_ARGV[reader]]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2 and stdout == "" and err.startswith("error: invalid JSON: ")
 
 
 def test_groups_trivial_group_file(tmp_path, capsys):

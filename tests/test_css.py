@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,6 +240,38 @@ def test_packed_is_the_transposed_dense_matrix(family, size):
     code = css.build_family(family, size)
     for sup in (code.x_stabs, code.z_stabs):
         assert np.array_equal(sup.packed().to_dense(), sup.to_dense().T)
+
+
+@settings(max_examples=200)
+@given(pairs=strategies.lists(strategies.tuples(strategies.integers(0, 6),
+                                                strategies.integers(0, 4)),
+                              max_size=40))
+def test_odd_pairs_matches_counter(pairs):
+    """The parity helper against a Counter over the listed pairs."""
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    got = css.odd_pairs(rows, cols, 5)
+    want = sorted(p for p, count in Counter(pairs).items() if count % 2)
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transpose_restrict_and_row_packing_match_dense(seed):
+    """Row-grouped list operations against the dense qubit x generator
+    matrix: the transpose, a restriction that drops and renames qubits (the
+    peel's S-member lists), and packing chosen rows, repeats included."""
+    rng = np.random.default_rng(seed)
+    n, k = rng.integers(1, 12, size=2)
+    a = (rng.random((n, k)) < 0.4).astype(np.uint8)
+    sup = dense_supports(a)
+    t = sup.transpose()
+    assert (t.n_qubits, len(t)) == (k, n)
+    assert np.array_equal(t.to_dense(), a.T) and t.transpose() == sup
+    keep = np.flatnonzero(rng.random(n) < 0.5)
+    assert np.array_equal(sup.restrict(keep).to_dense(), a[keep])
+    assert np.array_equal(sup.restrict(keep[::-1]).to_dense(), a[keep[::-1]])
+    rows = rng.integers(0, k, size=7)
+    assert np.array_equal(sup.packed(rows).to_dense(), a.T[rows])
+    assert sup.packed([]).to_dense().shape == (0, n)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -185,16 +185,21 @@ def test_nonzero_matches_dense(shape):
                                            ((6, 0), 0.5), ((0, 9), 0.5)])
 def test_row_spread_matches_dense(shape, density):
     """Spreading rows of the qubit x generator matrix through the code's
-    qubit-major view (gf2.spread over Supports.by_qubit; rows may repeat)
-    lists each row's set columns as the dense matrix does."""
+    transpose (Supports.spread over Supports.transpose; rows may repeat, and
+    a row list may be empty) lists each row's set columns as the dense
+    matrix does."""
     rng = np.random.default_rng(sum(shape))
     a = (rng.random(shape) < density).astype(np.uint8)
     m = BitMatrix.from_dense(a)
     assert [x.tolist() for x in gf2.nonzero(m)] == [x.tolist() for x in np.nonzero(a)]
     sup = dense_supports(a)
     assert np.array_equal(sup.to_dense(), a)
-    for rows in ([], rng.integers(0, shape[0], size=15) if shape[0] else []):
-        i, cols = gf2.spread(*sup.by_qubit(), rows)
+    by_qubit = sup.transpose()
+    assert np.array_equal(by_qubit.to_dense(), a.T)
+    repeated = np.repeat(rng.integers(0, shape[0], size=8), 2) if shape[0] else []
+    for rows in ([], rng.integers(0, shape[0], size=15) if shape[0] else [],
+                 repeated):
+        i, cols = by_qubit.spread(rows)
         want = [(k, c) for k, r in enumerate(rows) for c in np.flatnonzero(a[r])]
         assert list(zip(i.tolist(), cols.tolist())) == want
 
