@@ -7,7 +7,6 @@ Exit codes: 0 success / verification pass, 1 a command's own failed check,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,10 +27,6 @@ def _load_code(spec: str, size: int | None) -> css.CssCode:
     return css.build_family(spec, size)
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def cmd_synth(args) -> int:
     if args.restarts < 1:
         raise css.InvalidSize(f"--restarts must be positive, got {args.restarts}")
@@ -40,9 +35,9 @@ def cmd_synth(args) -> int:
                             restarts=args.restarts)
     if args.out:
         Path(args.out).write_text(synth.serialize_circuit(circ) + "\n")
-    print(_json_line({"gate_count": circ.gate_count,
-                      "s_size": len(circ.plus_qubits),
-                      "n_qubits": circ.n_qubits}))
+    print(css.dump_json({"gate_count": circ.gate_count,
+                         "s_size": len(circ.plus_qubits),
+                         "n_qubits": circ.n_qubits}))
     return 0
 
 
@@ -113,7 +108,7 @@ def cmd_scaling(args) -> int:
     if len({r["n_qubits"] for r in rows}) >= 3:   # a line through 3+ codes
         result["fit"] = fit_loglog([r["L"] for r in rows],
                                    [r["gate_count"] for r in rows])
-    print(_json_line(result))
+    print(css.dump_json(result))
     return 0 if not failures else 1
 
 

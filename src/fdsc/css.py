@@ -9,8 +9,8 @@ it costs O(nnz) memory and every check on it O(nnz log nnz) time; packed
 ``BitMatrix`` rows are built only for elimination and products.
 Construction checks that each support is nonempty and strictly increasing
 within the register, and the CSS commutation condition (every X/Z
-generator pair overlaps on an even number of qubits).  ``load_json``
-reads the JSON of every file format.
+generator pair overlaps on an even number of qubits).  ``load_json``,
+``index_lists`` and ``dump_json`` read and write every file format.
 
 Qubit layout (stable, a file-format convention): a family's qubits are
 one row-major array of the shape ``SHAPES`` gives for its size, so qubit
@@ -47,7 +47,7 @@ class InvalidSize(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed code description."""
+    """Malformed code, circuit or group file."""
 
 
 class CommutationViolation(ValueError):
@@ -305,79 +305,99 @@ def build_family(family: str, size: int) -> CssCode:
     return _BUILDERS[family](size)
 
 
-# -- serialization --------------------------------------------------------
+# -- file formats: the one JSON layer --------------------------------------
+
+
+def dump_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def serialize_code(code: CssCode) -> str:
-    doc = {"version": 1, "n_qubits": code.n_qubits, "x_stabs": code.x_stabs.lists(),
-           "z_stabs": code.z_stabs.lists(), "family": code.family,
-           "params": code.params}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return dump_json({"version": 1, "n_qubits": code.n_qubits, "family": code.family,
+                      "x_stabs": code.x_stabs.lists(), "z_stabs": code.z_stabs.lists(),
+                      "params": code.params})
 
 
-def is_json_int(v) -> bool:
-    """True for JSON integers only: true, false and 1.0 are not indices."""
-    return type(v) is int
+def is_index_list(v) -> bool:
+    """True for a list of JSON integers (``type(v) is int``: not true or 1.0)."""
+    return type(v) is list and set(map(type, v)) <= {int}
+
+
+def index_lists(name: str, v, width: int | None = None) -> list:
+    """``v`` if it is a list of lists of JSON integers (each ``width`` long,
+    if given), its types checked in C; else ParseError naming the first bad
+    row."""
+    if not isinstance(v, list):
+        raise ParseError(f"{name} must be a list of lists of integers")
+    if not (set(map(type, v)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(v))) <= {int}
+            and (width is None or set(map(len, v)) <= {width})):
+        j = next(j for j, row in enumerate(v)
+                 if not (is_index_list(row) and width in (None, len(row))))
+        raise ParseError(f"{name}[{j}] must be a list of "
+                         f"{'' if width is None else f'{width} '}integers")
+    return v
 
 
 def _unique_keys(pairs) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ParseError(f"repeated JSON key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"repeated JSON key "
+                         f"{next(k for k in keys if keys.count(k) > 1)!r}")
     return doc
 
 
-def load_json(text: str):
-    """The JSON document in ``text``; ParseError for invalid or too deeply
-    nested JSON, or an object that repeats a key (the last would win)."""
+def load_json(text: str, *fields: str, **defaults) -> list:
+    """The values of ``fields``, then of the keys of ``defaults`` (or their
+    defaults), in the JSON object ``text``.  ParseError for invalid JSON
+    (also nested too deeply, an integer over 4,300 digits or a repeated
+    key), a document that is not an object, or a missing field."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as e:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply") from e
+    except ParseError:
+        raise
+    except ValueError as e:   # int() refuses more than 4,300 digits
+        raise ParseError("invalid JSON: integer too long to read") from e
+    if not isinstance(doc, dict):
+        raise ParseError("the document must be a JSON object")
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise ParseError(f"missing field {missing[0]!r}")
+    return [doc[f] for f in fields] + [doc.get(k, d) for k, d in defaults.items()]
 
 
 def parse_code(text: str) -> CssCode:
     """Parse the JSON code format; validates all CssCode invariants.
 
     Malformed input is rejected, never repaired: indices must be JSON
-    integers (checked here), each support list strictly increasing within
-    the register (checked by ``CssCode``), and a ghz/toric/xcube/haah tag
-    must name exactly the code ``build_family`` gives for its size.
+    integers (``index_lists``), each support list strictly increasing
+    within the register (checked by ``CssCode``), and a ghz/toric/xcube/haah
+    tag must name exactly the code ``build_family`` gives for its size.
     """
-    doc = load_json(text)
-    try:
-        version, n, xs, zs = (doc[k] for k in
-                              ("version", "n_qubits", "x_stabs", "z_stabs"))
-        family = doc.get("family", "custom")
-        params = doc.get("params", {})
-    except (KeyError, TypeError, AttributeError) as e:
-        raise ParseError(f"missing field: {e}") from e
-    if not is_json_int(version) or version != 1:
+    version, n, xs, zs, family, params = load_json(
+        text, "version", "n_qubits", "x_stabs", "z_stabs", family="custom",
+        params={})
+    if type(version) is not int or version != 1:
         raise ParseError(f"unsupported version {version!r}")
-    if not is_json_int(n) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ParseError("n_qubits must be a positive integer")
     if not isinstance(params, dict):
         raise ParseError("params must be a JSON object")
-
-    def supports(name, lists) -> Supports:
-        if not isinstance(lists, list):
-            raise ParseError(f"{name} must be a list of support lists")
-        for j, sup in enumerate(lists):
-            if not (isinstance(sup, list) and all(map(is_json_int, sup))):
-                raise ParseError(f"{name}[{j}] must be a list of qubit indices")
-        return Supports.from_lists(n, lists)
-
     try:
-        code = CssCode(n, supports("x_stabs", xs), supports("z_stabs", zs),
+        code = CssCode(n, Supports.from_lists(n, index_lists("x_stabs", xs)),
+                       Supports.from_lists(n, index_lists("z_stabs", zs)),
                        family=family, params=params)
     except OverflowError as e:   # an index beyond int64
         raise ParseError(f"qubit index out of range: {e}") from e
     size = params.get("n" if family == "ghz" else "L")
     try:  # qubit count first: never build a family far larger than the file
         if family != "custom" and not (
-                is_json_int(size) and math.prod(SHAPES[family](size)) == n
+                type(size) is int and math.prod(SHAPES[family](size)) == n
                 and code == build_family(family, size)):
             raise ParseError(f"not the {family} code that its params name")
     except InvalidSize as e:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .css import InvalidSize, ParseError, is_json_int, load_json
+from .css import InvalidSize, ParseError, index_lists, load_json
 
 # Slot values evaluated per block by the checks: 1 MB of int64, enough for
 # numpy to amortise its per-call cost, small enough to keep memory flat.
@@ -334,35 +334,18 @@ def make_abelian(orders: Sequence[int]) -> tuple[FiniteGroup, SolvableSeries]:
 
 def parse_group(text: str) -> tuple[FiniteGroup, SolvableSeries]:
     """JSON group format: {"order": n, "table": [[..]], "series": [[ids]..]}."""
-    doc = load_json(text)
-    try:
-        order, table, series = (doc[k] for k in ("order", "table", "series"))
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"missing field: {e}") from e
-    if not is_json_int(order):
+    order, table, series = load_json(text, "order", "table", "series")
+    if type(order) is not int:
         raise ParseError("order must be an integer")
-    if not _is_id_lists(table):
-        raise ParseError("table must be a list of rows of integer element ids")
-    if not _is_id_lists(series):
-        raise ParseError("series must be a list of lists of integer element ids")
-    try:
+    index_lists("table", table, width=order)
+    index_lists("series", series)
+    try:   # OverflowError: an element id beyond int64
         g = FiniteGroup.from_table(table)
-    except (ValueError, OverflowError) as e:   # also ragged rows, huge ids
-        raise ParseError(str(e)) from e
-    if g.order != order:
-        raise ParseError("order field disagrees with table size")
-    s = SolvableSeries(tuple(tuple(sub) for sub in series))
-    try:
+        s = SolvableSeries(tuple(map(tuple, series)))
         s.validate(g)
     except (GroupStructureError, OverflowError) as e:
         raise ParseError(str(e)) from e
     return g, s
-
-
-def _is_id_lists(v) -> bool:
-    """JSON integers only: 1.0, 1.7 and true are not element ids."""
-    return isinstance(v, list) and all(
-        isinstance(row, list) and all(map(is_json_int, row)) for row in v)
 
 
 def depth_report(group: FiniteGroup, series: SolvableSeries,
@@ -376,30 +359,26 @@ def depth_report(group: FiniteGroup, series: SolvableSeries,
     return rows
 
 
-def _block_rows(net: MulNetwork) -> int:
-    return max(1, _BLOCK_CELLS // net.n_slots)
+def _agrees(group: FiniteGroup, net: MulNetwork, total: int, draw) -> bool:
+    """Compare the network against the table fold on the sequences
+    ``draw(start, stop)``, over blocks of rows covering 0..total-1."""
+    rows = max(1, _BLOCK_CELLS // net.n_slots)
+    for start in range(0, total, rows):
+        seqs = draw(start, min(start + rows, total))
+        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
+            return False
+    return True
 
 
 def exhaustive_check(group: FiniteGroup, series: SolvableSeries, n: int) -> bool:
     """Compare the network against the table fold on every length-n sequence."""
     net = plan_network(group, series, n)
-    total = group.order ** n
-    rows = _block_rows(net)
-    for start in range(0, total, rows):
-        index = np.arange(start, min(start + rows, total))
-        seqs = np.stack(np.unravel_index(index, (group.order,) * n), axis=-1)
-        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
-            return False
-    return True
+    return _agrees(group, net, group.order ** n, lambda lo, hi: np.stack(
+        np.unravel_index(np.arange(lo, hi), (group.order,) * n), axis=-1))
 
 
 def random_check(group: FiniteGroup, series: SolvableSeries, n: int,
                  trials: int, seed: int = 0) -> bool:
-    net = plan_network(group, series, n)
     rng = np.random.default_rng(seed)
-    rows = _block_rows(net)
-    for start in range(0, trials, rows):
-        seqs = rng.integers(0, group.order, (min(rows, trials - start), n))
-        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
-            return False
-    return True
+    return _agrees(group, plan_network(group, series, n), trials,
+                   lambda lo, hi: rng.integers(0, group.order, (hi - lo, n)))

@@ -10,7 +10,6 @@ nonzero entries are exactly the CX gates of the one-layer circuit.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -381,11 +380,10 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 def serialize_circuit(circ: FdscCircuit) -> str:
     """The circuit as compact JSON with sorted keys.  "gates" sorts first,
     so its list is formatted 2^16 pairs at a time and spliced in front of
-    the rest of the document, which ``json`` writes."""
-    rest = json.dumps({"version": 1, "n_qubits": circ.n_qubits,
-                       "plus_qubits": circ.plus_qubits,
-                       "metadata": circ.metadata},
-                      sort_keys=True, separators=(",", ":"))
+    the rest of the document, which ``css.dump_json`` writes."""
+    rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
+                          "plus_qubits": circ.plus_qubits,
+                          "metadata": circ.metadata})
     blocks = np.split(circ.pairs, range(1 << 16, len(circ.pairs), 1 << 16))
     gates = ",".join(",".join(["[%d,%d]"] * len(b)) % tuple(b.ravel().tolist())
                      for b in blocks)
@@ -395,19 +393,18 @@ def serialize_circuit(circ: FdscCircuit) -> str:
 def parse_circuit(text: str) -> FdscCircuit:
     """Parse the JSON circuit format.  Malformed input is rejected, never
     repaired: every qubit index must be an integer and every gate a pair."""
-    doc = css.load_json(text)
+    version, n, plus, gates, meta = css.load_json(
+        text, "version", "n_qubits", "plus_qubits", "gates", metadata={})
+    if type(version) is not int or version != 1:
+        raise css.ParseError(f"unsupported version {version!r}")
+    if type(n) is not int or n < 0:
+        raise css.ParseError("n_qubits must be a nonnegative integer")
+    if not css.is_index_list(plus):
+        raise css.ParseError("plus_qubits must be a list of integers")
+    if not isinstance(meta, dict):
+        raise css.ParseError("metadata must be a JSON object")
+    css.index_lists("gates", gates, width=2)
     try:
-        version, n, plus, gates = (doc[k] for k in
-                                   ("version", "n_qubits", "plus_qubits", "gates"))
-        meta = doc.get("metadata", {})
-        if not css.is_json_int(version) or version != 1:
-            raise css.ParseError(f"unsupported version {version!r}")
-        ints = itertools.chain([n], plus, itertools.chain.from_iterable(gates))
-        if not (isinstance(plus, list) and isinstance(meta, dict)
-                and all(isinstance(g, list) and len(g) == 2 for g in gates)
-                and all(map(css.is_json_int, ints)) and n >= 0):
-            raise css.ParseError("n_qubits and qubit indices must be integers "
-                                 "(n_qubits >= 0), gates [control, target] pairs")
         return FdscCircuit(n, tuple(plus), gates, meta)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:   # OverflowError: beyond int64
         raise css.ParseError(f"bad circuit document: {e}") from e

@@ -19,13 +19,12 @@ Both checks are exact and need no elimination and no sign bookkeeping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .css import CssCode, Supports, odd_pairs
+from .css import CssCode, Supports, dump_json, odd_pairs
 from .gf2 import BitMatrix, DimensionMismatch
 from .synth import FdscCircuit
 
@@ -45,11 +44,9 @@ class VerifyReport:
     n_checked: int
 
     def to_json(self) -> str:
-        return json.dumps({"pass": self.passed,
-                           "failed_x": list(self.failed_x),
-                           "failed_z": list(self.failed_z),
-                           "n_checked": self.n_checked},
-                          sort_keys=True, separators=(",", ":"))
+        return dump_json({"pass": self.passed, "failed_x": list(self.failed_x),
+                          "failed_z": list(self.failed_z),
+                          "n_checked": self.n_checked})
 
 
 def final_state(circ: FdscCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,8 @@
-"""Shared test helpers: dense-elimination oracles, a per-gate circuit
-check, the per-entry code-file rules, codes from dense arrays, random code
-generation, and the hypothesis profile every property runs under.
+"""Shared test helpers: dense-elimination oracles (rank, subset,
+reconstruction, verification), a per-gate circuit check, the per-entry
+code-file rules, codes from dense arrays, random codes (small ones, and
+hypergraph products of random regular classical codes), and the
+hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -8,6 +10,7 @@ can serve as independent cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -66,6 +69,45 @@ def dense_nullspace(a: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.uint8).reshape(len(basis), cols)
 
 
+def dense_greedy(a: np.ndarray, order=None) -> list[int]:
+    """Sorted rows of ``a`` that the greedy scan keeps: scanning rows in
+    ``order`` (default index order), each row independent of those kept
+    before it, read off the pivots of the RREF of the rows as columns."""
+    order = np.arange(len(a)) if order is None else np.asarray(order)
+    return sorted(int(order[p]) for p in dense_rref(np.asarray(a)[order].T)[1])
+
+
+def dense_reconstruction(a, qubits):
+    """A R for the right inverse R of a full-row-rank pi_S A, read off the
+    RREF of [pi_S A | I]."""
+    sub = a[list(qubits)]
+    rows, cols = sub.shape
+    rref, pivots = dense_rref(np.hstack([sub, np.eye(rows, dtype=np.uint8)]))
+    assert len(pivots) == rows and all(p < cols for p in pivots)
+    r = np.zeros((cols, rows), dtype=np.uint8)
+    r[pivots] = rref[:rows, cols:]
+    return (a.astype(np.int64) @ r) % 2
+
+
+def dense_verify(code: css.CssCode, circ) -> tuple:
+    """(failed_x, failed_z, n_checked) by dense products.  The output's X
+    stabilizers are the column span of M_c (the identity on the plus rows
+    and a 1 at (t, c) per gate), so X generator a holds iff a = M_c a|plus
+    and Z generator b iff b^T M_c = 0.  Products run in float64, exact for
+    counts below 2^53."""
+    plus = list(circ.plus_qubits)
+    mc = np.zeros((circ.n_qubits, len(plus)))
+    mc[plus, np.arange(len(plus))] = 1
+    column = {q: j for j, q in enumerate(plus)}
+    for c, t in circ.gates:
+        mc[t, column[c]] = 1
+    a, b = code.x_stabs.to_dense(), code.z_stabs.to_dense()
+    failed_x = ((mc @ a[plus]) % 2 != a).any(axis=0)
+    failed_z = ((b.T @ mc) % 2).any(axis=1)
+    return (tuple(np.flatnonzero(failed_x).tolist()),
+            tuple(np.flatnonzero(failed_z).tolist()), code.n_x + code.n_z)
+
+
 def dense_supports(a) -> css.Supports:
     """Supports of the columns of a dense n x k 0/1 array."""
     a = np.asarray(a, dtype=np.uint8)
@@ -112,6 +154,32 @@ def random_css_code(rng: np.random.Generator, n_max: int = 30) -> css.CssCode:
                     break
         b = np.array(bcols, dtype=np.uint8).T
         return dense_code(a, b)
+
+
+def regular_checks(rng: np.random.Generator, n: int, column_weight: int = 3,
+                   row_weight: int = 4) -> np.ndarray:
+    """A random m x n parity-check matrix with every column of weight
+    ``column_weight`` and every row of weight ``row_weight`` (m = n *
+    column_weight / row_weight): column and row sockets paired by a seeded
+    shuffle, redrawn until no pair of sockets repeats an entry."""
+    m = n * column_weight // row_weight
+    cols = np.repeat(np.arange(n), column_weight)
+    while True:
+        h = np.zeros((m, n), dtype=np.uint8)
+        np.add.at(h, (rng.permutation(np.repeat(np.arange(m), row_weight)), cols), 1)
+        if h.max() == 1:
+            return h
+
+
+def hgp_code(h1: np.ndarray, h2: np.ndarray) -> css.CssCode:
+    """The hypergraph product of the classical codes with parity checks h1
+    (m1 x n1) and h2 (m2 x n2), on n1 n2 + m1 m2 qubits: the generators are
+    the rows of HX = [H1 (x) I | I (x) H2^T] and HZ = [I (x) H2 | H1^T (x) I]."""
+    (m1, n1), (m2, n2) = h1.shape, h2.shape
+    eye = functools.partial(np.eye, dtype=np.uint8)
+    hx = np.hstack([np.kron(h1, eye(n2)), np.kron(eye(m1), h2.T)])
+    hz = np.hstack([np.kron(eye(n1), h2), np.kron(h1.T, eye(m2))])
+    return dense_code(hx.T, hz.T)
 
 
 def padding_ok(m: BitMatrix) -> bool:

@@ -6,7 +6,9 @@ import functools
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,10 +586,12 @@ def _paths(node, path=()):
 
 @strategies.composite
 def one_mutation(draw, doc):
-    """``doc`` with one value replaced, one key dropped, or one list entry
-    duplicated or removed."""
+    """``doc`` with one value replaced (the root too), one key dropped, or
+    one list entry duplicated or removed."""
     doc = copy.deepcopy(doc)
-    path = draw(strategies.sampled_from(list(_paths(doc))[1:]))
+    path = draw(strategies.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(REPLACEMENTS)
     parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
     key = path[-1]
     kinds = ["replace", "delete"] + (["duplicate"] if isinstance(parent, list)
@@ -644,3 +648,77 @@ def test_fuzz_base_documents_pass(tmp_path, reader):
 def test_fuzz_file_reader(tmp_path_factory, reader, data):
     doc = data.draw(one_mutation(FUZZ_DOCS[reader]))
     event(f"exit {_fuzz_run(tmp_path_factory.getbasetemp(), reader, doc)}")
+
+
+# -- the reader contract -------------------------------------------------------
+
+READERS = {"code": css.parse_code, "circuit": synth.parse_circuit,
+           "group": groups.parse_group}
+REQUIRED = {"code": ("version", "n_qubits", "x_stabs", "z_stabs"),
+            "circuit": ("version", "n_qubits", "plus_qubits", "gates"),
+            "group": ("order", "table", "series")}
+
+
+def _changed(reader, field, index, value):
+    """FUZZ_DOCS[reader] with entry ``index`` of list ``field`` replaced."""
+    doc = copy.deepcopy(FUZZ_DOCS[reader])
+    doc[field][index] = value
+    return doc
+
+
+CONTRACT_CASES = [
+    *((reader, root, "the document must be a JSON object")
+      for reader in sorted(READERS) for root in ([], 3, "x")),
+    *((reader, {k: v for k, v in FUZZ_DOCS[reader].items() if k != field},
+       f"missing field {field!r}")
+      for reader in sorted(READERS) for field in REQUIRED[reader]),
+    ("code", _changed("code", "x_stabs", 1, [0, True]),
+     "x_stabs[1] must be a list of integers"),
+    ("circuit", _changed("circuit", "gates", 2, [0, True]),
+     "gates[2] must be a list of 2 integers"),
+    ("circuit", _changed("circuit", "plus_qubits", 0, True),
+     "plus_qubits must be a list of integers"),
+    ("group", _changed("group", "table", 4, [True, 0, 1, 2, 3, 4]),
+     "table[4] must be a list of 6 integers"),
+    ("circuit", _changed("circuit", "gates", 1, [0, 1, 2]),
+     "gates[1] must be a list of 2 integers"),
+    ("group", _changed("group", "table", 3, [3, 4, 5, 0, 1]),
+     "table[3] must be a list of 6 integers"),
+]
+
+
+@pytest.mark.parametrize("reader,doc,message", CONTRACT_CASES)
+def test_reader_contract(tmp_path, capsys, reader, doc, message):
+    # every reader rejects a malformed document with the same message,
+    # which the CLI prints as the whole of stderr with exit 2
+    text = json.dumps(doc)
+    with pytest.raises(css.ParseError) as exc:
+        READERS[reader](text)
+    assert str(exc.value) == message
+    path = tmp_path / f"{reader}.json"
+    path.write_text(text)
+    rc, stdout, err = run(capsys, *[a.format(path=path) for a in FUZZ_ARGV[reader]])
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("reader,field", [("code", "n_qubits"),
+                                          ("circuit", "n_qubits"),
+                                          ("group", "order")])
+def test_integer_over_4300_digits_exits_2(tmp_path, capsys, reader, field):
+    # json.loads refuses the integer with a plain ValueError that names a
+    # Python setting; the reader calls the file invalid instead
+    rest = {k: v for k, v in FUZZ_DOCS[reader].items() if k != field}
+    path = tmp_path / f"{reader}.json"
+    path.write_text(f'{{"{field}":{"7" * 5001},' + json.dumps(rest)[1:])
+    rc, stdout, err = run(capsys, *[a.format(path=path) for a in FUZZ_ARGV[reader]])
+    assert (rc, stdout) == (2, "") and "set_int_max_str_digits" not in err
+    assert err == "error: invalid JSON: integer too long to read\n"
+
+
+def test_only_css_reads_and_writes_json():
+    # one JSON layer: a new reader or writer goes through css.load_json,
+    # css.index_lists and css.dump_json
+    sources = Path(css.__file__).parent.glob("*.py")
+    users = sorted(p.name for p in sources
+                   if re.search(r"json\.(loads|dumps)\b", p.read_text()))
+    assert users == ["css.py"]

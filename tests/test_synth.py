@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import (circuit_oracle, dense_code, dense_rank, dense_rref,
-                      random_css_code)
+from conftest import (circuit_oracle, dense_code, dense_rank,
+                      dense_reconstruction, random_css_code)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -156,18 +156,6 @@ def test_reconstruction_pivot_order_independent(seed):
     m = build_reconstruction(code, s).to_dense().T
     for product in right_inverse_products(code, s):
         assert np.array_equal(m, product)
-
-
-def dense_reconstruction(a, qubits):
-    """A R for the right inverse R of a full-row-rank pi_S A, read off the
-    RREF of [pi_S A | I]."""
-    sub = a[list(qubits)]
-    rows, cols = sub.shape
-    rref, pivots = dense_rref(np.hstack([sub, np.eye(rows, dtype=np.uint8)]))
-    assert len(pivots) == rows and all(p < cols for p in pivots)
-    r = np.zeros((cols, rows), dtype=np.uint8)
-    r[pivots] = rref[:rows, cols:]
-    return (a.astype(np.int64) @ r) % 2
 
 
 def test_solve_matches_dense_oracle(monkeypatch):
