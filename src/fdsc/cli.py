@@ -7,6 +7,7 @@ Exit codes: 0 success / verification pass, 1 a command's own failed check,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -16,10 +17,26 @@ import numpy as np
 from . import css, groups, synth, verify
 
 
+def integer(text: str) -> int:
+    """ASCII digits after an optional minus sign (``int`` also reads '1_6')."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _positives(text: str, flag: str) -> list[int]:
+    try:
+        values = [integer(x) for x in text.split(",")]
+    except ValueError:
+        values = [0]                     # reported as not positive below
+    if min(values) < 1:
+        raise ValueError(f"{flag} must list positive integers, got {text!r}")
+    return values
+
+
 def _load_code(spec: str, size: int | None) -> css.CssCode:
     if spec.startswith("file:"):
-        path = Path(spec[5:])
-        return css.parse_code(path.read_text())
+        return css.parse_code(Path(spec[5:]).read_text())
     if spec not in css.SHAPES:
         raise css.ParseError(f"unknown code {spec!r}")
     if size is None:
@@ -65,58 +82,44 @@ def fit_loglog(sizes, counts) -> dict:
 
 
 def cmd_scaling(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes or min(sizes) < 1:
-        raise css.InvalidSize(f"--sizes must list positive integers, "
-                              f"got {args.sizes!r}")
-    # a family's builder rejects every size below its minimum, so the
-    # smallest size is the one to probe; a file code ignores the size, so
-    # it is synthesized (and verified, if any size asks) once for all rows
-    probe = _load_code(args.code, min(sizes))
-    from_file = args.code.startswith("file:")
-    rows, failures, run = [], 0, None
-    for L in sizes:
-        if not (from_file and run):
-            code = probe if from_file or L == min(sizes) \
-                else css.build_family(args.code, L)
+    # ascending, so a size below the family minimum fails before synthesis;
+    # one run per distinct code, and a file code ignores L: one key for all
+    runs, rows, failures = {}, [], 0
+    for L in sorted(_positives(args.sizes, "--sizes")):
+        key = None if args.code.startswith("file:") else L
+        if key not in runs:
+            code = _load_code(args.code, L)
             t0 = time.perf_counter()   # wall_ms: synthesis and verification
             circ = synth.synthesize(code, args.strategy, seed=args.seed)
-            checked = (min(sizes) if from_file else L) <= args.verify_upto
-            report = verify.verify_circuit(code, circ) if checked else None
-            run = circ, report, (time.perf_counter() - t0) * 1000.0
-        circ, report, wall_ms = run
+            report = verify.verify_circuit(code, circ) \
+                if L <= args.verify_upto else None
+            runs[key] = code, circ, report, (time.perf_counter() - t0) * 1000.0
+        code, circ, report, wall_ms = runs[key]
         if L <= args.verify_upto and not report.passed:  # per-size failure
             print(f"size {L} failed: verification failed: "
                   f"{report.to_json()}", file=sys.stderr)
             failures += 1
             continue
-        rows.append({"family": code.family, "strategy": args.strategy, "L": L,
-                     "n_qubits": code.n_qubits,
-                     "s_size": len(circ.plus_qubits),
-                     "gate_count": circ.gate_count, "wall_ms": wall_ms})
-    rows.sort(key=lambda r: r["L"])
-    lines = ["family,strategy,L,n_qubits,s_size,gate_count,wall_ms"]
-    for r in rows:
-        lines.append(f"{r['family']},{r['strategy']},{r['L']},{r['n_qubits']},"
-                     f"{r['s_size']},{r['gate_count']},{r['wall_ms']:.3f}")
-    text = "\n".join(lines) + "\n"
+        rows.append((code.family, args.strategy, L, code.n_qubits,
+                     len(circ.plus_qubits), circ.gate_count, wall_ms))
+    text = "family,strategy,L,n_qubits,s_size,gate_count,wall_ms\n" + "".join(
+        f"{','.join(map(str, r[:-1]))},{r[-1]:.3f}\n" for r in rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     result = {"rows": len(rows), "failures": failures}
-    if len({r["n_qubits"] for r in rows}) >= 3:   # a line through 3+ codes
-        result["fit"] = fit_loglog([r["L"] for r in rows],
-                                   [r["gate_count"] for r in rows])
+    if len({r[3] for r in rows}) >= 3:   # a line through 3+ codes
+        result["fit"] = fit_loglog([r[2] for r in rows], [r[5] for r in rows])
     print(css.dump_json(result))
     return 0 if not failures else 1
 
 
 def _load_group(spec: str):
     if spec.startswith("dihedral:"):
-        return groups.make_dihedral(int(spec.split(":", 1)[1]))
+        return groups.make_dihedral(integer(spec[9:]))
     if spec.startswith("abelian:"):
-        return groups.make_abelian([int(x) for x in spec.split(":", 1)[1].split(",")])
+        return groups.make_abelian([integer(x) for x in spec[8:].split(",")])
     if spec.startswith("file:"):
         return groups.parse_group(Path(spec[5:]).read_text())
     raise groups.ParseError(f"unknown group spec {spec!r}")
@@ -124,10 +127,7 @@ def _load_group(spec: str):
 
 def cmd_groups(args) -> int:
     group, series = _load_group(args.group)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
-    if not lengths or min(lengths) < 1:
-        raise groups.InvalidSize(f"--lengths must list positive integers, "
-                                 f"got {args.lengths!r}")
+    lengths = _positives(args.lengths, "--lengths")
     if args.trials < 1:
         raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
     rows = groups.depth_report(group, series, lengths)   # before any output
@@ -155,17 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synth", help="synthesize a preparation circuit")
     ps.add_argument("--code", required=True,
                     help="|".join((*css.SHAPES, "file:PATH")))
-    ps.add_argument("--size", type=int, default=None)
+    ps.add_argument("--size", type=integer, default=None)
     ps.add_argument("--strategy", required=True)
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--restarts", type=int, default=1)
+    ps.add_argument("--seed", type=integer, default=None)
+    ps.add_argument("--restarts", type=integer, default=1)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_synth)
 
     pv = sub.add_parser("verify", help="verify a circuit against a code")
     pv.add_argument("--circuit", required=True)
     pv.add_argument("--code", required=True)
-    pv.add_argument("--size", type=int, default=None)
+    pv.add_argument("--size", type=integer, default=None)
     pv.add_argument("--oracle", action="store_true",
                     help="also run the state-vector oracle (<= 20 qubits)")
     pv.set_defaults(func=cmd_verify)
@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--code", required=True)
     pc.add_argument("--strategy", required=True)
     pc.add_argument("--sizes", required=True)
-    pc.add_argument("--seed", type=int, default=None)
-    pc.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")
+    pc.add_argument("--seed", type=integer, default=None)
+    pc.add_argument("--verify-upto", type=integer, default=0, dest="verify_upto")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_scaling)
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--group", required=True,
                     help="dihedral:N|abelian:a,b,...|file:PATH")
     pg.add_argument("--lengths", required=True)
-    pg.add_argument("--trials", type=int, default=100)
+    pg.add_argument("--trials", type=integer, default=100)
     pg.set_defaults(func=cmd_groups)
     return p
 

@@ -39,7 +39,7 @@ class FiniteGroup:
     inverse: np.ndarray
 
     @classmethod
-    def from_table(cls, table, check_associativity: bool = True) -> "FiniteGroup":
+    def from_table(cls, table) -> "FiniteGroup":
         t = np.asarray(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
             raise GroupStructureError("table must be square and nonempty")
@@ -58,8 +58,7 @@ class FiniteGroup:
             raise GroupStructureError(
                 f"element {has_inv.argmin()} lacks a two-sided inverse")
         # row = t[a]: t[row][b, c] = (ab)c and row[t][b, c] = a(bc)
-        if check_associativity and not all(np.array_equal(t[row], row[t])
-                                           for row in t):
+        if not all(np.array_equal(t[row], row[t]) for row in t):
             raise GroupStructureError("multiplication is not associative")
         return cls(n, t, ident, inv)
 
@@ -174,9 +173,10 @@ def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> Optional
     n_table = n_local[t[np.ix_(n_elements, n_elements)]]
     sub = None
     if len(chain) > 3:
-        sub_group = FiniteGroup.from_table(n_table, check_associativity=False)
-        sub_chain = [n_local[_sorted_ids(members)] for members in chain[:-1]]
-        sub = _build_level(sub_group, sub_chain)
+        # the validated series makes these N's own identity and inverses
+        sub_group = FiniteGroup(n_elements.size, n_table,
+                                int(n_local[group.identity]), n_local[inv[n_elements]])
+        sub = _build_level(sub_group, [n_local[_sorted_ids(m)] for m in chain[:-1]])
     return _Level(group, tau, psi, h_table, n_elements, n_local, norm_part,
                   chi, phi, merge, n_table, sub)
 

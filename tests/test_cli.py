@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -305,11 +306,8 @@ def test_scaling_file_code_reports_no_fit(tmp_path, capsys):
     assert json.loads(stdout.splitlines()[-1]) == {"rows": 3, "failures": 0}
 
 
-def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
-    # a file code ignores --sizes: one synthesis and one verification give
-    # every row, and every size up to --verify-upto still counts a failure
-    code_path = tmp_path / "t3.json"
-    code_path.write_text(css.serialize_code(css.build_toric(3)))
+def count_runs(monkeypatch):
+    """Record each call of synthesize ("synth") and verify_circuit ("verify")."""
     calls = []
 
     def counted(name, real):
@@ -319,6 +317,15 @@ def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
                         counted("synth", cli.synth.synthesize))
     monkeypatch.setattr(cli.verify, "verify_circuit",
                         counted("verify", cli.verify.verify_circuit))
+    return calls
+
+
+def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
+    # a file code ignores --sizes: one synthesis and one verification give
+    # every row, and every size up to --verify-upto still counts a failure
+    code_path = tmp_path / "t3.json"
+    code_path.write_text(css.serialize_code(css.build_toric(3)))
+    calls = count_runs(monkeypatch)
     argv = ("scaling", "--code", f"file:{code_path}", "--strategy", "greedy",
             "--sizes", "2,4,8")
     rc, stdout, _ = run(capsys, *argv, "--verify-upto", "8")
@@ -356,6 +363,115 @@ def test_scaling_counts_only_verification_failures(monkeypatch, capsys):
     assert rc == 1
     assert err.startswith("size 3 failed: verification failed")
     assert json.loads(stdout.splitlines()[-1]) == {"rows": 2, "failures": 1}
+
+
+# rows as written before repeated sizes shared one run (wall_ms aside);
+# L=5 is above --verify-upto, so it is synthesized but not verified
+@pytest.mark.parametrize("sizes, rows, runs", [
+    ("3,3,3", ["toric,toric_comb,3,18,8,34"] * 3, ["synth", "verify"]),
+    ("2,2,5", ["toric,toric_comb,2,8,3,9"] * 2 + ["toric,toric_comb,5,50,24,156"],
+     ["synth", "verify", "synth"]),
+])
+def test_scaling_runs_each_size_once(sizes, rows, runs, monkeypatch, capsys):
+    calls = count_runs(monkeypatch)
+    rc, stdout, err = run(capsys, "scaling", "--code", "toric", "--strategy",
+                          "toric_comb", "--sizes", sizes, "--verify-upto", "3")
+    assert rc == 0 and err == ""
+    lines = stdout.splitlines()
+    assert lines[0] == "family,strategy,L,n_qubits,s_size,gate_count,wall_ms"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:-1]] == rows
+    assert json.loads(lines[-1]) == {"rows": 3, "failures": 0}
+    assert calls == runs
+    assert lines[1] == lines[2]   # one run, one wall_ms
+
+
+def test_scaling_checks_the_smallest_size_first(monkeypatch, capsys):
+    calls = count_runs(monkeypatch)
+    rc, stdout, err = run(capsys, "scaling", "--code", "toric", "--strategy",
+                          "toric_comb", "--sizes", "4,1")   # toric needs L >= 2
+    assert rc == 2 and stdout == "" and err.startswith("error: ")
+    assert calls == []
+
+
+def test_scaling_reports_failures_in_size_order(monkeypatch, capsys):
+    monkeypatch.setattr(cli.verify, "verify_circuit",
+                        lambda code, circ: verify.VerifyReport(False, (0,), (), 1))
+    rc, stdout, err = run(capsys, "scaling", "--code", "toric", "--strategy",
+                          "toric_comb", "--sizes", "6,4,2,3,4",
+                          "--verify-upto", "4")
+    assert rc == 1
+    assert [line.split()[:2] for line in err.splitlines()] == \
+        [["size", "2"], ["size", "3"], ["size", "4"], ["size", "4"]]
+    assert json.loads(stdout.splitlines()[-1]) == {"rows": 1, "failures": 4}
+
+
+# every integer the command line reads, with {} for the integer under test
+INTEGER_INPUTS = {
+    "synth --size": ("synth", "--code", "ghz", "--size", "{}",
+                     "--strategy", "greedy"),
+    "synth --seed": ("synth", "--code", "ghz", "--size", "3",
+                     "--strategy", "greedy", "--seed", "{}"),
+    "synth --restarts": ("synth", "--code", "ghz", "--size", "3",
+                         "--strategy", "greedy", "--restarts", "{}"),
+    "verify --size": ("verify", "--code", "ghz", "--size", "{}",
+                      "--circuit", "{circuit}"),
+    "scaling --sizes": ("scaling", "--code", "ghz", "--strategy", "greedy",
+                        "--sizes", "{}"),
+    "scaling --seed": ("scaling", "--code", "ghz", "--strategy", "greedy",
+                       "--sizes", "3", "--seed", "{}"),
+    "scaling --verify-upto": ("scaling", "--code", "ghz", "--strategy",
+                              "greedy", "--sizes", "3", "--verify-upto", "{}"),
+    "groups --lengths": ("groups", "--group", "dihedral:3", "--lengths", "{}"),
+    "groups --trials": ("groups", "--group", "dihedral:3", "--lengths", "3",
+                        "--trials", "{}"),
+    "groups dihedral:N": ("groups", "--group", "dihedral:{}", "--lengths", "3"),
+    "groups abelian:a,b": ("groups", "--group", "abelian:2,{}",
+                           "--lengths", "3"),
+}
+
+
+def integer_argv(tmp_path, name, value):
+    circuit = tmp_path / "ghz3.json"
+    circuit.write_text(synth.serialize_circuit(
+        synth.synthesize(css.build_ghz(3), "greedy")))
+    return [a.replace("{}", value).format(circuit=circuit)
+            for a in INTEGER_INPUTS[name]]
+
+
+@pytest.mark.parametrize("value", ["1_6", "\u0663", "+3", "3.0", "", "4,,8",
+                                   "4,"])
+@pytest.mark.parametrize("name", INTEGER_INPUTS)
+def test_integers_are_ascii_digits(tmp_path, capsys, name, value):
+    # int() alone reads '1_6' as 16, Arabic-Indic '\u0663' as 3 and '+3' as 3
+    rc, stdout, err = run(capsys, *integer_argv(tmp_path, name, value))
+    assert rc == 2 and stdout == "", err
+    assert "integer" in err and "invalid literal" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, "3") for name in INTEGER_INPUTS),
+    ("synth --seed", "-5"), ("scaling --seed", "-5")])
+def test_integers_still_read(tmp_path, capsys, name, value):
+    rc, stdout, err = run(capsys, *integer_argv(tmp_path, name, value))
+    assert rc == 0 and stdout and err == ""
+
+
+@pytest.mark.parametrize("text", ["0", "3", "-5", "007", "-0", "12345678901234567890"])
+def test_integer_reads_what_int_reads(text):
+    assert cli.integer(text) == int(text)
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    block = Path(__file__).parents[1].joinpath("README.md").read_text() \
+        .split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) >= 5 and all(c[0] == "fdsc" for c in commands)
+    for argv in commands:
+        rc, _, err = run(capsys, *argv[1:])
+        assert rc == 0, (argv, err)
 
 
 @pytest.mark.parametrize("restarts", ["0", "-2"])

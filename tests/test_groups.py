@@ -278,9 +278,16 @@ def test_level_identities(name):
     # checked against the table by scalar products, not the array build
     g, series = CASES.get(name, lambda: make_dihedral(int(name[1:])))()
     level = groups._build_level(g, [list(s) for s in series.subgroups])
+    sub_levels = 0
     while level is not None:
         h = level.group
         members = level.n_elements
+        if level.sub is not None:   # built from the parent, not from_table
+            sub_levels += 1
+            sub, ref = level.sub.group, FiniteGroup.from_table(level.n_table)
+            assert (sub.order, sub.identity) == (ref.order, ref.identity)
+            assert np.array_equal(sub.table, ref.table)
+            assert np.array_equal(sub.inverse, ref.inverse)
         for x in range(h.order):
             rep = int(level.psi[level.tau[x]])
             assert level.merge[rep, level.norm_part[x]] == x
@@ -296,6 +303,7 @@ def test_level_identities(name):
             assert members[level.phi[i, k]] == \
                 h.mul(h.mul(h.inv(pi), int(members[k])), pi)
         level = level.sub
+    assert sub_levels == (name in ("S4", "S4c"))
 
 
 def test_d4_centre_series_nontrivial_cocycle():
