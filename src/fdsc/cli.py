@@ -126,20 +126,20 @@ def _load_group(spec: str):
 
 
 def cmd_groups(args) -> int:
-    group, series = _load_group(args.group)
+    series = _load_group(args.group)
     lengths = _positives(args.lengths, "--lengths")
     if args.trials < 1:
         raise groups.InvalidSize(f"--trials must be positive, got {args.trials}")
-    rows = groups.depth_report(group, series, lengths)   # before any output
+    rows = groups.depth_report(series, lengths)   # before any output
     print("n,depth,ancillas")
     for row in rows:
         print(f"{row['n']},{row['depth']},{row['ancillas']}")
     all_ok = True
     for n in lengths:
-        if group.order ** n <= 100_000:
-            ok = groups.exhaustive_check(group, series, n)
+        if series.group.order ** n <= 100_000:
+            ok = groups.exhaustive_check(series, n)
         else:
-            ok = groups.random_check(group, series, n, args.trials, seed=0)
+            ok = groups.random_check(series, n, args.trials, seed=0)
         if not ok:
             print(f"mismatch against table fold at n={n}", file=sys.stderr)
             all_ok = False

@@ -1,12 +1,13 @@
 """Layered constant-depth multiplication planner for solvable finite groups.
 
-Given a group table and a subnormal series with abelian quotients, builds a
-classical dataflow network computing g1*...*gn whose layer count depends
-only on the series length, never on n.  Each sequence element g splits as
-a section image psi(h) times a normal part; the quotient suffix products
-are formed in one simultaneous layer because the quotient is abelian, the
-cocycle and conjugation corrections are parallel table lookups, and the
-remaining 2n-1 normal-subgroup elements are multiplied recursively.
+Given a solvable series (a group table and a subnormal series with abelian
+quotients, checked once when the series is made), builds a classical
+dataflow network computing g1*...*gn whose layer count depends only on the
+series length, never on n.  Each sequence element g splits as a section
+image psi(h) times a normal part; the quotient suffix products are formed
+in one simultaneous layer because the quotient is abelian, the cocycle and
+conjugation corrections are parallel table lookups, and the remaining 2n-1
+normal-subgroup elements are multiplied recursively.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class FiniteGroup:
             raise GroupStructureError("multiplication is not associative")
         return cls(n, t, ident, inv)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def fold(self, seq) -> np.ndarray:
         """Left fold over the table of sequences laid along the last axis:
         the reference product that networks are checked against."""
@@ -77,22 +72,21 @@ class FiniteGroup:
             acc = self.table[acc, seqs[..., k]]
         return acc
 
-    def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
-
 
 @dataclass(frozen=True)
 class SolvableSeries:
-    """Chain {e} = G_0 <= G_1 <= ... <= G_k = G, each step normal with
-    abelian quotient."""
+    """Chain {e} = G_0 <= G_1 <= ... <= G_k = G of ``group``, each step
+    normal with abelian quotient.  Checked once, on construction, so every
+    series that exists is valid and the planner trusts it."""
 
+    group: FiniteGroup
     subgroups: tuple[tuple[int, ...], ...]
 
-    @property
-    def derived_length(self) -> int:
-        return len(self.subgroups) - 1
+    def __post_init__(self):
+        self.validate()
 
-    def validate(self, group: FiniteGroup) -> None:
+    def validate(self) -> None:
+        group = self.group
         chain = [_sorted_ids(s) for s in self.subgroups]
         if any(len(ids) != len(s) for ids, s in zip(chain, self.subgroups)):
             raise GroupStructureError("series entry lists an element twice")
@@ -163,12 +157,9 @@ def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> Optional
     n_local[n_elements] = np.arange(n_elements.size)
     norm_part = n_local[t[inv[psi[tau]], np.arange(group.order)]]
     # chi(i, j) = psi(ij)^-1 psi(i) psi(j), phi(i, n) = psi(i)^-1 n psi(i)
+    # both lie in N because N is normal in G
     chi = n_local[t[t[inv[psi[h_table]], psi[:, None]], psi]]
-    if (chi < 0).any():
-        raise GroupStructureError("cocycle left the normal subgroup")
     phi = n_local[t[t[inv[psi, None], n_elements], psi[:, None]]]
-    if (phi < 0).any():
-        raise GroupStructureError("conjugation left the normal subgroup")
     merge = t[:, n_elements]
     n_table = n_local[t[np.ix_(n_elements, n_elements)]]
     sub = None
@@ -253,22 +244,19 @@ def _plan(level: _Level, inputs: np.ndarray, b: _Builder) -> int:
     return int(out[0])
 
 
-def plan_network(group: FiniteGroup, series: SolvableSeries, n: int) -> MulNetwork:
+def plan_network(series: SolvableSeries, n: int) -> MulNetwork:
     """Build the layered network for products of n elements."""
     if n < 1:
         raise InvalidSize("sequence length must be >= 1")
-    series.validate(group)
     inputs = np.arange(n)
     if inputs.size != n:       # numpy gives [] for 2^63 - 1 <= n < 2^64
         raise InvalidSize(f"sequence length {n} is too large")
     b = _Builder(n)
     if len(series.subgroups) <= 2:
-        # abelian or trivial group: a single simultaneous combine layer
-        if not group.is_abelian():
-            raise GroupStructureError("one-step series requires an abelian group")
-        out = b.fold(group.table, inputs)
+        # G = G/{e} is abelian (or trivial): a single simultaneous combine layer
+        out = b.fold(series.group.table, inputs)
     else:
-        out = _plan(_build_level(group, series.subgroups), inputs, b)
+        out = _plan(_build_level(series.group, series.subgroups), inputs, b)
     return MulNetwork(n, tuple(b.layers), out, b.n_slots)
 
 
@@ -301,7 +289,7 @@ def evaluate(net: MulNetwork, seq) -> np.ndarray:
 # -- built-in families and file format --------------------------------------
 
 
-def make_dihedral(n: int) -> tuple[FiniteGroup, SolvableSeries]:
+def make_dihedral(n: int) -> SolvableSeries:
     """Symmetries of the regular n-gon; elements p*n + k encode m^p r^k."""
     if n < 3:
         raise InvalidSize("dihedral group needs n >= 3")
@@ -309,13 +297,11 @@ def make_dihedral(n: int) -> tuple[FiniteGroup, SolvableSeries]:
     p, k = np.divmod(np.arange(order), n)
     sign = 1 - 2 * p             # r^k m = m r^-k
     t = (p[:, None] ^ p) * n + (sign * k[:, None] + k) % n
-    g = FiniteGroup.from_table(t)
-    series = SolvableSeries(((0,), tuple(range(n)), tuple(range(order))))
-    series.validate(g)
-    return g, series
+    return SolvableSeries(FiniteGroup.from_table(t),
+                          ((0,), tuple(range(n)), tuple(range(order))))
 
 
-def make_abelian(orders: Sequence[int]) -> tuple[FiniteGroup, SolvableSeries]:
+def make_abelian(orders: Sequence[int]) -> SolvableSeries:
     """Direct product of cyclic groups, with the one-step series."""
     orders = list(orders)
     if not orders or any(d < 2 for d in orders):
@@ -326,13 +312,10 @@ def make_abelian(orders: Sequence[int]) -> tuple[FiniteGroup, SolvableSeries]:
     t = np.ravel_multi_index(tuple((v[:, None] + v) % d
                                    for v, d in zip(digits, orders)),
                              orders, order="F")
-    g = FiniteGroup.from_table(t)
-    series = SolvableSeries(((0,), tuple(range(total))))
-    series.validate(g)
-    return g, series
+    return SolvableSeries(FiniteGroup.from_table(t), ((0,), tuple(range(total))))
 
 
-def parse_group(text: str) -> tuple[FiniteGroup, SolvableSeries]:
+def parse_group(text: str) -> SolvableSeries:
     """JSON group format: {"order": n, "table": [[..]], "series": [[ids]..]}."""
     order, table, series = load_json(text, "order", "table", "series")
     if type(order) is not int:
@@ -340,45 +323,39 @@ def parse_group(text: str) -> tuple[FiniteGroup, SolvableSeries]:
     index_lists("table", table, width=order)
     index_lists("series", series)
     try:   # OverflowError: an element id beyond int64
-        g = FiniteGroup.from_table(table)
-        s = SolvableSeries(tuple(map(tuple, series)))
-        s.validate(g)
+        return SolvableSeries(FiniteGroup.from_table(table),
+                              tuple(map(tuple, series)))
     except (GroupStructureError, OverflowError) as e:
         raise ParseError(str(e)) from e
-    return g, s
 
 
-def depth_report(group: FiniteGroup, series: SolvableSeries,
-                 n_values: Sequence[int]) -> list[dict]:
+def depth_report(series: SolvableSeries, n_values: Sequence[int]) -> list[dict]:
     """Rows of (n, depth, ancilla_count) for the planned networks."""
-    rows = []
-    for n in n_values:
-        net = plan_network(group, series, n)
-        rows.append({"n": int(n), "depth": net.depth,
-                     "ancillas": net.ancilla_count})
-    return rows
+    nets = (plan_network(series, n) for n in n_values)
+    return [{"n": net.n_inputs, "depth": net.depth, "ancillas": net.ancilla_count}
+            for net in nets]
 
 
-def _agrees(group: FiniteGroup, net: MulNetwork, total: int, draw) -> bool:
-    """Compare the network against the table fold on the sequences
+def _agrees(series: SolvableSeries, n: int, total: int, draw) -> bool:
+    """Compare the length-n network against the table fold on the sequences
     ``draw(start, stop)``, over blocks of rows covering 0..total-1."""
+    net = plan_network(series, n)
     rows = max(1, _BLOCK_CELLS // net.n_slots)
     for start in range(0, total, rows):
         seqs = draw(start, min(start + rows, total))
-        if not np.array_equal(evaluate(net, seqs), group.fold(seqs)):
+        if not np.array_equal(evaluate(net, seqs), series.group.fold(seqs)):
             return False
     return True
 
 
-def exhaustive_check(group: FiniteGroup, series: SolvableSeries, n: int) -> bool:
+def exhaustive_check(series: SolvableSeries, n: int) -> bool:
     """Compare the network against the table fold on every length-n sequence."""
-    net = plan_network(group, series, n)
-    return _agrees(group, net, group.order ** n, lambda lo, hi: np.stack(
-        np.unravel_index(np.arange(lo, hi), (group.order,) * n), axis=-1))
+    shape = (series.group.order,) * n
+    return _agrees(series, n, series.group.order ** n, lambda lo, hi: np.stack(
+        np.unravel_index(np.arange(lo, hi), shape), axis=-1))
 
 
-def random_check(group: FiniteGroup, series: SolvableSeries, n: int,
-                 trials: int, seed: int = 0) -> bool:
-    rng = np.random.default_rng(seed)
-    return _agrees(group, plan_network(group, series, n), trials,
-                   lambda lo, hi: rng.integers(0, group.order, (hi - lo, n)))
+def random_check(series: SolvableSeries, n: int, trials: int, seed: int = 0) -> bool:
+    rng, order = np.random.default_rng(seed), series.group.order
+    return _agrees(series, n, trials,
+                   lambda lo, hi: rng.integers(0, order, (hi - lo, n)))

@@ -236,19 +236,19 @@ def test_criterion_9_solvable_groups():
     ok = True
     details = []
     for name, make in GROUPS_CASES:
-        g, series = make()
+        series = make()
         n = 1
-        while g.order ** (n + 1) <= 100_000:
+        while series.group.order ** (n + 1) <= 100_000:
             n += 1
         for m in range(1, n + 1):
-            if not groups.exhaustive_check(g, series, m):
+            if not groups.exhaustive_check(series, m):
                 ok = False
                 details.append(f"{name} exhaustive n={m}")
         for m in (16, 64, 256):
-            if not groups.random_check(g, series, m, trials=1000, seed=m):
+            if not groups.random_check(series, m, trials=1000, seed=m):
                 ok = False
                 details.append(f"{name} random n={m}")
-        rows = groups.depth_report(g, series, [16, 64, 256])
+        rows = groups.depth_report(series, [16, 64, 256])
         if len({r["depth"] for r in rows}) != 1:
             ok = False
             details.append(f"{name} depth varies")

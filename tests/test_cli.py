@@ -474,6 +474,14 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
         assert rc == 0, (argv, err)
 
 
+def test_readme_python_blocks_run():
+    blocks = Path(__file__).parents[1].joinpath("README.md").read_text() \
+        .split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("restarts", ["0", "-2"])
 def test_synth_rejects_restarts_below_one(capsys, restarts):
     rc, stdout, err = run(capsys, "synth", "--code", "toric", "--size", "3",
@@ -555,8 +563,8 @@ def test_synth_then_verify_smoke(family, size, strategy, tmp_path, capsys):
 
 
 def test_groups_file_round_trip(tmp_path, capsys):
-    from fdsc import groups as G
-    g, series = G.make_dihedral(3)
+    series = groups.make_dihedral(3)
+    g = series.group
     path = tmp_path / "d3.json"
     path.write_text(json.dumps({"order": g.order, "table": g.table.tolist(),
                                 "series": [list(s) for s in series.subgroups]}))
@@ -610,6 +618,25 @@ def test_groups_trivial_group_file(tmp_path, capsys):
                         "--lengths", "1,2,5")
     assert rc == 0
     assert stdout.splitlines() == ["n,depth,ancillas", "1,1,1", "2,1,1", "5,1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "dihedral:8", "--lengths", "2,3,4"),
+    ("--group", "dihedral:64", "--lengths", "16,64,256", "--trials", "500"),
+    ("--group", "abelian:2,4", "--lengths", "4,16,64,256", "--trials", "500"),
+    ("--group", "file:{path}", "--lengths", "2,3,5", "--trials", "5"),
+])
+def test_groups_validates_the_series_once(tmp_path, capsys, monkeypatch, argv):
+    # the series is checked when it is made, not again for each length
+    calls = []
+    real = groups.SolvableSeries.validate
+    monkeypatch.setattr(groups.SolvableSeries, "validate",
+                        lambda *a: calls.append(a) or real(*a))
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps(FUZZ_DOCS["group"]))
+    rc, _, err = run(capsys, "groups", *(a.format(path=path) for a in argv))
+    assert rc == 0, err
+    assert len(calls) == 1
 
 
 # Each asks numpy for one array beyond the 128 TiB user address space
@@ -735,13 +762,13 @@ def _fuzz_run(tmp_dir, reader, doc):
     return rc
 
 
-_D3, _D3_SERIES = groups.make_dihedral(3)
+_D3_SERIES = groups.make_dihedral(3)
 FUZZ_DOCS = {
     "code": {**json.loads(css.serialize_code(css.build_toric(2))),
              "family": "custom", "params": {}},
     "circuit": json.loads(synth.serialize_circuit(
         synth.synthesize(css.build_toric(2), "toric_comb"))),
-    "group": {"order": 6, "table": _D3.table.tolist(),
+    "group": {"order": 6, "table": _D3_SERIES.group.table.tolist(),
               "series": [list(s) for s in _D3_SERIES.subgroups]},
 }
 FUZZ_ARGV = {
