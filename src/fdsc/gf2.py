@@ -214,19 +214,13 @@ def nnz(m: BitMatrix) -> int:
     return int(np.bitwise_count(m.data).sum())
 
 
-def right_inverse(m: BitMatrix, pivot_order: str = "forward") -> BitMatrix:
+def right_inverse(m: BitMatrix) -> BitMatrix:
     """Any R with m @ R = I, via Gauss-Jordan with column pivoting.
-
-    ``pivot_order`` selects the column scan direction ("forward" or
-    "reverse"); different orders may return different right inverses.
     Raises RankDeficient unless m has full row rank.
     """
-    if pivot_order not in ("forward", "reverse"):
-        raise ValueError(pivot_order)
-    cols = range(m.cols) if pivot_order == "forward" else range(m.cols - 1, -1, -1)
     # [m | I] with the identity starting at a word boundary
     aug = np.hstack([m.data, BitMatrix.identity(m.rows).data])
-    pivots = _eliminate(aug, cols, reduced=True)
+    pivots = _eliminate(aug, range(m.cols), reduced=True)
     if len(pivots) < m.rows:
         raise RankDeficient(f"rank {len(pivots)} < {m.rows} rows")
     out = BitMatrix(m.cols, m.rows)

@@ -9,7 +9,6 @@ nonzero entries are exactly the CX gates of the one-layer circuit.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,44 +36,29 @@ class InternalInvariantViolation(AssertionError):
     breaks the one-gate-per-nonzero rule (indicates a code bug)."""
 
 
-@dataclass(frozen=True)
-class SubsetS:
-    """Sorted qubit indices whose A-rows form a basis of the row space."""
-
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a >= b for a, b in itertools.pairwise(self.qubits)):
-            raise InvalidSubset("subset qubits must be strictly increasing")
-
-    def __len__(self):
-        return len(self.qubits)
-
-
 @dataclass(frozen=True, eq=False)
 class FdscCircuit:
     """Initial |+>/|0> assignment plus one commuting CX layer.
 
     Controls always lie in ``plus_qubits`` and targets outside it, so all
-    gates commute pairwise.  The gates are held as ``pairs``, one read-only
+    gates commute pairwise.  ``plus_qubits`` is held as one read-only int64
+    array, strictly increasing, and the gates as ``pairs``, one read-only
     m x 2 int64 array of (control, target) rows, strictly increasing in
-    (control, target) order; the constructor takes any sequence of pairs
-    or such an array, and sorts it only if it is not sorted already.
-    ``gates`` is the same layer as a tuple of int pairs, built on request.
+    (control, target) order.  The constructor takes any integer sequences
+    or arrays in that order and rejects any other order.  ``gates`` is the
+    same layer as a tuple of int pairs, built on request.
     """
 
     n_qubits: int
-    plus_qubits: tuple[int, ...]
+    plus_qubits: np.ndarray
     pairs: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        plus = np.sort(np.asarray(self.plus_qubits, dtype=np.int64))
+        plus = np.asarray(self.plus_qubits, dtype=np.int64)
         pairs = np.asarray(self.pairs, dtype=np.int64)
         pairs = pairs.reshape(len(pairs), 2)   # no gates: shape (0,) to (0, 2)
-        if np.any(plus[1:] == plus[:-1]):
-            raise ValueError("a plus qubit is listed twice")
-        if plus.size and not 0 <= plus[0] <= plus[-1] < self.n_qubits:
+        if ((plus < 0) | (plus >= self.n_qubits)).any():
             raise ValueError("plus qubit outside the register")
         c, t = pairs.T
         bad = (t < 0) | (t >= self.n_qubits) | ~np.isin(c, plus) | np.isin(t, plus)
@@ -83,21 +67,27 @@ class FdscCircuit:
             raise ValueError(f"gate ({c},{t}) breaks the one-layer structure "
                              f"(control in the plus set, target in the "
                              f"register outside it)")
-        step = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
-        if not step.all():
-            pairs = pairs[np.lexsort((t, c))]
-            same = np.all(pairs[1:] == pairs[:-1], axis=1)
-            if same.any():
-                c, t = pairs[same.argmax()]
-                raise ValueError(f"gate ({c},{t}) repeated; equal CX gates cancel")
-        pairs = pairs.view()
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
+        # each plus qubit and each gate strictly after the one before it, in
+        # (first column, last column) order: (control, target) for gates
+        for rows, name, why in ((plus.reshape(len(plus), 1), "plus qubit %d", ""),
+                                (pairs, "gate (%d,%d)", "; equal CX gates cancel")):
+            hi, lo = rows[:, 0], rows[:, -1]
+            up = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
+            if not up.all():
+                j = up.argmin() + 1
+                raise ValueError(name % tuple(rows[j].tolist()) + (
+                    " repeated" + why if (rows[j] == rows[j - 1]).all()
+                    else " out of increasing order"))
+        for name, a in (("plus_qubits", plus), ("pairs", pairs)):
+            a = a.view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FdscCircuit)
-                and (self.n_qubits, self.plus_qubits, self.metadata)
-                == (other.n_qubits, other.plus_qubits, other.metadata)
+                and (self.n_qubits, self.metadata)
+                == (other.n_qubits, other.metadata)
+                and np.array_equal(self.plus_qubits, other.plus_qubits)
                 and np.array_equal(self.pairs, other.pairs))
 
     @property
@@ -113,18 +103,9 @@ class FdscCircuit:
 # -- subset selection ------------------------------------------------------
 
 
-def check_subset(code: CssCode, s: SubsetS) -> bool:
-    """Both rank conditions, |S| = rank(pi_S A) = rank(A): exactly when
-    the reconstruction solve succeeds."""
-    try:
-        build_reconstruction(code, s)
-    except InvalidSubset:
-        return False
-    return True
-
-
-def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
-    """Greedy scan keeping each qubit whose A-row is independent so far.
+def greedy_select(code: CssCode, seed: Optional[int] = None) -> np.ndarray:
+    """Greedy scan keeping each qubit whose A-row is independent so far, as
+    a sorted int64 array.
 
     ``seed=None`` scans qubits in index order (deterministic mode); an int
     seed scans a seeded random permutation.  Always reaches |S| = rank(A)
@@ -133,7 +114,8 @@ def greedy_select(code: CssCode, seed: Optional[int] = None) -> SubsetS:
     order = list(range(code.n_qubits))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    return SubsetS(tuple(sorted(gf2.row_rank_profile(code.x_stabs.packed(), order))))
+    return np.sort(np.array(gf2.row_rank_profile(code.x_stabs.packed(), order),
+                            dtype=np.int64))
 
 
 def toric_comb_qubits(code: CssCode) -> np.ndarray:
@@ -196,25 +178,27 @@ LATTICE = {"toric_comb": ("toric", toric_comb_qubits),
 STRATEGIES = ("greedy", *LATTICE)
 
 
-def tree_select(code: CssCode, strategy: str) -> SubsetS:
-    """The named lattice construction, on a code of its family.  The
-    reconstruction solve that follows selection in ``synthesize``
-    validates the subset."""
+def tree_select(code: CssCode, strategy: str) -> np.ndarray:
+    """The named lattice construction, on a code of its family, as a sorted
+    int64 array.  The reconstruction solve that follows selection in
+    ``synthesize`` validates the subset."""
     if strategy not in LATTICE:
         raise IncompatibleStrategy(f"unknown strategy {strategy!r}")
     family, qubits = LATTICE[strategy]
     if code.family != family or "L" not in code.params:
         raise IncompatibleStrategy(
             f"{strategy} needs a {family} code with lattice size params")
-    return SubsetS(tuple(np.sort(qubits(code)).tolist()))
+    return np.sort(qubits(code))
 
 
 # -- reconstruction --------------------------------------------------------
 
 
-def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
+def build_reconstruction(code: CssCode, s) -> BitMatrix:
     """The columns of the unique N x |S| matrix M with M pi_S A = A, as the
     rows of an |S| x N matrix (row j is column j of M, for S member j).
+    ``s`` is any integer sequence or array, strictly increasing within
+    0..N-1.
 
     Peeling: while some unused X generator g has exactly one unresolved S
     member s, resolve s by g: column s of M is A[:, g] XOR the columns of
@@ -225,12 +209,14 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     pi_U A[:, G'].  A complete peel plus a full-row-rank core make
     pi_S A full row rank, so the final check that every non-pivot
     generator equals the XOR of M's columns over its S members holds
-    exactly when rank(A) = |S|.  Raises InvalidSubset otherwise.
+    exactly when rank(A) = |S|.  Raises InvalidSubset otherwise, or when
+    ``s`` is not strictly increasing within 0..N-1.
     """
     n, k = code.n_qubits, code.n_x
-    cols = np.asarray(s.qubits, dtype=np.int64)
-    if cols.size and not 0 <= cols[0] <= cols[-1] < n:
-        raise InvalidSubset("subset qubit outside the register")
+    cols = np.asarray(s, dtype=np.int64)
+    if cols.size and (cols[0] < 0 or cols[-1] >= n
+                      or not np.all(cols[1:] > cols[:-1])):
+        raise InvalidSubset(f"subset must increase strictly within 0..{n - 1}")
     a = code.x_stabs
     gen_cols = a.restrict(cols)   # each generator's S members
     col_gens = gen_cols.transpose()
@@ -282,25 +268,24 @@ def build_reconstruction(code: CssCode, s: SubsetS) -> BitMatrix:
     return mt
 
 
-def emit_circuit(code: CssCode, s: SubsetS, mt: BitMatrix,
+def emit_circuit(code: CssCode, s: np.ndarray, mt: BitMatrix,
                  metadata: Optional[dict] = None) -> FdscCircuit:
     """One CX per off-S nonzero of the reconstruction matrix, read from its
-    columns (``mt`` as returned by ``build_reconstruction``).  The rows of
-    ``mt`` follow the sorted subset and ``gf2.nonzero`` scans row-major, so
-    the (control, target) array comes out sorted and the circuit keeps it
-    as it is."""
-    controls = np.asarray(s.qubits, dtype=np.int64)
+    columns (``mt`` as returned by ``build_reconstruction`` for the subset
+    array ``s``, which are the controls).  The rows of ``mt`` follow the
+    sorted subset and ``gf2.nonzero`` scans row-major, so the (control,
+    target) array comes out sorted, as the circuit requires."""
     in_s = np.zeros(code.n_qubits, dtype=bool)
-    in_s[controls] = True
+    in_s[s] = True
     col, t = gf2.nonzero(mt)
     off = ~in_s[t]
-    pairs = np.column_stack((controls[col[off]], t[off]))
-    if len(pairs) != len(col) - len(controls):
+    pairs = np.column_stack((s[col[off]], t[off]))
+    if len(pairs) != len(col) - len(s):
         raise InternalInvariantViolation(
-            f"gate count {len(pairs)} != nnz - |S| = {len(col) - len(controls)}")
+            f"gate count {len(pairs)} != nnz - |S| = {len(col) - len(s)}")
     meta = dict(metadata or {})
     meta["gate_count"] = len(pairs)
-    return FdscCircuit(code.n_qubits, s.qubits, pairs, meta)
+    return FdscCircuit(code.n_qubits, s, pairs, meta)
 
 
 def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
@@ -382,7 +367,7 @@ def serialize_circuit(circ: FdscCircuit) -> str:
     so its list is formatted 2^16 pairs at a time and spliced in front of
     the rest of the document, which ``css.dump_json`` writes."""
     rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
-                          "plus_qubits": circ.plus_qubits,
+                          "plus_qubits": circ.plus_qubits.tolist(),
                           "metadata": circ.metadata})
     blocks = np.split(circ.pairs, range(1 << 16, len(circ.pairs), 1 << 16))
     gates = ",".join(",".join(["[%d,%d]"] * len(b)) % tuple(b.ravel().tolist())
@@ -405,6 +390,6 @@ def parse_circuit(text: str) -> FdscCircuit:
         raise css.ParseError("metadata must be a JSON object")
     css.index_lists("gates", gates, width=2)
     try:
-        return FdscCircuit(n, tuple(plus), gates, meta)
+        return FdscCircuit(n, plus, gates, meta)
     except (ValueError, OverflowError) as e:   # OverflowError: beyond int64
         raise css.ParseError(f"bad circuit document: {e}") from e

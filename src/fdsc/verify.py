@@ -51,11 +51,10 @@ class VerifyReport:
 
 def final_state(circ: FdscCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The output state in CSS form, as int64 arrays (plus, controls,
-    targets): |+> on ``plus``, |0> elsewhere, then CX(controls[i],
-    targets[i]) for every i.  M_c is the identity on the ``plus`` rows plus
-    a 1 at (targets[i], controls[i])."""
-    return (np.asarray(circ.plus_qubits, dtype=np.int64),
-            circ.pairs[:, 0], circ.pairs[:, 1])
+    targets), ``plus`` sorted: |+> on ``plus``, |0> elsewhere, then
+    CX(controls[i], targets[i]) for every i.  M_c is the identity on the
+    ``plus`` rows plus a 1 at (targets[i], controls[i])."""
+    return circ.plus_qubits, circ.pairs[:, 0], circ.pairs[:, 1]
 
 
 def _failed_generators(gens: Supports, src: np.ndarray, dst: np.ndarray,
@@ -108,7 +107,6 @@ def circuit_statevector(circ: FdscCircuit) -> np.ndarray:
     if circ.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={circ.n_qubits} > {STATEVECTOR_CAP}")
     plus, controls, targets = (a.astype(np.uint64) for a in final_state(circ))
-    plus = np.sort(plus)
     columns = np.uint64(1) << plus
     np.bitwise_or.at(columns, np.searchsorted(plus, controls),
                      np.uint64(1) << targets)

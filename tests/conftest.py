@@ -1,5 +1,6 @@
 """Shared test helpers: dense-elimination oracles (rank, subset,
-reconstruction, verification), a per-gate circuit check, the per-entry
+reconstruction, verification), the right inverse with the reverse pivot
+order, a per-gate circuit check, the per-entry
 code-file rules, codes from dense arrays, random codes (small ones, and
 hypergraph products of random regular classical codes), and the
 hypothesis profile every property runs under.
@@ -16,7 +17,7 @@ import itertools
 import numpy as np
 from hypothesis import settings
 
-from fdsc import css
+from fdsc import css, gf2
 from fdsc.gf2 import BitMatrix
 
 # Every property draws the same examples on every run: no example
@@ -191,12 +192,21 @@ def padding_ok(m: BitMatrix) -> bool:
     return bool(np.all(m.data[:, -1] & ~mask == 0))
 
 
+def reverse_pivot_right_inverse(a) -> BitMatrix:
+    """A right inverse of the dense 0/1 matrix ``a`` by Gauss-Jordan with
+    its columns scanned last to first: ``gf2.right_inverse`` of the
+    column-reversed matrix, with the rows of the result reversed back."""
+    r = gf2.right_inverse(BitMatrix.from_dense(np.asarray(a)[:, ::-1]))
+    return BitMatrix.from_dense(r.to_dense()[::-1])
+
+
 def circuit_oracle(n_qubits, plus_qubits, gates):
-    """The one-layer circuit checks, one gate tuple at a time: the sorted
-    gate tuple, or ValueError where ``FdscCircuit`` must reject."""
+    """The one-layer circuit checks, one qubit and one gate tuple at a
+    time: the gate tuple as given, or ValueError where ``FdscCircuit``
+    must reject."""
+    if any(p >= q for p, q in itertools.pairwise(plus_qubits)):
+        raise ValueError("plus qubits not strictly increasing")
     plus = set(plus_qubits)
-    if len(plus) != len(plus_qubits):
-        raise ValueError("a plus qubit is listed twice")
     if plus and not all(0 <= q < n_qubits for q in plus):
         raise ValueError("plus qubit outside the register")
     for c, t in gates:
@@ -204,7 +214,7 @@ def circuit_oracle(n_qubits, plus_qubits, gates):
             raise ValueError(f"gate target {t} outside the register")
         if c not in plus or t in plus:
             raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
-    gates = tuple(sorted(gates))
-    if any(g == h for g, h in itertools.pairwise(gates)):
-        raise ValueError("gate repeated")
+    gates = tuple(gates)
+    if any(g >= h for g, h in itertools.pairwise(gates)):
+        raise ValueError("gates not strictly increasing")
     return gates

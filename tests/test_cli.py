@@ -94,11 +94,29 @@ def test_verify_rejects_repeated_gate(tmp_path, capsys):
     # two equal CX gates cancel, so the file does not describe the GHZ state
     circ = tmp_path / "ghz3.json"
     circ.write_text(json.dumps({"version": 1, "n_qubits": 3, "plus_qubits": [0],
-                                "gates": [[0, 1], [0, 2], [0, 1]]}))
+                                "gates": [[0, 1], [0, 1], [0, 2]]}))
     rc, stdout, err = run(capsys, "verify", "--circuit", str(circ), "--code",
                           "ghz", "--size", "3")
     assert rc == 2
-    assert stdout == "" and "repeated" in err
+    assert stdout == "" and "gate (0,1) repeated" in err
+
+
+@pytest.mark.parametrize("field", ["gates", "plus_qubits"])
+def test_verify_rejects_out_of_order_circuit(tmp_path, capsys, field):
+    # a circuit file lists its plus qubits and its gates in increasing
+    # order; the reader rejects any other order rather than repairing it,
+    # even where the reordered layer would pass
+    out = tmp_path / "t.json"
+    run(capsys, "synth", "--code", "toric", "--size", "3",
+        "--strategy", "toric_comb", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc[field] = doc[field][::-1]
+    out.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(out), "--code",
+                          "toric", "--size", "3")
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: bad circuit document: ")
+    assert err.endswith(" out of increasing order\n") and err.count("\n") == 1
 
 
 def test_verify_garbage_file(tmp_path, capsys):

@@ -406,8 +406,11 @@ def increasing_chains(subgroups, chain):
 
 def test_every_subgroup_chain_is_rejected_or_planned_correctly():
     # a chain fails on construction, or every network planned from it agrees
-    # with the table fold: validation is the planner's only guard
-    total, valid, failures = 0, 0, set()
+    # with the table fold and runs each combine layer over a commutative
+    # table, so that layer is one simultaneous step: validation is the
+    # planner's only guard, and a sequential fold would not notice a
+    # non-abelian combine table
+    total, valid, combines, failures = 0, 0, 0, set()
     for g in (make_dihedral(4).group, make_dihedral(6).group,
               make_abelian([2, 4]).group):
         subgroups = all_subgroups(g)
@@ -420,7 +423,12 @@ def test_every_subgroup_chain_is_rejected_or_planned_correctly():
                 continue
             valid += 1
             assert all(groups.exhaustive_check(series, n) for n in (1, 2, 3)), chain
-    assert (total, valid) == (62, 29)
+            for n in (1, 2, 3):
+                tables = [nodes.table for layer in plan_network(series, n).layers
+                          for nodes in layer if nodes.combine]
+                combines += len(tables)
+                assert all(np.array_equal(t, t.T) for t in tables), chain
+    assert (total, valid, combines) == (62, 29, 219)
     assert failures == {"subgroup not normal", "quotient is not abelian"}
 
 

@@ -9,29 +9,30 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
-                      dense_reconstruction, random_css_code)
+                      dense_reconstruction, random_css_code,
+                      reverse_pivot_right_inverse)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
-                        SizeNotPowerOfTwo, SubsetS, build_reconstruction,
-                        check_subset, emit_circuit, greedy_select, synthesize,
-                        tree_select)
+                        SizeNotPowerOfTwo, build_reconstruction, emit_circuit,
+                        greedy_select, synthesize, tree_select)
 
 
 def test_greedy_ghz_deterministic():
-    assert greedy_select(css.build_ghz(4)).qubits == (0,)
+    s = greedy_select(css.build_ghz(4))
+    assert s.dtype == np.int64 and s.tolist() == [0]
 
 
 def test_greedy_toric_l2():
     code = css.build_toric(2)
     s = greedy_select(code)
     assert len(s) == 3
-    assert check_subset(code, s)
+    build_reconstruction(code, s)
 
 
 def test_greedy_no_x_stabilizers():
     code = dense_code(np.zeros((2, 0)), [[1], [1]])
-    assert greedy_select(code).qubits == ()
+    assert greedy_select(code).tolist() == []
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -40,14 +41,14 @@ def test_greedy_seeded_satisfies_conditions(seed):
     code = random_css_code(rng)
     s = greedy_select(code, seed=seed)
     assert len(s) == gf2.rank(BitMatrix.from_dense(code.x_stabs.to_dense()))
-    assert check_subset(code, s)
+    build_reconstruction(code, s)
 
 
 def test_tree_select_comb_l2():
     code = css.build_toric(2)
     s = tree_select(code, "toric_comb")
     assert len(s) == 3
-    assert check_subset(code, s)
+    build_reconstruction(code, s)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
@@ -55,7 +56,7 @@ def test_comb_is_spanning_tree(L):
     code = css.build_toric(L)
     s = tree_select(code, "toric_comb")
     assert len(s) == L * L - 1
-    assert check_subset(code, s)
+    build_reconstruction(code, s)
 
 
 @pytest.mark.parametrize("L", [2, 4, 8, 16])
@@ -89,7 +90,7 @@ def test_strategy_family_mismatch():
 def test_xcube_subset_conditions(L):
     code = css.build_xcube(L)
     s = tree_select(code, "xcube_dual_trees")
-    assert check_subset(code, s)
+    build_reconstruction(code, s)
 
 
 @pytest.mark.parametrize("L", range(2, 9))
@@ -102,13 +103,13 @@ def test_xcube_subset_closed_form(L):
                   + [css.qubit_index("xcube", L, 0, y, z, 0) for y in r for z in r]
                   + [css.qubit_index("xcube", L, x, 0, z, 1) for x in r for z in r])
     s = tree_select(css.build_xcube(L), "xcube_dual_trees")
-    assert s.qubits == tuple(want)
+    assert s.dtype == np.int64 and s.tolist() == want
     assert len(s) == (L - 1) ** 2 * (L + 2)
 
 
 def test_reconstruction_ghz_all_ones():
     code = css.build_ghz(4)
-    m = build_reconstruction(code, SubsetS((0,)))
+    m = build_reconstruction(code, [0])
     assert m.to_dense().T.tolist() == [[1], [1], [1], [1]]
 
 
@@ -119,7 +120,7 @@ def test_reconstruction_unit_rows_on_s(seed):
     s = greedy_select(code)
     m = build_reconstruction(code, s)
     dense = m.to_dense().T
-    for col, q in enumerate(s.qubits):
+    for col, q in enumerate(s):
         expected = np.zeros(len(s), dtype=np.uint8)
         expected[col] = 1
         assert np.array_equal(dense[q], expected)
@@ -137,15 +138,15 @@ def test_reconstruction_image_equals_code_image():
 def test_reconstruction_rejects_bad_subset():
     code = css.build_toric(2)
     with pytest.raises(InvalidSubset):
-        build_reconstruction(code, SubsetS((0, 1)))
+        build_reconstruction(code, [0, 1])
 
 
 def right_inverse_products(code, s):
-    """Dense A (pi_S A)^+ for both pivot orders of gf2.right_inverse."""
-    a = BitMatrix.from_dense(code.x_stabs.to_dense())
-    sub = BitMatrix.from_dense(a.to_dense()[list(s.qubits)])
-    return [gf2.mul(a, gf2.right_inverse(sub, pivot_order=o)).to_dense()
-            for o in ("forward", "reverse")]
+    """Dense A (pi_S A)^+ for both pivot orders of the right inverse."""
+    a = code.x_stabs.to_dense()
+    return [gf2.mul(BitMatrix.from_dense(a), r).to_dense()
+            for r in (gf2.right_inverse(BitMatrix.from_dense(a[s])),
+                      reverse_pivot_right_inverse(a[s]))]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -161,7 +162,7 @@ def test_reconstruction_pivot_order_independent(seed):
 def test_solve_matches_dense_oracle(monkeypatch):
     """Random codes with greedy subsets, as chosen or with a member
     dropped, swapped or added: InvalidSubset is raised exactly when a rank
-    condition fails, check_subset agrees, and a valid M equals A R.  The
+    condition fails, and a valid M equals A R.  The
     peel stalls on some codes, so the dense core runs on valid and on
     perturbed subsets alike."""
     runs = collections.Counter()
@@ -180,7 +181,7 @@ def test_solve_matches_dense_oracle(monkeypatch):
     def check(seed, change, pick):
         code = random_css_code(np.random.default_rng(seed))
         a = code.x_stabs.to_dense()
-        qubits = list(greedy_select(code).qubits)
+        qubits = greedy_select(code).tolist()
         others = [q for q in range(code.n_qubits) if q not in qubits]
         if change in ("drop", "swap") and qubits:
             removed = qubits.pop(pick % len(qubits))
@@ -188,8 +189,8 @@ def test_solve_matches_dense_oracle(monkeypatch):
                 qubits.append(others[pick % len(others)] if others else removed)
         elif change == "add" and others:
             qubits.append(others[pick % len(others)])
-        s = SubsetS(tuple(sorted(qubits)))
-        valid = dense_rank(a[list(s.qubits)]) == len(s) == dense_rank(a)
+        s = sorted(qubits)
+        valid = dense_rank(a[s]) == len(s) == dense_rank(a)
         before = runs["right_inverse"]
         try:
             m = build_reconstruction(code, s).to_dense().T
@@ -197,9 +198,9 @@ def test_solve_matches_dense_oracle(monkeypatch):
             m = None
         if runs["right_inverse"] > before:
             runs["core, valid" if valid else "core, invalid"] += 1
-        assert (m is not None) == valid == check_subset(code, s)
+        assert (m is not None) == valid
         if valid:
-            assert np.array_equal(m, dense_reconstruction(a, s.qubits))
+            assert np.array_equal(m, dense_reconstruction(a, s))
 
     check()
     assert runs["core, valid"] >= 15 and runs["core, invalid"] >= 15, runs
@@ -238,8 +239,8 @@ def test_emit_matches_dense_scan(family, size, strategy):
     code = css.build_family(family, size)
     s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
     m = build_reconstruction(code, s)
-    want = sorted((s.qubits[col], q) for q, col in np.argwhere(m.to_dense().T)
-                  if q not in s.qubits)
+    want = sorted((s[col], q) for q, col in np.argwhere(m.to_dense().T)
+                  if q not in s)
     circ = emit_circuit(code, s, m)
     assert circ.gates == tuple(want)
     assert all(type(q) is int for g in circ.gates for q in g)
@@ -248,16 +249,15 @@ def test_emit_matches_dense_scan(family, size, strategy):
 @pytest.mark.parametrize("qubits", [(3, 1), (1, 1), (0, 2, 2)])
 def test_subset_rejects_unsorted_or_repeated(qubits):
     with pytest.raises(InvalidSubset):
-        SubsetS(qubits)
+        build_reconstruction(css.build_toric(2), qubits)
 
 
 def test_explicit_rejects_repeated_or_outside_qubits():
     code = css.build_toric(2)
-    s = tree_select(code, "toric_comb").qubits
-    for bad in (s + (s[0],), (-1,) + s[1:], s[:-1] + (code.n_qubits,)):
+    s = tree_select(code, "toric_comb").tolist()
+    for bad in (s + [s[0]], [-1] + s[1:], s[:-1] + [code.n_qubits]):
         with pytest.raises(InvalidSubset):
-            subset = SubsetS(tuple(sorted(bad)))
-            emit_circuit(code, subset, build_reconstruction(code, subset))
+            build_reconstruction(code, sorted(bad))
 
 
 def test_builtin_subset_failing_rank_conditions_is_internal_error(monkeypatch):
@@ -271,13 +271,13 @@ def test_emit_ghz_gates():
     code = css.build_ghz(4)
     circ = synthesize(code, "greedy")
     assert circ.gates == ((0, 1), (0, 2), (0, 3))
-    assert circ.plus_qubits == (0,)
+    assert circ.plus_qubits.tolist() == [0]
 
 
 def test_emit_trivial_code():
     code = dense_code(np.zeros((3, 0)), [[1], [1], [0]])
     circ = synthesize(code, "greedy")
-    assert circ.gates == () and circ.plus_qubits == ()
+    assert circ.gates == () and circ.plus_qubits.tolist() == []
 
 
 def test_emit_gate_count_matches_nnz():
@@ -315,7 +315,7 @@ def test_explicit_strategy():
     circ = emit_circuit(code, s, build_reconstruction(code, s))
     assert circ.gate_count == synthesize(code, "toric_comb").gate_count
     with pytest.raises(InvalidSubset):
-        build_reconstruction(code, SubsetS((0, 1)))
+        build_reconstruction(code, [0, 1])
 
 
 def test_greedy_restarts_deterministic():
@@ -336,22 +336,31 @@ def test_fdsc_circuit_rejects_bad_gate():
         FdscCircuit(3, (0,), ((0, 7),))
     with pytest.raises(ValueError):
         FdscCircuit(2, (5,), ())
-    with pytest.raises(ValueError, match="repeated"):
-        FdscCircuit(3, (0,), ((0, 1), (0, 2), (0, 1)))
+    with pytest.raises(ValueError, match=r"gate \(0,1\) repeated"):
+        FdscCircuit(3, (0,), ((0, 1), (0, 1), (0, 2)))
+    with pytest.raises(ValueError, match=r"gate \(0,1\) out of increasing order"):
+        FdscCircuit(3, (0,), ((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match="plus qubit 0 out of increasing order"):
+        FdscCircuit(3, (1, 0), ())
+    with pytest.raises(ValueError, match="plus qubit 1 repeated"):
+        FdscCircuit(3, (1, 1), ())
+    circ = FdscCircuit(3, [0], [(0, 1)])
+    assert not circ.plus_qubits.flags.writeable and not circ.pairs.flags.writeable
 
 
 @strategies.composite
 def circuit_inputs(draw):
     """n <= 12, plus lists with repeats and out-of-range entries, and gate
     lists with repeats, out-of-range qubits and controls or targets on the
-    wrong side of the plus set."""
+    wrong side of the plus set.  Both lists are drawn sorted, the order
+    ``FdscCircuit`` requires; as a mutation, one of them is then shuffled."""
     n = draw(strategies.integers(0, 12))
     qubit = strategies.integers(-2, n + 1)
     stray_plus, stray = draw(strategies.sampled_from(
         [(False, False)] * 4 + [(False, True), (True, False), (True, True)]))
-    plus = draw(strategies.lists(qubit, max_size=n + 2) if stray_plus else
-                strategies.lists(strategies.integers(0, max(n - 1, 0)),
-                                 unique=True, max_size=n))
+    plus = sorted(draw(strategies.lists(qubit, max_size=n + 2) if stray_plus else
+                       strategies.lists(strategies.integers(0, max(n - 1, 0)),
+                                        unique=True, max_size=n)))
     others = [q for q in range(n) if q not in plus]
 
     def side(qubits):
@@ -360,9 +369,14 @@ def circuit_inputs(draw):
         inside = strategies.sampled_from(qubits)
         return strategies.one_of(inside, qubit) if stray else inside
 
-    gates = draw(strategies.lists(
+    gates = sorted(draw(strategies.lists(
         strategies.tuples(side(plus), side(others)), max_size=3 * n + 2,
-        unique=draw(strategies.booleans())))
+        unique=draw(strategies.booleans()))))
+    shuffle = draw(strategies.sampled_from([None] * 4 + ["plus", "gates"]))
+    if shuffle == "plus":
+        plus = draw(strategies.permutations(plus))
+    elif shuffle == "gates":
+        gates = draw(strategies.permutations(gates))
     return n, tuple(plus), gates
 
 
@@ -380,7 +394,7 @@ def test_fdsc_circuit_matches_per_gate_checks(case):
                 FdscCircuit(n, plus, form)
             continue
         circ = FdscCircuit(n, plus, form)
-        assert circ.gates == want
+        assert circ.gates == want and circ.plus_qubits.tolist() == list(plus)
         assert circ.pairs.dtype == np.int64 and circ.pairs.shape == (len(want), 2)
         c, t = circ.pairs.T
         assert np.all((c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1])))
@@ -392,17 +406,25 @@ def test_serialize_circuit_matches_json_of_tuples(m):
     circ = FdscCircuit(2 ** 16 + 2, (0,), [(0, t) for t in range(1, m + 1)],
                        {"strategy": "star"})
     doc = {"version": 1, "n_qubits": circ.n_qubits,
-           "plus_qubits": circ.plus_qubits, "gates": circ.gates,
+           "plus_qubits": circ.plus_qubits.tolist(), "gates": circ.gates,
            "metadata": circ.metadata}
     assert synth.serialize_circuit(circ) == json.dumps(
         doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_circuit_serialization_round_trip():
-    code = css.build_toric(2)
-    circ = synthesize(code, "toric_comb")
-    again = synth.parse_circuit(synth.serialize_circuit(circ))
-    assert again == circ
+    # each strategy's circuit file reads back to the same circuit, and
+    # writes out again byte for byte
+    for family, size, strategy in (("toric", 4, "toric_comb"),
+                                   ("toric", 4, "toric_recursive"),
+                                   ("xcube", 3, "xcube_dual_trees"),
+                                   ("haah", 2, "haah_canonical"),
+                                   ("ghz", 5, "greedy")):
+        circ = synthesize(css.build_family(family, size), strategy)
+        text = synth.serialize_circuit(circ)
+        again = synth.parse_circuit(text)
+        assert again == circ
+        assert synth.serialize_circuit(again) == text
 
 
 @pytest.mark.parametrize("family, size, strategy, digest", [
@@ -438,6 +460,8 @@ GHZ3_CIRCUIT = {"version": 1, "n_qubits": 3, "plus_qubits": [0],
     {"metadata": [["strategy", "greedy"]]},
     {"gates": [[0, 1], [0, 2 ** 70]]},                 # beyond int64
     {"plus_qubits": [2 ** 70]},
+    {"gates": [[0, 2], [0, 1]]},                       # gates out of order
+    {"plus_qubits": [1, 0], "gates": [[0, 2], [1, 2]]},  # plus out of order
 ])
 def test_parse_circuit_rejects_instead_of_repairing(change):
     assert synth.parse_circuit(json.dumps(GHZ3_CIRCUIT)).gates == ((0, 1), (0, 2))
@@ -469,9 +493,8 @@ def test_phi_single_seed_fractal_vs_reconstruction():
     # slot-1 subset: the potential solve is an independent route to M_S columns
     L = 4
     code = css.build_haah(L)
-    s1 = SubsetS(tuple(sorted(css.qubit_index("haah", L, x, y, z, 0)
-                              for x in range(L) for y in range(L)
-                              for z in range(L))))
+    s1 = sorted(css.qubit_index("haah", L, x, y, z, 0)
+                for x in range(L) for y in range(L) for z in range(L))
     m = build_reconstruction(code, s1)
     dense = m.to_dense().T
     z1 = np.zeros(L ** 3, dtype=np.uint8)
@@ -479,7 +502,7 @@ def test_phi_single_seed_fractal_vs_reconstruction():
     phi = synth.haah_phi_solve(L, z1)
     assert phi[0] == 1
     expected = synth.haah_z_from_phi(L, phi)
-    col = list(s1.qubits).index(css.qubit_index("haah", L, 0, 0, 0, 0))
+    col = s1.index(css.qubit_index("haah", L, 0, 0, 0, 0))
     assert np.array_equal(dense[:, col], expected)
     # support grows with distance from the seeded corner
     shell = [expected[2 * v:2 * v + 2].sum()

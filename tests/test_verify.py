@@ -9,7 +9,7 @@ import tableau_oracle as tableau
 from conftest import dense_code, dense_rank, random_css_code
 from fdsc import css, gf2, synth, verify
 from fdsc.gf2 import BitMatrix
-from fdsc.synth import FdscCircuit, SubsetS
+from fdsc.synth import FdscCircuit
 from fdsc.verify import TooLarge, statevector_check, verify_circuit
 from tableau_oracle import (InvalidLayer, SymplecticState, apply_cx_layer,
                             contains_stabilizer, initial_state)
@@ -242,7 +242,8 @@ def one_gate_mutants(circ, seed, count):
             i = int(rng.integers(len(circ.gates)))
             gates = circ.gates[:i] + circ.gates[i + 1:]
         else:
-            gates = circ.gates + (absent[int(rng.integers(len(absent)))],)
+            added = absent[int(rng.integers(len(absent)))]
+            gates = tuple(sorted(circ.gates + (added,)))
         yield FdscCircuit(circ.n_qubits, circ.plus_qubits, gates, {})
 
 
@@ -287,7 +288,7 @@ def test_matches_oracles_on_random_layers(seed, synthesized, flips):
             gates = {p for p in pairs if rng.random() < 0.3}
         for _ in range(flips):
             gates ^= {pairs[int(rng.integers(len(pairs)))]}
-    assert_matches_oracles(code, FdscCircuit(n, plus, tuple(gates)))
+    assert_matches_oracles(code, FdscCircuit(n, plus, sorted(gates)))
 
 
 # -- state-vector oracle ------------------------------------------------------
