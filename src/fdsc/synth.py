@@ -45,8 +45,11 @@ class FdscCircuit:
     array, strictly increasing, and the gates as ``pairs``, one read-only
     m x 2 int64 array of (control, target) rows, strictly increasing in
     (control, target) order.  The constructor takes any integer sequences
-    or arrays in that order and rejects any other order.  ``gates`` is the
-    same layer as a tuple of int pairs, built on request.
+    or arrays in that order and rejects any other order.  Both are
+    read-only views of int64 arrays passed in, which the caller must not
+    change afterwards (``emit_circuit`` and ``parse_circuit`` pass arrays
+    nobody else holds).  ``gates`` is the same layer as a tuple of int
+    pairs, built on request.
     """
 
     n_qubits: int
@@ -67,17 +70,18 @@ class FdscCircuit:
             raise ValueError(f"gate ({c},{t}) breaks the one-layer structure "
                              f"(control in the plus set, target in the "
                              f"register outside it)")
-        # each plus qubit and each gate strictly after the one before it, in
-        # (first column, last column) order: (control, target) for gates
-        for rows, name, why in ((plus.reshape(len(plus), 1), "plus qubit %d", ""),
-                                (pairs, "gate (%d,%d)", "; equal CX gates cancel")):
-            hi, lo = rows[:, 0], rows[:, -1]
-            up = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
-            if not up.all():
-                j = up.argmin() + 1
-                raise ValueError(name % tuple(rows[j].tolist()) + (
-                    " repeated" + why if (rows[j] == rows[j - 1]).all()
-                    else " out of increasing order"))
+        down = np.flatnonzero(plus[1:] <= plus[:-1])
+        if down.size:
+            q, before = plus[down[0] + 1], plus[down[0]]
+            raise ValueError(f"plus qubit {q} repeated" if q == before
+                             else f"plus qubit {q} out of increasing order")
+        up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
+        if not up.all():
+            j = up.argmin() + 1
+            gate = f"gate ({c[j]},{t[j]})"
+            raise ValueError(f"{gate} repeated; equal CX gates cancel"
+                             if (pairs[j] == pairs[j - 1]).all()
+                             else f"{gate} out of increasing order")
         for name, a in (("plus_qubits", plus), ("pairs", pairs)):
             a = a.view()
             a.flags.writeable = False
@@ -275,6 +279,7 @@ def emit_circuit(code: CssCode, s: np.ndarray, mt: BitMatrix,
     array ``s``, which are the controls).  The rows of ``mt`` follow the
     sorted subset and ``gf2.nonzero`` scans row-major, so the (control,
     target) array comes out sorted, as the circuit requires."""
+    s = s.copy()   # the circuit's own plus qubits, O(|S|)
     in_s = np.zeros(code.n_qubits, dtype=bool)
     in_s[s] = True
     col, t = gf2.nonzero(mt)

@@ -252,6 +252,24 @@ def test_subset_rejects_unsorted_or_repeated(qubits):
         build_reconstruction(css.build_toric(2), qubits)
 
 
+def test_subset_rejects_valid_members_out_of_order():
+    code = css.build_toric(2)
+    s = tree_select(code, "toric_comb")
+    build_reconstruction(code, s)
+    for bad in (s[::-1], np.concatenate((s[1:2], s[:1], s[2:]))):
+        with pytest.raises(InvalidSubset, match="increase strictly"):
+            build_reconstruction(code, bad)
+
+
+def test_circuit_keeps_its_own_plus_qubits():
+    code = css.build_toric(3)
+    s = greedy_select(code)
+    circ = emit_circuit(code, s, build_reconstruction(code, s))
+    want = s.tolist()
+    s[0] = 99
+    assert circ.plus_qubits.tolist() == want
+
+
 def test_explicit_rejects_repeated_or_outside_qubits():
     code = css.build_toric(2)
     s = tree_select(code, "toric_comb").tolist()
@@ -340,6 +358,8 @@ def test_fdsc_circuit_rejects_bad_gate():
         FdscCircuit(3, (0,), ((0, 1), (0, 1), (0, 2)))
     with pytest.raises(ValueError, match=r"gate \(0,1\) out of increasing order"):
         FdscCircuit(3, (0,), ((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match=r"gate \(0,2\) out of increasing order"):
+        FdscCircuit(3, (0, 1), ((1, 2), (0, 2)))
     with pytest.raises(ValueError, match="plus qubit 0 out of increasing order"):
         FdscCircuit(3, (1, 0), ())
     with pytest.raises(ValueError, match="plus qubit 1 repeated"):
