@@ -24,6 +24,7 @@ q sits at ``np.unravel_index(q, shape)``; custom codes are (n_qubits,).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -352,7 +353,12 @@ def load_json(text: str, *fields: str, **defaults) -> list:
     """The values of ``fields``, then of the keys of ``defaults`` (or their
     defaults), in the JSON object ``text``.  ParseError for invalid JSON
     (also nested too deeply, an integer over 4,300 digits or a repeated
-    key), a document that is not an object, or a missing field."""
+    key), a document that is not an object, or a missing field.  The
+    cyclic garbage collector is paused while ``json.loads`` runs: the
+    millions of lists of a large file are not cycles, and scanning them
+    repeatedly doubled the parse time."""
+    gc_was_on = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
@@ -363,6 +369,9 @@ def load_json(text: str, *fields: str, **defaults) -> list:
         raise
     except ValueError as e:   # int() refuses more than 4,300 digits
         raise ParseError("invalid JSON: integer too long to read") from e
+    finally:
+        if gc_was_on:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("the document must be a JSON object")
     missing = [f for f in fields if f not in doc]

@@ -36,6 +36,19 @@ class InternalInvariantViolation(AssertionError):
     breaks the one-gate-per-nonzero rule (indicates a code bug)."""
 
 
+def _indices(v, what: str, error=ValueError) -> np.ndarray:
+    """``v`` as an int64 array.  ``error`` unless its values are integers
+    (an empty ``v`` passes whatever its dtype): floats and booleans are
+    rejected, not truncated.  OverflowError for an integer beyond int64."""
+    a = np.asarray(v)
+    if a.dtype == object and all(type(x) is int or isinstance(x, np.integer)
+                                 for x in a.flat):
+        a = np.asarray(a.tolist(), dtype=np.int64)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class FdscCircuit:
     """Initial |+>/|0> assignment plus one commuting CX layer.
@@ -58,8 +71,8 @@ class FdscCircuit:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        plus = np.asarray(self.plus_qubits, dtype=np.int64)
-        pairs = np.asarray(self.pairs, dtype=np.int64)
+        plus = _indices(self.plus_qubits, "plus qubits")
+        pairs = _indices(self.pairs, "gate qubits")
         pairs = pairs.reshape(len(pairs), 2)   # no gates: shape (0,) to (0, 2)
         if ((plus < 0) | (plus >= self.n_qubits)).any():
             raise ValueError("plus qubit outside the register")
@@ -214,10 +227,10 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     pi_S A full row rank, so the final check that every non-pivot
     generator equals the XOR of M's columns over its S members holds
     exactly when rank(A) = |S|.  Raises InvalidSubset otherwise, or when
-    ``s`` is not strictly increasing within 0..N-1.
+    ``s`` holds non-integers or is not strictly increasing within 0..N-1.
     """
     n, k = code.n_qubits, code.n_x
-    cols = np.asarray(s, dtype=np.int64)
+    cols = _indices(s, "subset members", InvalidSubset)
     if cols.size and (cols[0] < 0 or cols[-1] >= n
                       or not np.all(cols[1:] > cols[:-1])):
         raise InvalidSubset(f"subset must increase strictly within 0..{n - 1}")
@@ -368,16 +381,32 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 
 
 def serialize_circuit(circ: FdscCircuit) -> str:
-    """The circuit as compact JSON with sorted keys.  "gates" sorts first,
-    so its list is formatted 2^16 pairs at a time and spliced in front of
-    the rest of the document, which ``css.dump_json`` writes."""
+    """The circuit as compact JSON with sorted keys.
+
+    "gates" sorts first, so it is written in front of the rest of the
+    document, which ``css.dump_json`` writes.  Its text is a join of
+    number strings: one table holds ``,[q,`` for each qubit q a gate uses,
+    then ``q]`` for each, and a gate (c, t) is table entries c and
+    top + t, top being the length of each half.  The table covers 0..the
+    largest gate qubit, or only the qubits the gates use when that range
+    is far larger than the gate array; it is indexed and joined 2^16
+    gates at a time, and the first gate's leading comma is dropped.
+    """
     rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
                           "plus_qubits": circ.plus_qubits.tolist(),
                           "metadata": circ.metadata})
-    blocks = np.split(circ.pairs, range(1 << 16, len(circ.pairs), 1 << 16))
-    gates = ",".join(",".join(["[%d,%d]"] * len(b)) % tuple(b.ravel().tolist())
-                     for b in blocks)
-    return '{"gates":[' + gates + "]," + rest[1:]
+    index = circ.pairs
+    top = int(index.max()) + 1 if index.size else 0
+    qubits = range(top)
+    if top > 4 * index.size + (1 << 16):   # a table of the used qubits only
+        used, index = np.unique(index, return_inverse=True)
+        qubits, top, index = used.tolist(), len(used), index.reshape(-1, 2)
+    table = np.array([",[%d," % q for q in qubits] + ["%d]" % q for q in qubits],
+                     dtype=object)
+    gates = ["".join(table[(b + (0, top)).ravel()].tolist())
+             for b in np.split(index, range(1 << 16, len(index), 1 << 16))]
+    gates[0] = gates[0][1:]
+    return "".join(['{"gates":[', *gates, "],", rest[1:]])
 
 
 def parse_circuit(text: str) -> FdscCircuit:

@@ -38,6 +38,23 @@ def test_synth_ghz(tmp_path, capsys):
     assert circ.gate_count == 4
 
 
+@pytest.mark.parametrize("family, size, strategy, flags", [
+    ("ghz", 5, "greedy", ["--seed", "2", "--restarts", "3"]),
+    ("haah", 2, "haah_canonical", []),
+    ("toric", 48, "toric_comb", [])])   # 115,009 gates: two writer blocks
+def test_synth_out_is_the_serialized_circuit(tmp_path, capsys, family, size,
+                                             strategy, flags):
+    out = tmp_path / "c.json"
+    rc, _, _ = run(capsys, "synth", "--code", family, "--size", str(size),
+                   "--strategy", strategy, "--out", str(out), *flags)
+    assert rc == 0
+    seed = {"seed": 2, "restarts": 3} if flags else {}
+    circ = synth.synthesize(css.build_family(family, size), strategy, **seed)
+    data = out.read_bytes()
+    assert data == (synth.serialize_circuit(circ) + "\n").encode()
+    assert data.endswith(b"}\n") and data.count(b"\n") == 1
+
+
 def test_synth_recursive_requires_power_of_two(capsys):
     rc, _, err = run(capsys, "synth", "--code", "toric", "--size", "3",
                      "--strategy", "toric_recursive")

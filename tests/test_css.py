@@ -1,5 +1,6 @@
 """Code families: structure, commutation, documented indexing, serialization."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -193,6 +194,24 @@ def test_parse_rejects_bad_json():
         css.parse_code('{"version":2,"n_qubits":1,"x_stabs":[],"z_stabs":[]}')
     with pytest.raises(ParseError):
         css.parse_code('{"version":1,"n_qubits":2,"x_stabs":[[0,5]],"z_stabs":[]}')
+
+
+@pytest.mark.parametrize("gc_on", [True, False])
+@pytest.mark.parametrize("text", ['{"a":[[1,2]]}', '{"a":[1,2', '{"a":1,"a":2}',
+                                  '[1]', '{}'])
+def test_load_json_leaves_gc_state(gc_on, text):
+    # the collector is paused only while json.loads runs, on success and on
+    # ParseError alike
+    was_on = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        try:
+            assert css.load_json(text, "a") == [[[1, 2]]]
+        except ParseError:
+            assert text != '{"a":[[1,2]]}'
+        assert gc.isenabled() == gc_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
 
 
 def test_hand_serialized_toric_matches_builder():

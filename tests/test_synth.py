@@ -3,10 +3,11 @@
 import collections
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import event, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
                       dense_reconstruction, random_css_code,
@@ -278,6 +279,23 @@ def test_explicit_rejects_repeated_or_outside_qubits():
             build_reconstruction(code, sorted(bad))
 
 
+@pytest.mark.parametrize("s", [[0.9], np.array([0.0]), [True], [0, 1.0]])
+def test_reconstruction_rejects_non_integers(s):
+    # floats and booleans are rejected, never truncated to a subset
+    with pytest.raises(InvalidSubset, match="must be integers"):
+        build_reconstruction(css.build_ghz(3), s)
+
+
+def test_reconstruction_takes_any_integer_dtype_or_empty_input():
+    code = css.build_ghz(3)
+    want = build_reconstruction(code, [0]).to_dense()
+    got = build_reconstruction(code, np.array([0], dtype=np.uint8)).to_dense()
+    assert np.array_equal(got, want)
+    trivial = dense_code(np.zeros((2, 0)), [[1], [1]])
+    mt = build_reconstruction(trivial, np.array([]))
+    assert (mt.rows, mt.cols) == (0, 2)
+
+
 def test_builtin_subset_failing_rank_conditions_is_internal_error(monkeypatch):
     monkeypatch.setitem(synth.LATTICE, "toric_comb",
                         ("toric", lambda code: np.array([0, 1])))
@@ -368,6 +386,29 @@ def test_fdsc_circuit_rejects_bad_gate():
     assert not circ.plus_qubits.flags.writeable and not circ.pairs.flags.writeable
 
 
+@pytest.mark.parametrize("plus, gates", [
+    ([0.5], [(0.2, 1.9)]),             # truncation would give plus [0], gate (0,1)
+    (np.array([0.0]), []),
+    ([0], np.array([[0.0, 1.0]])),
+    ([0], [(0, 1.0)]),
+    ([True], []),
+    (np.array([0], dtype=object), [(0, 1.5)])])
+def test_fdsc_circuit_rejects_non_integers(plus, gates):
+    with pytest.raises(ValueError, match="must be integers"):
+        FdscCircuit(3, plus, gates)
+
+
+def test_fdsc_circuit_takes_any_integer_dtype_or_empty_input():
+    circ = FdscCircuit(3, np.array([0], dtype=np.uint16),
+                       np.array([[0, 2]], dtype=np.int8))
+    assert circ == FdscCircuit(3, [0], [(0, 2)])
+    assert circ.pairs.dtype == circ.plus_qubits.dtype == np.int64
+    empty = FdscCircuit(3, np.array([]), np.array([]))
+    assert empty.gates == () and empty.plus_qubits.dtype == np.int64
+    with pytest.raises(OverflowError):
+        FdscCircuit(3, [0], [(0, 2 ** 70)])
+
+
 @strategies.composite
 def circuit_inputs(draw):
     """n <= 12, plus lists with repeats and out-of-range entries, and gate
@@ -430,6 +471,65 @@ def test_serialize_circuit_matches_json_of_tuples(m):
            "metadata": circ.metadata}
     assert synth.serialize_circuit(circ) == json.dumps(
         doc, sort_keys=True, separators=(",", ":"))
+
+
+def compact_json(circ):
+    """The circuit file as ``json.dumps`` writes it, gates as lists."""
+    return json.dumps({"version": 1, "n_qubits": circ.n_qubits,
+                       "plus_qubits": circ.plus_qubits.tolist(),
+                       "gates": circ.pairs.tolist(), "metadata": circ.metadata},
+                      sort_keys=True, separators=(",", ":"))
+
+
+@strategies.composite
+def valid_circuits(draw):
+    """Random valid circuits: up to 4 controls, up to 40 gates or 2^16 - 1,
+    2^16 or 2^16 + 1 (the writer's block size), on distinct qubits below
+    ``top``: a little above the gate count, far above it (the writer's
+    table covers only the used qubits) or 2^40 (sometimes with a gate
+    qubit 2^40 - 1).  ``n_qubits`` is ``top`` or 2^40."""
+    m = draw(strategies.one_of(strategies.integers(0, 40), strategies.sampled_from(
+        [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])))
+    top = draw(strategies.sampled_from([m + 8, 8 * m + 2 ** 17, 2 ** 40]))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2 ** 32 - 1)))
+    n_plus = draw(strategies.integers(1 if m else 0, 4))
+    qubits = rng.choice(top - 1, size=min(top - 1, m + 8), replace=False)
+    if draw(strategies.booleans()):
+        qubits[0] = top - 1
+    rng.shuffle(qubits)
+    plus, others = np.sort(qubits[:n_plus]), qubits[n_plus:]
+    pick = np.sort(rng.choice(n_plus * len(others), size=m, replace=False))
+    pairs = np.column_stack((plus[pick // len(others)], others[pick % len(others)]))
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    meta = draw(strategies.sampled_from([{}, {"strategy": "greedy", "seed": 3},
+                                         {"params": {"L": 4}, "family": "toric"}]))
+    n = draw(strategies.sampled_from([top, 2 ** 40]))
+    event("no gates" if m == 0 else f"{m} gates" if m > 40 else "1 to 40 gates")
+    event(f"gate qubit 2^40 - 1: {bool(pairs.size) and pairs.max() == 2 ** 40 - 1}")
+    return FdscCircuit(n, plus, pairs, meta)
+
+
+@settings(max_examples=40)
+@given(circ=valid_circuits())
+def test_serialize_circuit_matches_json_dumps(circ):
+    text = synth.serialize_circuit(circ)
+    assert text == compact_json(circ)
+    assert synth.parse_circuit(text) == circ
+
+
+def test_serialize_huge_qubit_without_a_register_sized_table():
+    # gate qubits near 2^40: the number table holds the used qubits only
+    n = 2 ** 40
+    circ = FdscCircuit(n, (0, 7), [(0, 5), (0, n - 1), (7, n - 2)])
+    tracemalloc.start()
+    try:
+        text = synth.serialize_circuit(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert text == compact_json(circ)
+    assert synth.parse_circuit(text) == circ
 
 
 def test_circuit_serialization_round_trip():
