@@ -10,7 +10,9 @@ it costs O(nnz) memory and every check on it O(nnz log nnz) time; packed
 Construction checks that each support is nonempty and strictly increasing
 within the register, and the CSS commutation condition (every X/Z
 generator pair overlaps on an even number of qubits).  ``load_json``,
-``index_lists`` and ``dump_json`` read and write every file format.
+``index_lists`` and ``dump_json`` read and write every file format.  Each
+index in a file is decoded once, by ``index_lists``, into an int64 array,
+and each from a library caller by ``_indices``, under the same rule.
 
 Qubit layout (stable, a file-format convention): a family's qubits are
 one row-major array of the shape ``SHAPES`` gives for its size, so qubit
@@ -93,14 +95,6 @@ class Supports:
             a = np.asarray(getattr(self, name), dtype=np.int64).view()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def from_lists(cls, n_qubits: int, lists) -> "Supports":
-        """Generator j acts on the qubit indices lists[j]."""
-        weight = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        qubits = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
-                             count=int(weight.sum()))
-        return cls(n_qubits, np.concatenate(([0], np.cumsum(weight))), qubits)
 
     def __len__(self) -> int:
         return self.start.size - 1
@@ -235,8 +229,8 @@ def build_ghz(n: int) -> CssCode:
     """All-ones X generator plus the pairwise Z_0 Z_i generators."""
     if n < 2:
         raise InvalidSize("GHZ needs n >= 2")
-    x = Supports.from_lists(n, [range(n)])
-    z = Supports.from_lists(n, [(0, i) for i in range(1, n)])
+    x = _stencil(n, [np.arange(n)], n)
+    z = _stencil(n, [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], 2)
     return CssCode(n, x, z, family="ghz", params={"n": n})
 
 
@@ -324,10 +318,10 @@ def is_index_list(v) -> bool:
     return type(v) is list and set(map(type, v)) <= {int}
 
 
-def index_lists(name: str, v, width: int | None = None) -> list:
-    """``v`` if it is a list of lists of JSON integers (each ``width`` long,
-    if given), its types checked in C; else ParseError naming the first bad
-    row."""
+def index_lists(name: str, v, width: int | None = None):
+    """The row starts and entries of ``v``, a list of lists of JSON integers
+    (each ``width`` long, if given), as int64 arrays; types checked in C.
+    Else ParseError naming the first bad row, or for an integer beyond int64."""
     if not isinstance(v, list):
         raise ParseError(f"{name} must be a list of lists of integers")
     if not (set(map(type, v)) <= {list}
@@ -337,7 +331,27 @@ def index_lists(name: str, v, width: int | None = None) -> list:
                  if not (is_index_list(row) and width in (None, len(row))))
         raise ParseError(f"{name}[{j}] must be a list of "
                          f"{'' if width is None else f'{width} '}integers")
-    return v
+    # no pass over rows of one width (an empty v may name any width at all)
+    start = (np.arange(len(v) + 1) * width if v and width is not None
+             else np.cumsum([0, *map(len, v)], dtype=np.int64))
+    try:
+        return start, np.fromiter(itertools.chain.from_iterable(v), np.int64,
+                                  count=int(start[-1]))
+    except OverflowError as e:
+        raise ParseError(f"{name} holds an integer beyond int64") from e
+
+
+def _indices(v, what: str, error=ValueError) -> np.ndarray:
+    """``v`` as an int64 array; ``error`` unless its values are integers (an
+    empty ``v`` passes whatever its dtype): floats and booleans are rejected,
+    not truncated.  OverflowError for an integer beyond int64."""
+    a = np.asarray(v)
+    if a.dtype == object and all(type(x) is int or isinstance(x, np.integer)
+                                 for x in a.flat):
+        a = np.asarray(a.tolist(), dtype=np.int64)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 def _unique_keys(pairs) -> dict:
@@ -397,12 +411,9 @@ def parse_code(text: str) -> CssCode:
         raise ParseError("n_qubits must be a positive integer")
     if not isinstance(params, dict):
         raise ParseError("params must be a JSON object")
-    try:
-        code = CssCode(n, Supports.from_lists(n, index_lists("x_stabs", xs)),
-                       Supports.from_lists(n, index_lists("z_stabs", zs)),
-                       family=family, params=params)
-    except OverflowError as e:   # an index beyond int64
-        raise ParseError(f"qubit index out of range: {e}") from e
+    code = CssCode(n, Supports(n, *index_lists("x_stabs", xs)),
+                   Supports(n, *index_lists("z_stabs", zs)),
+                   family=family, params=params)
     size = params.get("n" if family == "ghz" else "L")
     try:  # qubit count first: never build a family far larger than the file
         if family != "custom" and not (

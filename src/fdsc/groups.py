@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .css import InvalidSize, ParseError, index_lists, load_json
+from .css import InvalidSize, ParseError, _indices, index_lists, load_json
 
 # Slot values evaluated per block by the checks: 1 MB of int64, enough for
 # numpy to amortise its per-call cost, small enough to keep memory flat.
@@ -41,7 +41,7 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table) -> "FiniteGroup":
-        t = np.asarray(table, dtype=np.int64)
+        t = _indices(table, "table entries", GroupStructureError)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
             raise GroupStructureError("table must be square and nonempty")
         n = t.shape[0]
@@ -114,7 +114,8 @@ class SolvableSeries:
 
 def _sorted_ids(members) -> np.ndarray:
     # sorted(set()) rather than np.unique, which imports numpy.ma (1.8 MB)
-    return np.array(sorted(set(members)), dtype=np.int64)
+    ids = _indices(members, "series members", GroupStructureError)
+    return np.array(sorted(set(ids.tolist())), dtype=np.int64)
 
 
 def _coset_map(group: FiniteGroup, sub) -> np.ndarray:
@@ -320,12 +321,12 @@ def parse_group(text: str) -> SolvableSeries:
     order, table, series = load_json(text, "order", "table", "series")
     if type(order) is not int:
         raise ParseError("order must be an integer")
-    index_lists("table", table, width=order)
+    t = index_lists("table", table, width=order)[1].reshape(
+        len(table), order if table else 0)   # [] may name any order, even -1
     index_lists("series", series)
-    try:   # OverflowError: an element id beyond int64
-        return SolvableSeries(FiniteGroup.from_table(table),
-                              tuple(map(tuple, series)))
-    except (GroupStructureError, OverflowError) as e:
+    try:
+        return SolvableSeries(FiniteGroup.from_table(t), tuple(map(tuple, series)))
+    except GroupStructureError as e:
         raise ParseError(str(e)) from e
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import css, gf2
-from .css import CssCode
+from .css import CssCode, _indices
 from .gf2 import BitMatrix
 
 class IncompatibleStrategy(ValueError):
@@ -34,19 +34,6 @@ class InvalidSubset(ValueError):
 class InternalInvariantViolation(AssertionError):
     """A built-in strategy's subset fails the rank conditions, or emission
     breaks the one-gate-per-nonzero rule (indicates a code bug)."""
-
-
-def _indices(v, what: str, error=ValueError) -> np.ndarray:
-    """``v`` as an int64 array.  ``error`` unless its values are integers
-    (an empty ``v`` passes whatever its dtype): floats and booleans are
-    rejected, not truncated.  OverflowError for an integer beyond int64."""
-    a = np.asarray(v)
-    if a.dtype == object and all(type(x) is int or isinstance(x, np.integer)
-                                 for x in a.flat):
-        a = np.asarray(a.tolist(), dtype=np.int64)
-    if a.size and a.dtype.kind not in "iu":
-        raise error(f"{what} must be integers, not {a.dtype}")
-    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,8 +409,9 @@ def parse_circuit(text: str) -> FdscCircuit:
         raise css.ParseError("plus_qubits must be a list of integers")
     if not isinstance(meta, dict):
         raise css.ParseError("metadata must be a JSON object")
-    css.index_lists("gates", gates, width=2)
+    plus = css.index_lists("plus_qubits", [plus])[1]
+    pairs = css.index_lists("gates", gates, width=2)[1].reshape(-1, 2)
     try:
-        return FdscCircuit(n, plus, gates, meta)
-    except (ValueError, OverflowError) as e:   # OverflowError: beyond int64
+        return FdscCircuit(n, plus, pairs, meta)
+    except ValueError as e:
         raise css.ParseError(f"bad circuit document: {e}") from e

@@ -112,7 +112,9 @@ def dense_verify(code: css.CssCode, circ) -> tuple:
 def dense_supports(a) -> css.Supports:
     """Supports of the columns of a dense n x k 0/1 array."""
     a = np.asarray(a, dtype=np.uint8)
-    return css.Supports.from_lists(a.shape[0], [np.flatnonzero(col) for col in a.T])
+    gens, qubits = np.nonzero(a.T)   # by generator, then qubit
+    weight = np.bincount(gens, minlength=a.shape[1])
+    return css.Supports(a.shape[0], np.concatenate(([0], np.cumsum(weight))), qubits)
 
 
 def dense_code(a, b) -> css.CssCode:

@@ -452,3 +452,58 @@ def test_parse_code_fuzz_matches_entry_rules(data):
     again = css.serialize_code(code)
     assert json.loads(again)["x_stabs"] == xs and json.loads(again)["z_stabs"] == zs
     assert css.parse_code(again) == code
+
+
+INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def index_lists_reference(v, width):
+    """``css.index_lists`` by the letter of its rule, in plain Python: the
+    row starts and entries as lists, or the ParseError message."""
+    if not isinstance(v, list):
+        return "rows must be a list of lists of integers"
+    for j, row in enumerate(v):
+        if not (type(row) is list and all(type(x) is int for x in row)
+                and width in (None, len(row))):
+            return (f"rows[{j}] must be a list of "
+                    f"{'' if width is None else f'{width} '}integers")
+    entries = [x for row in v for x in row]
+    if not all(x in INT64 for x in entries):
+        return "rows holds an integer beyond int64"
+    return list(itertools.accumulate(map(len, v), initial=0)), entries
+
+
+def weighted(*pairs):
+    """Draw from each strategy with its given relative weight."""
+    return strategies.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(
+        lambda s: s)
+
+
+INT64_EDGES = strategies.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 63,
+                                       -2 ** 63 - 1, 2 ** 70])
+NOT_INTS = strategies.sampled_from([True, False, 0.0, 1.5, "1", None, [], [1]])
+INT_ENTRY = weighted((3, strategies.integers(-1, 9)), (1, INT64_EDGES))
+INDEX_ENTRY = weighted((9, INT_ENTRY), (1, NOT_INTS))
+INDEX_ROW = weighted((8, strategies.lists(INT_ENTRY, max_size=3)),
+                     (1, strategies.lists(INDEX_ENTRY, max_size=4)), (1, INDEX_ENTRY))
+INDEX_ROWS = weighted((9, strategies.lists(INDEX_ROW, max_size=4)), (1, INDEX_ENTRY))
+
+
+@settings(max_examples=300)
+@given(v=INDEX_ROWS,
+       width=strategies.sampled_from([None, None, None, 0, 1, 2, -1]))
+def test_index_lists_matches_plain_python(v, width):
+    # bools, floats, strings, None, nested, ragged and empty rows, and the
+    # int64 edges: both accept the same rows with equal arrays, or both
+    # reject them with the same message
+    expected = index_lists_reference(v, width)
+    if isinstance(expected, str):
+        event(f"rejected: {expected.split(' ', 1)[1]}")
+        with pytest.raises(ParseError) as exc:
+            css.index_lists("rows", v, width)
+        assert str(exc.value) == expected
+        return
+    event("accepted")
+    start, entries = css.index_lists("rows", v, width)
+    assert start.dtype == entries.dtype == np.int64
+    assert (start.tolist(), entries.tolist()) == expected

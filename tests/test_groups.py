@@ -467,6 +467,27 @@ def test_from_table_names_the_failed_axiom(table, match):
         FiniteGroup.from_table(table)
 
 
+@pytest.mark.parametrize("table", [
+    [[0.9, 1.2], [1.7, 0.1]],                 # truncated, Z2
+    [[True, False], [False, True]],           # as 0/1, Z2 with identity 1
+])
+def test_from_table_rejects_non_integers(table):
+    with pytest.raises(GroupStructureError, match="must be integers"):
+        FiniteGroup.from_table(table)
+
+
+def test_from_table_takes_any_integer_dtype():
+    g = FiniteGroup.from_table(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert g.table.dtype == np.int64 and g.identity == 0
+
+
+def test_series_rejects_non_integer_members():
+    # truncated, ((0,), (0, 1)) is Z2's one-step series
+    g = FiniteGroup.from_table([[0, 1], [1, 0]])
+    with pytest.raises(GroupStructureError, match="must be integers"):
+        SolvableSeries(g, ((0.0,), (0.5, 1.0)))
+
+
 def test_associativity_checked():
     with pytest.raises(GroupStructureError):
         FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
@@ -504,3 +525,12 @@ def test_parse_group_rejects_instead_of_repairing(change):
     assert groups.parse_group(json.dumps(D3_DOC)).group.order == 6
     with pytest.raises(groups.ParseError):
         groups.parse_group(json.dumps({**D3_DOC, **change}))
+
+
+@pytest.mark.parametrize("order", [0, -1, 2 ** 70])
+def test_empty_group_table_is_a_parse_error(order):
+    # an empty table decodes to no entries, whatever the order names
+    doc = json.dumps({"order": order, "table": [], "series": []})
+    with pytest.raises(groups.ParseError) as exc:
+        groups.parse_group(doc)
+    assert str(exc.value) == "table must be square and nonempty"
