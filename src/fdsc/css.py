@@ -70,9 +70,14 @@ def _gather(lo: np.ndarray, w: np.ndarray, values: np.ndarray):
 
 def odd_pairs(rows, cols, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (rows[e], cols[e]) listed an odd number of times, sorted,
-    as a row array and a column array; columns lie in 0..n_cols-1."""
-    pairs, counts = np.unique(rows * n_cols + cols, return_counts=True)
-    return np.divmod(pairs[counts & 1 == 1], n_cols)
+    as a row array and a column array; columns lie in 0..n_cols-1.
+
+    One sort of the keys rows * n_cols + cols; a key is odd when its run of
+    equal keys has odd length."""
+    keys = np.sort(rows * n_cols + cols)
+    runs = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1,
+                           [keys.size]))
+    return np.divmod(keys[runs[:-1][np.diff(runs) & 1 == 1]], n_cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,13 +349,19 @@ def index_lists(name: str, v, width: int | None = None):
 def _indices(v, what: str, error=ValueError) -> np.ndarray:
     """``v`` as an int64 array; ``error`` unless its values are integers (an
     empty ``v`` passes whatever its dtype): floats and booleans are rejected,
-    not truncated.  OverflowError for an integer beyond int64."""
+    not truncated, also booleans beside integers in a sequence, which numpy
+    reads as integers.  An array's entries are not scanned one by one.
+    OverflowError for an integer beyond int64."""
     a = np.asarray(v)
     if a.dtype == object and all(type(x) is int or isinstance(x, np.integer)
                                  for x in a.flat):
         a = np.asarray(a.tolist(), dtype=np.int64)
     if a.size and a.dtype.kind not in "iu":
         raise error(f"{what} must be integers, not {a.dtype}")
+    if not isinstance(v, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in np.asarray(v, dtype=object).flat):
+        raise error(f"{what} must be integers, not bool")
     return a.astype(np.int64, copy=False)
 
 

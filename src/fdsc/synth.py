@@ -10,6 +10,7 @@ nonzero entries are exactly the CX gates of the one-layer circuit.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -367,8 +368,8 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 # -- circuit serialization -------------------------------------------------
 
 
-def serialize_circuit(circ: FdscCircuit) -> str:
-    """The circuit as compact JSON with sorted keys.
+def _circuit_pieces(circ: FdscCircuit):
+    """The circuit file as compact JSON with sorted keys, in pieces.
 
     "gates" sorts first, so it is written in front of the rest of the
     document, which ``css.dump_json`` writes.  Its text is a join of
@@ -377,11 +378,9 @@ def serialize_circuit(circ: FdscCircuit) -> str:
     top + t, top being the length of each half.  The table covers 0..the
     largest gate qubit, or only the qubits the gates use when that range
     is far larger than the gate array; it is indexed and joined 2^16
-    gates at a time, and the first gate's leading comma is dropped.
+    gates at a time, one piece each, and the first gate's leading comma is
+    dropped.
     """
-    rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
-                          "plus_qubits": circ.plus_qubits.tolist(),
-                          "metadata": circ.metadata})
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
     qubits = range(top)
@@ -390,15 +389,24 @@ def serialize_circuit(circ: FdscCircuit) -> str:
         qubits, top, index = used.tolist(), len(used), index.reshape(-1, 2)
     table = np.array([",[%d," % q for q in qubits] + ["%d]" % q for q in qubits],
                      dtype=object)
-    gates = ["".join(table[(b + (0, top)).ravel()].tolist())
-             for b in np.split(index, range(1 << 16, len(index), 1 << 16))]
-    gates[0] = gates[0][1:]
-    return "".join(['{"gates":[', *gates, "],", rest[1:]])
+    yield '{"gates":['
+    for k, b in enumerate(np.split(index, range(1 << 16, len(index), 1 << 16))):
+        gates = "".join(table[(b + (0, top)).ravel()].tolist())
+        yield gates[1:] if k == 0 else gates
+    yield "],"
+    yield css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
+                         "plus_qubits": circ.plus_qubits.tolist(),
+                         "metadata": circ.metadata})[1:]
 
 
-def parse_circuit(text: str) -> FdscCircuit:
-    """Parse the JSON circuit format.  Malformed input is rejected, never
-    repaired: every qubit index must be an integer and every gate a pair."""
+def serialize_circuit(circ: FdscCircuit) -> str:
+    """The circuit file: the pieces of ``_circuit_pieces``, joined."""
+    return "".join(_circuit_pieces(circ))
+
+
+def _fields(text: str):
+    """The checked fields of a circuit document other than its gates:
+    n_qubits, plus qubits as an int64 array, the raw gates and metadata."""
     version, n, plus, gates, meta = css.load_json(
         text, "version", "n_qubits", "plus_qubits", "gates", metadata={})
     if type(version) is not int or version != 1:
@@ -409,9 +417,57 @@ def parse_circuit(text: str) -> FdscCircuit:
         raise css.ParseError("plus_qubits must be a list of integers")
     if not isinstance(meta, dict):
         raise css.ParseError("metadata must be a JSON object")
-    plus = css.index_lists("plus_qubits", [plus])[1]
+    return n, css.index_lists("plus_qubits", [plus])[1], gates, meta
+
+
+def _read_canonical(text: str) -> Optional[FdscCircuit]:
+    """The circuit that ``serialize_circuit`` writes as ``text`` (less one
+    trailing newline), or None.  The gates section, up to the first quote,
+    is decoded by ``np.fromstring`` with its brackets gone, the rest by
+    ``css.load_json``; any text that does not write back the same may have
+    been misread, so the round trip is the one check."""
+    if not text.startswith('{"gates":['):
+        return None
+    end = text.find('"', 10)   # of "metadata", the key after "gates"
+    with warnings.catch_warnings():   # older numpy warns on a bad number
+        warnings.simplefilter("ignore")
+        flat = np.fromstring(text[10:end - 2].encode().translate(None, b"[]"),
+                             np.int64, sep=",")
+    n, plus, _, meta = _fields('{"gates":[],' + text[end:])
+    circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
+    pos = 0
+    for piece in _circuit_pieces(circ):   # the written text, a piece at a time
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return circ if text[pos:] in ("", "\n") else None
+
+
+def _read_general(text: str) -> FdscCircuit:
+    """The circuit in any JSON text, through ``css.load_json`` and
+    ``css.index_lists``, or ParseError."""
+    n, plus, gates, meta = _fields(text)
     pairs = css.index_lists("gates", gates, width=2)[1].reshape(-1, 2)
     try:
         return FdscCircuit(n, plus, pairs, meta)
     except ValueError as e:
         raise css.ParseError(f"bad circuit document: {e}") from e
+
+
+def parse_circuit(text: str) -> FdscCircuit:
+    """Parse the JSON circuit format.  Malformed input is rejected, never
+    repaired: every qubit index must be an integer and every gate a pair.
+
+    A canonical file, the exact text ``serialize_circuit`` writes, is read
+    by a round trip through the writer (``_read_canonical``), without
+    decoding its gates as JSON.  Any other text, and any canonical reading
+    that fails, is read by ``_read_general``; so every text is accepted as
+    the same circuit, or rejected with the same message, as by
+    ``_read_general`` alone.  MemoryError is not retried."""
+    try:
+        circ = _read_canonical(text)
+    except MemoryError:
+        raise
+    except Exception:   # whatever went wrong, the general path words it
+        circ = None
+    return _read_general(text) if circ is None else circ

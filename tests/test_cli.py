@@ -136,6 +136,36 @@ def test_verify_rejects_out_of_order_circuit(tmp_path, capsys, field):
     assert err.endswith(" out of increasing order\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("drop", [None, 5])
+def test_verify_reads_any_layout_of_a_circuit_alike(tmp_path, capsys, drop):
+    # a canonical file and the same document re-written with indents give
+    # the same report and exit code, passing or (one gate dropped) failing
+    code = css.build_toric(6)
+    circ = synth.synthesize(code, "toric_comb")
+    if drop is not None:
+        circ = synth.FdscCircuit(circ.n_qubits, circ.plus_qubits,
+                                 np.delete(circ.pairs, drop, axis=0))
+    canonical, indented = tmp_path / "canonical.json", tmp_path / "indented.json"
+    canonical.write_text(synth.serialize_circuit(circ) + "\n")
+    indented.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
+    results = [run(capsys, "verify", "--circuit", str(path), "--code", "toric",
+                   "--size", "6") for path in (canonical, indented)]
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if drop is None else 1)
+
+
+def test_verify_truncated_canonical_file_is_invalid_json(tmp_path, capsys):
+    text = synth.serialize_circuit(synth.synthesize(css.build_toric(4), "toric_comb"))
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[:len(text) // 2])
+    with pytest.raises(css.ParseError) as exc:
+        synth._read_general(cut.read_text())
+    assert str(exc.value).startswith("invalid JSON: ")
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(cut), "--code",
+                          "toric", "--size", "4")
+    assert (rc, stdout, err) == (2, "", f"error: {exc.value}\n")
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -261,16 +261,27 @@ def test_packed_is_the_transposed_dense_matrix(family, size):
         assert np.array_equal(sup.packed().to_dense(), sup.to_dense().T)
 
 
-@settings(max_examples=200)
-@given(pairs=strategies.lists(strategies.tuples(strategies.integers(0, 6),
-                                                strategies.integers(0, 4)),
-                              max_size=40))
-def test_odd_pairs_matches_counter(pairs):
+@strategies.composite
+def listed_pairs(draw):
+    """``n_cols`` from 1 to 5 and up to 40 (row, column) pairs, drawn from
+    few enough values that pairs repeat, sometimes many times over."""
+    n_cols = draw(strategies.integers(1, 5))
+    pair = strategies.tuples(strategies.integers(0, draw(strategies.integers(0, 6))),
+                             strategies.integers(0, n_cols - 1))
+    return n_cols, draw(strategies.lists(pair, max_size=40))
+
+
+@settings(max_examples=300)
+@given(case=listed_pairs())
+def test_odd_pairs_matches_counter(case):
     """The parity helper against a Counter over the listed pairs."""
+    n_cols, pairs = case
+    event("no pairs" if not pairs else f"n_cols {n_cols}")
     rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    got = css.odd_pairs(rows, cols, 5)
+    got = css.odd_pairs(rows, cols, n_cols)
     want = sorted(p for p, count in Counter(pairs).items() if count % 2)
     assert list(zip(*(a.tolist() for a in got))) == want
+    assert all(a.dtype == np.int64 for a in got)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -470,6 +470,8 @@ def test_from_table_names_the_failed_axiom(table, match):
 @pytest.mark.parametrize("table", [
     [[0.9, 1.2], [1.7, 0.1]],                 # truncated, Z2
     [[True, False], [False, True]],           # as 0/1, Z2 with identity 1
+    [[0, True], [True, 0]],                   # booleans beside integers: Z2
+    [np.array([0, 1]), [np.True_, 0]],
 ])
 def test_from_table_rejects_non_integers(table):
     with pytest.raises(GroupStructureError, match="must be integers"):
@@ -486,6 +488,8 @@ def test_series_rejects_non_integer_members():
     g = FiniteGroup.from_table([[0, 1], [1, 0]])
     with pytest.raises(GroupStructureError, match="must be integers"):
         SolvableSeries(g, ((0.0,), (0.5, 1.0)))
+    with pytest.raises(GroupStructureError, match="must be integers, not bool"):
+        SolvableSeries(g, ((0,), (0, True)))
 
 
 def test_associativity_checked():

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -279,7 +280,8 @@ def test_explicit_rejects_repeated_or_outside_qubits():
             build_reconstruction(code, sorted(bad))
 
 
-@pytest.mark.parametrize("s", [[0.9], np.array([0.0]), [True], [0, 1.0]])
+@pytest.mark.parametrize("s", [[0.9], np.array([0.0]), [True], [0, 1.0],
+                               [0, True], (np.False_, 1)])
 def test_reconstruction_rejects_non_integers(s):
     # floats and booleans are rejected, never truncated to a subset
     with pytest.raises(InvalidSubset, match="must be integers"):
@@ -392,7 +394,10 @@ def test_fdsc_circuit_rejects_bad_gate():
     ([0], np.array([[0.0, 1.0]])),
     ([0], [(0, 1.0)]),
     ([True], []),
-    (np.array([0], dtype=object), [(0, 1.5)])])
+    (np.array([0], dtype=object), [(0, 1.5)]),
+    ([0], [(0, True)]),                # booleans beside integers: gate (0,1)
+    ([0, True], []),
+    ([0], [np.array([0, 1]), (np.int64(0), np.True_)])])
 def test_fdsc_circuit_rejects_non_integers(plus, gates):
     with pytest.raises(ValueError, match="must be integers"):
         FdscCircuit(3, plus, gates)
@@ -587,6 +592,105 @@ def test_parse_circuit_rejects_instead_of_repairing(change):
     assert synth.parse_circuit(json.dumps(GHZ3_CIRCUIT)).gates == ((0, 1), (0, 2))
     with pytest.raises(css.ParseError):
         synth.parse_circuit(json.dumps({**GHZ3_CIRCUIT, **change}))
+
+
+# Canonical documents of every family, an empty layer and a metadata seed.
+CANONICAL = [synth.serialize_circuit(c) for c in (
+    synthesize(css.build_family("toric", 3), "toric_comb"),
+    synthesize(css.build_family("toric", 4), "toric_recursive"),
+    synthesize(css.build_family("xcube", 2), "xcube_dual_trees"),
+    synthesize(css.build_family("haah", 2), "haah_canonical"),
+    synthesize(css.build_family("ghz", 5), "greedy", seed=3),
+    FdscCircuit(4, (0, 1, 2, 3), (), {"strategy": "none"}))]
+
+
+def read_outcome(read, text):
+    """The circuit ``read`` makes of ``text``, or its ParseError message."""
+    try:
+        return read(text)
+    except css.ParseError as e:
+        return f"ParseError: {e}"
+
+
+@strategies.composite
+def mutated_documents(draw):
+    """A canonical circuit document with one mutation: text inserted or
+    cut at a drawn place, or the document rewritten with its gates or its
+    keys changed."""
+    text = draw(strategies.sampled_from(CANONICAL))
+    doc = json.loads(text)
+    gates = doc["gates"]
+    end = text.index('"metadata"') - 1   # the comma after the gates section
+    numbers = [m.start() for m in re.finditer(r"(?<=[\[,:])\d", text)]
+    at = draw(strategies.sampled_from(numbers))
+    kind = draw(strategies.sampled_from([
+        "none", "whitespace", "leading zero", "sign", "20 digits", "swapped keys",
+        "repeated gates key", "truncated gates", "repeated gate", "reordered gate",
+        "no gates", "after the newline"]))
+    event(kind)
+    if kind == "whitespace":
+        k = draw(strategies.integers(0, len(text)))
+        text = text[:k] + draw(strategies.sampled_from(" \n\t\r")) + text[k:]
+    elif kind in ("leading zero", "sign"):
+        text = text[:at] + draw(strategies.sampled_from(
+            ["0"] if kind == "leading zero" else ["-", "+", "-0"])) + text[at:]
+    elif kind == "20 digits":
+        digits = str(draw(strategies.integers(10 ** 19, 10 ** 20 - 1)))
+        size = re.match(r"\d+", text[at:]).end()
+        text = text[:at] + digits + text[at + size:]
+    elif kind == "swapped keys":
+        keys = draw(strategies.permutations(sorted(doc)))
+        text = json.dumps({k: doc[k] for k in keys}, separators=(",", ":"))
+    elif kind == "repeated gates key":
+        again = json.dumps(draw(strategies.sampled_from([[], gates, gates[:1]])),
+                           separators=(",", ":"))
+        text = f'{text[:end + 1]}"gates":{again},{text[end + 1:]}'
+    elif kind == "truncated gates":
+        text = text[:draw(strategies.integers(10, end))] + text[end:]
+    elif kind in ("repeated gate", "reordered gate") and gates:
+        i = draw(strategies.integers(0, len(gates) - 1))
+        j = draw(strategies.integers(0, len(gates) - 1))
+        gates = list(gates)
+        if kind == "repeated gate":
+            gates.insert(i, gates[i])
+        else:
+            gates[i], gates[j] = gates[j], gates[i]
+        text = css.dump_json({**doc, "gates": gates})
+    elif kind == "no gates":
+        text = css.dump_json({**doc, "gates": []})
+    elif kind == "after the newline":
+        text += "\n" + draw(strategies.sampled_from(["", "\n", " ", "x", "{}"]))
+    return text
+
+
+@settings(max_examples=400)
+@given(text=mutated_documents())
+def test_reader_paths_agree_on_mutated_documents(text):
+    # the round trip through the writer reads a text as the general path
+    # does, or declines it; parse_circuit answers as the general path
+    want = read_outcome(synth._read_general, text)
+    assert read_outcome(synth.parse_circuit, text) == want
+    try:
+        fast = synth._read_canonical(text)
+    except Exception:
+        fast = None
+    event(f"round trip took it: {fast is not None}")
+    if fast is not None:
+        assert fast == want
+
+
+def test_canonical_files_never_take_the_general_path(monkeypatch):
+    # every family's written file, with or without the newline the CLI
+    # adds, is read by the round trip alone
+    def general(text):
+        raise AssertionError("the general path ran on a canonical file")
+    monkeypatch.setattr(synth, "_read_general", general)
+    for text in CANONICAL:
+        circ = json.loads(text)
+        for tail in ("", "\n"):
+            got = synth.parse_circuit(text + tail)
+            assert got.gates == tuple(map(tuple, circ["gates"]))
+            assert synth.serialize_circuit(got) == text
 
 
 # -- cubic-code potential -----------------------------------------------------

@@ -291,6 +291,28 @@ def test_matches_oracles_on_random_layers(seed, synthesized, flips):
     assert_matches_oracles(code, FdscCircuit(n, plus, sorted(gates)))
 
 
+@pytest.mark.parametrize("family,size,strategy", [
+    ("toric", 8, "toric_comb"), ("toric", 8, "toric_recursive"),
+    ("xcube", 3, "xcube_dual_trees"), ("haah", 3, "haah_canonical")])
+def test_blocked_verify_matches_one_block(monkeypatch, family, size, strategy):
+    # blocks of a few checked qubits and gates count the same parities as
+    # one block of them all, on a passing circuit and on one-gate mutants
+    code = css.build_family(family, size)
+    circ = synth.synthesize(code, strategy)
+    circuits = [circ, *one_gate_mutants(circ, seed=size, count=8)]
+    monkeypatch.setattr(verify, "BLOCK", 1 << 40)
+    want = [verify_circuit(code, c) for c in circuits]
+    assert want[0].passed and not any(rep.passed for rep in want[1:])
+    blocks = []
+    monkeypatch.setattr(verify, "odd_pairs",
+                        lambda *a: blocks.append(a) or css.odd_pairs(*a))
+    for block in (1, 2, 5, 32):
+        monkeypatch.setattr(verify, "BLOCK", block)
+        blocks.clear()
+        assert [verify_circuit(code, c) for c in circuits] == want
+        assert len(blocks) >= 4 * len(circuits)   # two blocks a rule, or more
+
+
 # -- state-vector oracle ------------------------------------------------------
 
 
