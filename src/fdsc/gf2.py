@@ -2,6 +2,9 @@
 profiles, right inverse, solve), the product, row XORs by position and
 set-bit scans.  Packed matrices only: sparse row-grouped lists and codes
 live in ``css``, which packs a code's supports only where elimination runs.
+Every elimination is one kernel, ``_eliminate``, reached as a module
+global; it scans each pivot column once, and that one scan finds both the
+pivot and the rows it clears.
 
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
@@ -17,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 WORD = 64
+_BIT = np.uint64(1) << np.arange(WORD, dtype=np.uint64)   # _BIT[b]: bit b alone
 
 
 class DimensionMismatch(ValueError):
@@ -102,30 +106,32 @@ def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False
 
     Returns a list of (pivot_row, pivot_col) in elimination order.  Rows at
     and above previously placed pivots are only touched when ``reduced``.
+
+    One scan of the pivot column below the placed pivots finds both the
+    pivot row p (the first hit) and the rows it clears (the other hits):
+    row r, swapped down into p, held a 0 there, so the swap moves no hit.
+    ``reduced`` adds one scan of the rows above.
     """
     nrows = data.shape[0]
     pivots = []
     r = 0
-    one = np.uint64(1)
     for col in col_order:
         if r == nrows:
             break
-        w = col >> 6
-        b = np.uint64(col & 63)
-        colbits = (data[r:, w] >> b) & one
-        nz = np.flatnonzero(colbits)
-        if nz.size == 0:
+        w, bit = col >> 6, _BIT[col & 63]
+        nz = (data[r:, w] & bit).nonzero()[0]
+        if not nz.size:
             continue
-        p = r + int(nz[0])
+        p = r + nz[0]
         if p != r:
-            data[[r, p]] = data[[p, r]]
-        below = r + 1 + np.flatnonzero((data[r + 1:, w] >> b) & one)
-        if below.size:
-            data[below] ^= data[r]
+            row = data[p].copy()
+            data[p] = data[r]
+            data[r] = row
+        hits = r + nz[1:]
         if reduced and r:
-            above = np.flatnonzero((data[:r, w] >> b) & one)
-            if above.size:
-                data[above] ^= data[r]
+            hits = np.concatenate(((data[:r, w] & bit).nonzero()[0], hits))
+        if hits.size:
+            data[hits] ^= data[r]
         pivots.append((r, col))
         r += 1
     return pivots

@@ -308,17 +308,19 @@ def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
     if strategy == "greedy":
         base = 0 if seed is None else seed
         seeds = range(base, base + restarts) if restarts > 1 else [seed]
-        picks = ((k, greedy_select(code, k)) for k in seeds)
     else:
-        picks = [(None, tree_select(code, strategy))]
+        seeds = [None]
     best = None
-    for k, s in picks:
+    for k in seeds:
+        s = greedy_select(code, k) if strategy == "greedy" else tree_select(code, strategy)
         try:
             mt = build_reconstruction(code, s)
         except InvalidSubset as e:
             raise InternalInvariantViolation(f"{strategy}: {e}") from e
-        if best is None or gf2.nnz(mt) < best[0]:
-            best = (gf2.nnz(mt), k, s, mt)
+        # gate count + |S|, counted only where candidates are compared
+        weight = gf2.nnz(mt) if len(seeds) > 1 else 0
+        if best is None or weight < best[0]:
+            best = (weight, k, s, mt)
     _, k, s, mt = best
     if k is not None:
         meta["seed"] = k

@@ -1,8 +1,8 @@
 """Shared test helpers: dense-elimination oracles (rank, subset,
-reconstruction, verification), the right inverse with the reverse pivot
-order, a per-gate circuit check, the per-entry
-code-file rules, codes from dense arrays, random codes (small ones, and
-hypergraph products of random regular classical codes), and the
+reconstruction, verification), a two-scan packed elimination kernel, the
+right inverse with the reverse pivot order, a per-gate circuit check, the
+per-entry code-file rules, codes from dense arrays, random codes (small
+ones, and hypergraph products of random regular classical codes), and the
 hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
@@ -48,6 +48,39 @@ def dense_rref(a: np.ndarray):
         if r == rows:
             break
     return m, pivots
+
+
+def reference_eliminate(data: np.ndarray, col_order, reduced: bool = False):
+    """A two-scan packed elimination kernel, the reference for
+    ``gf2._eliminate``: each step scans the pivot column for the pivot and
+    again, after the swap, for the rows to clear.  In place; returns the
+    same (pivot_row, pivot_col) list."""
+    nrows = data.shape[0]
+    pivots = []
+    r = 0
+    one = np.uint64(1)
+    for col in col_order:
+        if r == nrows:
+            break
+        w = col >> 6
+        b = np.uint64(col & 63)
+        colbits = (data[r:, w] >> b) & one
+        nz = np.flatnonzero(colbits)
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            data[[r, p]] = data[[p, r]]
+        below = r + 1 + np.flatnonzero((data[r + 1:, w] >> b) & one)
+        if below.size:
+            data[below] ^= data[r]
+        if reduced and r:
+            above = np.flatnonzero((data[:r, w] >> b) & one)
+            if above.size:
+                data[above] ^= data[r]
+        pivots.append((r, col))
+        r += 1
+    return pivots
 
 
 def dense_rank(a: np.ndarray) -> int:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies
 
 from conftest import (dense_rank, dense_supports, padding_ok,
-                      reverse_pivot_right_inverse)
+                      reference_eliminate, reverse_pivot_right_inverse)
 from fdsc import css, gf2
 from fdsc.gf2 import BitMatrix, DimensionMismatch, RankDeficient
 from tableau_oracle import EchelonBasis
@@ -303,3 +304,60 @@ def test_zero_dimension_edge_cases():
     assert gf2.rank(wide) == 0
     r = gf2.right_inverse(wide)
     assert (r.rows, r.cols) == (7, 0)
+
+
+@strategies.composite
+def elimination_inputs(draw):
+    """Packed words and a pivot-column order: 0-200 rows, column counts
+    across the 64- and 128-bit word boundaries, densities from a few bits
+    a row to dense, some of low rank; orders by index, permuted, with
+    repeated columns, or with the last word's padding columns mixed in."""
+    rows = draw(strategies.integers(0, 200))
+    cols = draw(strategies.one_of(strategies.sampled_from([1, 63, 64, 65, 127, 128, 129]),
+                                  strategies.integers(0, 200)))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2 ** 32 - 1)))
+    density = draw(strategies.sampled_from(["lattice", "sparse", "half", "full"]))
+    if density == "lattice":   # a few bits a row, like a lattice code's
+        a = np.zeros((rows, cols), dtype=np.uint8)
+        if cols:
+            a[np.arange(rows)[:, None], rng.integers(0, cols, (rows, 4))] = 1
+    else:
+        a = rng.random((rows, cols)) < {"sparse": 0.05, "half": 0.5, "full": 0.95}[density]
+    if draw(strategies.booleans()):   # rank at most 8: most columns dependent
+        a = (rng.integers(0, 2, (rows, 8)) @ a[:8]) % 2 if rows >= 8 else a
+    kind = draw(strategies.sampled_from(["index", "permutation", "repeats", "padding"]))
+    order = {"index": np.arange(cols), "permutation": rng.permutation(cols),
+             "repeats": rng.integers(0, max(cols, 1), 2 * cols),
+             "padding": rng.permutation(-(-cols // 64) * 64)}[kind]
+    event(f"{density} {kind}")
+    return BitMatrix.from_dense(a).data, [int(c) for c in order]
+
+
+@settings(max_examples=300)
+@given(case=elimination_inputs(), reduced=strategies.booleans())
+def test_eliminate_matches_reference_kernel(case, reduced):
+    """The one-scan kernel returns the same pivots and leaves the same
+    words as the two-scan reference kernel."""
+    data, order = case
+    got, want = data.copy(), data.copy()
+    assert gf2._eliminate(got, order, reduced) == reference_eliminate(want, order, reduced)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("run", [
+    gf2.rank, gf2.row_rank_profile, gf2.column_rank_profile, gf2.right_inverse,
+    lambda m: gf2.solve(m, np.array([1, 0, 1], dtype=np.uint8))],
+    ids=["rank", "row_rank_profile", "column_rank_profile", "right_inverse", "solve"])
+def test_elimination_goes_through_the_module_kernel(monkeypatch, run):
+    """Every elimination calls ``gf2._eliminate`` once, looked up as a
+    module global, so a wrapper bound there sees every call."""
+    calls = []
+    kernel = gf2._eliminate
+
+    def counted(data, *args, **kwargs):
+        calls.append(data.shape)
+        return kernel(data, *args, **kwargs)
+
+    monkeypatch.setattr(gf2, "_eliminate", counted)
+    run(BitMatrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0]]))
+    assert len(calls) == 1

@@ -1,6 +1,8 @@
-"""Memory budgets of the file readers and of verification: the
-tracemalloc peak of reading a circuit file and a code file, at sizes
-where the index lists dominate, and of verifying the circuit read."""
+"""Memory budgets of the file readers, of verification and of the synthesis
+stages before emission: the tracemalloc peak of reading a circuit file and
+a code file, at sizes where the index lists dominate, of verifying the
+circuit read, and of selecting the subset and building the reconstruction
+of that circuit."""
 
 import functools
 import tracemalloc
@@ -11,13 +13,14 @@ from fdsc import css, synth, verify
 
 MiB = 2 ** 20
 
-# (family, size, strategy): budgets in MiB for parse_circuit, parse_code
-# and verify_circuit.  Each is the peak read when it was set (Python 3.11,
-# numpy 2.4) plus 10 %: toric 11.4, 4.8, 11.5; haah 5.3, 2.7, 12.1; xcube
-# 3.8, 7.8, 12.4.
-BUDGETS = {("toric", 64, "toric_comb"): (12.5, 5.4, 12.6),
-           ("haah", 10, "haah_canonical"): (5.8, 3.0, 13.3),
-           ("xcube", 12, "xcube_dual_trees"): (4.2, 8.6, 13.6)}
+# (family, size, strategy): budgets in MiB for parse_circuit, parse_code,
+# verify_circuit, tree_select and build_reconstruction.  Each is the peak
+# read when it was set (Python 3.11, numpy 2.4) plus 10 %: toric 11.4, 4.8,
+# 11.5, 0.125, 5.45; haah 5.3, 2.7, 12.1, 0.033, 0.520; xcube 3.8, 7.8,
+# 12.4, 2.39, 1.47.
+BUDGETS = {("toric", 64, "toric_comb"): (12.5, 5.4, 12.6, 0.14, 6.0),
+           ("haah", 10, "haah_canonical"): (5.8, 3.0, 13.3, 0.037, 0.58),
+           ("xcube", 12, "xcube_dual_trees"): (4.2, 8.6, 13.6, 2.64, 1.62)}
 
 
 @functools.cache
@@ -52,3 +55,13 @@ def test_verify_peak_within_budget(job):
     circ = synth.parse_circuit(documents(*job)[0])
     peak = traced_peak(lambda c: verify.verify_circuit(code, c), circ)
     assert peak <= BUDGETS[job][2]
+
+
+@pytest.mark.parametrize("job", sorted(BUDGETS), ids=lambda job: f"{job[0]}{job[1]}")
+@pytest.mark.parametrize("stage", [3, 4], ids=["select", "reconstruct"])
+def test_synthesis_stage_peak_within_budget(job, stage):
+    code = css.build_family(*job[:2])
+    s = synth.tree_select(code, job[2])
+    run = {3: lambda c: synth.tree_select(c, job[2]),
+           4: lambda c: synth.build_reconstruction(c, s)}[stage]
+    assert traced_peak(run, code) <= BUDGETS[job][stage]

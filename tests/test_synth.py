@@ -363,6 +363,13 @@ def test_greedy_restarts_deterministic():
     assert c1 == c2
     best = min(synthesize(code, "greedy", seed=k).gate_count for k in range(5))
     assert c1.gate_count == best
+    # seeds 0-2 on toric L=4: seeds 1 and 2 tie on the fewest gates
+    code = css.build_toric(4)
+    counts = [synthesize(code, "greedy", seed=k).gate_count for k in range(3)]
+    tied = [k for k, count in enumerate(counts) if count == min(counts)]
+    assert len(tied) > 1 and tied[0] > 0
+    circ = synthesize(code, "greedy", seed=0, restarts=3)
+    assert circ.gate_count == min(counts) and circ.metadata["seed"] == tied[0]
 
 
 def test_fdsc_circuit_rejects_bad_gate():
