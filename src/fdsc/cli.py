@@ -84,6 +84,18 @@ def fit_loglog(sizes, counts) -> dict:
             "r_squared": r2}
 
 
+def _scaling_run(args, L: int):
+    """One size's (family, n_qubits, s_size, gate_count, wall_ms) and its
+    verify report (None above ``--verify-upto``).  The code and circuit
+    die on return, so a study holds one size's at a time."""
+    code = _load_code(args.code, L)
+    t0 = time.perf_counter()   # wall_ms: synthesis and verification
+    circ = synth.synthesize(code, args.strategy, seed=args.seed)
+    report = verify.verify_circuit(code, circ) if L <= args.verify_upto else None
+    return ((code.family, code.n_qubits, len(circ.plus_qubits), circ.gate_count,
+             (time.perf_counter() - t0) * 1000.0), report)
+
+
 def cmd_scaling(args) -> int:
     # ascending, so a size below the family minimum fails before synthesis;
     # one run per distinct code, and a file code ignores L: one key for all
@@ -91,20 +103,14 @@ def cmd_scaling(args) -> int:
     for L in sorted(_positives(args.sizes, "--sizes")):
         key = None if args.code.startswith("file:") else L
         if key not in runs:
-            code = _load_code(args.code, L)
-            t0 = time.perf_counter()   # wall_ms: synthesis and verification
-            circ = synth.synthesize(code, args.strategy, seed=args.seed)
-            report = verify.verify_circuit(code, circ) \
-                if L <= args.verify_upto else None
-            runs[key] = code, circ, report, (time.perf_counter() - t0) * 1000.0
-        code, circ, report, wall_ms = runs[key]
+            runs[key] = _scaling_run(args, L)
+        (family, *fields), report = runs[key]
         if L <= args.verify_upto and not report.passed:  # per-size failure
             print(f"size {L} failed: verification failed: "
                   f"{report.to_json()}", file=sys.stderr)
             failures += 1
             continue
-        rows.append((code.family, args.strategy, L, code.n_qubits,
-                     len(circ.plus_qubits), circ.gate_count, wall_ms))
+        rows.append((family, args.strategy, L, *fields))
     text = "family,strategy,L,n_qubits,s_size,gate_count,wall_ms\n" + "".join(
         f"{','.join(map(str, r[:-1]))},{r[-1]:.3f}\n" for r in rows)
     if args.out:

@@ -44,6 +44,13 @@ SHAPES = {"ghz": lambda n: (n,),
           "haah": lambda L: (L + 1, L + 1, L + 1, 2)}
 FAMILIES = (*SHAPES, "custom")
 
+# Items per block of the loops that follow a circuit's size: set bits of M
+# per emission block and gates per circuit-check block (``synth``), checked
+# qubits and gates per parity-count block (``verify``).  Smaller blocks
+# sort faster and hold less; at 2^16 every verify-sweep job of the
+# benchmark is still one block, and toric L=128 comb is 33 a rule.
+BLOCK = 1 << 16
+
 
 class InvalidSize(ValueError):
     """Lattice size below the family minimum."""

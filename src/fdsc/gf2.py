@@ -163,18 +163,25 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return xor_rows(b, *nonzero(a), a.rows)
 
 
-def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the set bits, in row-major order.
+def nonzero(m: BitMatrix, lo: int = 0,
+            hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the set bits in rows lo..hi-1 (all rows
+    by default), in row-major order.
 
-    After one scan of the packed words, only nonzero words are visited,
-    once per set bit (lowest bit first), so the rest of the work follows
-    nnz rather than rows x cols.
+    One flat scan of those rows' packed words finds the nonzero words, and
+    a divmod of their flat positions gives rows and word offsets.  Then
+    only nonzero words are visited, once per set bit (lowest bit first),
+    so the rest of the work follows nnz rather than rows x cols.
     """
-    rows, words = np.nonzero(m.data)
-    vals = m.data[rows, words]
+    words = m.data[lo:hi].reshape(-1)
+    at = np.flatnonzero(words)
+    vals = words[at]
+    rows, base = np.divmod(at, m.data.shape[1])
+    rows += lo
+    base *= WORD
     count = np.bitwise_count(vals)
     cols = np.empty(int(count.sum()), dtype=np.int64)
-    pos, base = np.cumsum(count) - count, words * WORD
+    pos = np.cumsum(count) - count
     while vals.size:
         low = vals & -vals
         cols[pos] = base + np.bitwise_count(low - 1)

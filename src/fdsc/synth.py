@@ -51,6 +51,12 @@ class FdscCircuit:
     change afterwards (``emit_circuit`` and ``parse_circuit`` pass arrays
     nobody else holds).  ``gates`` is the same layer as a tuple of int
     pairs, built on request.
+
+    The constructor checks the gates ``css.BLOCK`` at a time, so its
+    temporaries do not grow with the circuit: first the structure rule on
+    every gate (target in the register, control in the plus set, target
+    outside it), then the plus qubits' order, then the gates' order.  The
+    first fault in that order is the one reported.
     """
 
     n_qubits: int
@@ -64,22 +70,29 @@ class FdscCircuit:
         pairs = pairs.reshape(len(pairs), 2)   # no gates: shape (0,) to (0, 2)
         if ((plus < 0) | (plus >= self.n_qubits)).any():
             raise ValueError("plus qubit outside the register")
-        c, t = pairs.T
-        bad = (t < 0) | (t >= self.n_qubits) | ~np.isin(c, plus) | np.isin(t, plus)
-        if bad.any():
-            c, t = pairs[bad.argmax()]
-            raise ValueError(f"gate ({c},{t}) breaks the one-layer structure "
-                             f"(control in the plus set, target in the "
-                             f"register outside it)")
+        j = None   # the first gate not above the one before it
+        for lo in range(0, len(pairs), css.BLOCK):
+            c, t = pairs[lo:lo + css.BLOCK].T
+            bad = ((t < 0) | (t >= self.n_qubits)
+                   | ~np.isin(c, plus) | np.isin(t, plus))
+            if bad.any():
+                c, t = pairs[lo + bad.argmax()]
+                raise ValueError(f"gate ({c},{t}) breaks the one-layer "
+                                 f"structure (control in the plus set, "
+                                 f"target in the register outside it)")
+            if j is None:   # this block and the gate before it
+                first = max(lo - 1, 0)
+                c, t = pairs[first:lo + css.BLOCK].T
+                up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
+                if not up.all():
+                    j = first + int(up.argmin()) + 1
         down = np.flatnonzero(plus[1:] <= plus[:-1])
         if down.size:
             q, before = plus[down[0] + 1], plus[down[0]]
             raise ValueError(f"plus qubit {q} repeated" if q == before
                              else f"plus qubit {q} out of increasing order")
-        up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
-        if not up.all():
-            j = up.argmin() + 1
-            gate = f"gate ({c[j]},{t[j]})"
+        if j is not None:
+            gate = f"gate ({pairs[j, 0]},{pairs[j, 1]})"
             raise ValueError(f"{gate} repeated; equal CX gates cancel"
                              if (pairs[j] == pairs[j - 1]).all()
                              else f"{gate} out of increasing order")
@@ -279,16 +292,38 @@ def emit_circuit(code: CssCode, s: np.ndarray, mt: BitMatrix,
     columns (``mt`` as returned by ``build_reconstruction`` for the subset
     array ``s``, which are the controls).  The rows of ``mt`` follow the
     sorted subset and ``gf2.nonzero`` scans row-major, so the (control,
-    target) array comes out sorted, as the circuit requires."""
+    target) array comes out sorted, as the circuit requires.
+
+    The gate array, nnz - |S| rows, is allocated once and filled in row
+    blocks of about ``css.BLOCK`` set bits each (a row with more is a
+    block alone), so no temporary grows with the circuit.  The row counts
+    that cut the blocks are taken ``css.BLOCK`` words at a time.
+    """
     s = s.copy()   # the circuit's own plus qubits, O(|S|)
     in_s = np.zeros(code.n_qubits, dtype=bool)
     in_s[s] = True
-    col, t = gf2.nonzero(mt)
-    off = ~in_s[t]
-    pairs = np.column_stack((s[col[off]], t[off]))
-    if len(pairs) != len(col) - len(s):
+    ends = np.zeros(mt.rows, dtype=np.int64)   # set bits per row, then their running sum
+    chunk = max(1, css.BLOCK // max(1, mt.data.shape[1]))
+    for i in range(0, mt.rows, chunk):
+        ends[i:i + chunk] = np.bitwise_count(mt.data[i:i + chunk]).sum(axis=1)
+    np.cumsum(ends, out=ends)
+    total = int(ends[-1]) if mt.rows else 0
+    # a block ends after the row where every css.BLOCK-th set bit falls
+    cuts = np.searchsorted(ends, np.arange(css.BLOCK, total, css.BLOCK)) + 1
+    rows = np.unique(np.concatenate(([0], cuts, [mt.rows])))
+    pairs = np.empty((max(total - len(s), 0), 2), dtype=np.int64)
+    done = 0   # off-S bits so far; a block past the array is only counted
+    for lo, hi in zip(rows.tolist(), rows[1:].tolist()):
+        col, t = gf2.nonzero(mt, lo, hi)
+        off = ~in_s[t]
+        k = int(np.count_nonzero(off))
+        if done + k <= len(pairs):
+            pairs[done:done + k, 0] = s[col[off]]
+            pairs[done:done + k, 1] = t[off]
+        done += k
+    if done != total - len(s):
         raise InternalInvariantViolation(
-            f"gate count {len(pairs)} != nnz - |S| = {len(col) - len(s)}")
+            f"gate count {done} != nnz - |S| = {total - len(s)}")
     meta = dict(metadata or {})
     meta["gate_count"] = len(pairs)
     return FdscCircuit(code.n_qubits, s, pairs, meta)

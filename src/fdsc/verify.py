@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import css, gf2
 from .css import CssCode, Supports, dump_json, odd_pairs
 from .gf2 import BitMatrix, DimensionMismatch
 from .synth import FdscCircuit
@@ -34,11 +34,6 @@ class TooLarge(ValueError):
 
 
 STATEVECTOR_CAP = 20
-
-# Checked qubits and gates per block of verify's parity count.  Smaller
-# blocks sort faster and hold less; at 2^16 every verify-sweep job of the
-# benchmark is still one block, and toric L=128 comb is 33 a rule.
-BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,15 @@ def _failed_generators(gens: Supports, src: np.ndarray, dst: np.ndarray,
     The parities are counted over (generator, qubit) pairs: each generator
     on a checked qubit, plus each generator on qubit src[i] moved to qubit
     dst[i].  Pairs on different checked qubits never meet, so they are
-    counted in blocks of checked qubits, each about ``BLOCK`` checked
-    qubits and gates, cut where every ``BLOCK``-th of either begins.  Cost
-    is about nnz plus the generators on the ``src`` qubits, and memory a
-    block's share of that.
+    counted in blocks of checked qubits, each about ``css.BLOCK`` checked
+    qubits and gates, cut where every ``css.BLOCK``-th of either begins.
+    Cost is about nnz plus the generators on the ``src`` qubits, and memory
+    a block's share of that.
     """
     own = np.flatnonzero(checked)
     by_qubit = gens.transpose()
-    cuts = np.unique(np.concatenate((own[BLOCK::BLOCK], dst[BLOCK::BLOCK])))
+    step = css.BLOCK
+    cuts = np.unique(np.concatenate((own[step::step], dst[step::step])))
     o = [0, *np.searchsorted(own, cuts).tolist(), own.size]
     d = [0, *np.searchsorted(dst, cuts).tolist(), dst.size]
     failed = []

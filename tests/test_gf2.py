@@ -181,6 +181,35 @@ def test_nonzero_matches_dense(shape):
     assert cols.tolist() == want_cols.tolist()
 
 
+@settings(max_examples=200)
+@given(data=strategies.data())
+def test_nonzero_matches_dense_in_row_ranges(data):
+    """Rows lo..hi-1 scan as the dense slice does, at absolute row
+    indices: column counts across word boundaries (padding columns), and
+    rows that are empty, full (every word all ones) or random."""
+    rows = data.draw(strategies.integers(0, 8))
+    cols = data.draw(strategies.one_of(
+        strategies.sampled_from([0, 1, 63, 64, 65, 128, 129]),
+        strategies.integers(0, 200)))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2 ** 32 - 1)))
+    kinds = data.draw(strategies.lists(
+        strategies.sampled_from(["empty", "full", "random"]),
+        min_size=rows, max_size=rows))
+    a = np.array([np.zeros(cols) if k == "empty" else np.ones(cols)
+                  if k == "full" else rng.random(cols) < 0.3 for k in kinds],
+                 dtype=np.uint8).reshape(rows, cols)
+    lo = data.draw(strategies.integers(0, rows))
+    hi = data.draw(strategies.one_of(strategies.none(),
+                                     strategies.integers(lo, rows)))
+    event(f"{'padding' if cols % 64 else 'whole words'}, "
+          f"{'to the end' if hi is None else 'a range'}")
+    m = BitMatrix.from_dense(a)
+    got = gf2.nonzero(m, lo, hi) if lo or hi is not None else gf2.nonzero(m)
+    want_rows, want_cols = np.nonzero(a[lo:hi])
+    assert got[0].tolist() == (want_rows + lo).tolist()
+    assert got[1].tolist() == want_cols.tolist()
+
+
 @pytest.mark.parametrize("shape,density", [((5, 70), 0.3), ((40, 1), 0.5),
                                            ((3, 128), 0.9), ((7, 200), 1.0),
                                            ((6, 0), 0.5), ((0, 9), 0.5)])

@@ -5,14 +5,15 @@ import hashlib
 import json
 import re
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
-                      dense_reconstruction, random_css_code,
-                      reverse_pivot_right_inverse)
+                      dense_reconstruction, hgp_code, random_css_code,
+                      regular_checks, reverse_pivot_right_inverse)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -471,6 +472,117 @@ def test_fdsc_circuit_matches_per_gate_checks(case):
         assert circ.pairs.dtype == np.int64 and circ.pairs.shape == (len(want), 2)
         c, t = circ.pairs.T
         assert np.all((c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1])))
+
+
+# -- blocked emission and circuit checks ---------------------------------
+
+
+def subset_and_reconstruction(family, size, strategy):
+    """A code of the family (``hgp``: the hypergraph product of two seeded
+    (3,4)-regular checks on ``size`` bits), its subset and its M."""
+    if family == "hgp":
+        rng = np.random.default_rng(0)
+        code = hgp_code(regular_checks(rng, size), regular_checks(rng, size))
+    else:
+        code = css.build_family(family, size)
+    s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
+    return code, s, build_reconstruction(code, s)
+
+
+@pytest.mark.parametrize("family,size,strategy", [
+    ("toric", 4, "toric_comb"), ("toric", 4, "toric_recursive"),
+    ("toric", 5, "greedy"), ("haah", 3, "haah_canonical"),
+    ("xcube", 3, "xcube_dual_trees"), ("hgp", 8, "greedy")])
+def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
+    # blocks of a few set bits of M emit the same gate array as one block
+    code, s, mt = subset_and_reconstruction(family, size, strategy)
+    monkeypatch.setattr(css, "BLOCK", 1 << 40)
+    want = emit_circuit(code, s, mt)
+    scans = []
+    nonzero = gf2.nonzero
+    monkeypatch.setattr(gf2, "nonzero", lambda *a: scans.append(a) or nonzero(*a))
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(css, "BLOCK", block)
+        scans.clear()
+        assert emit_circuit(code, s, mt) == want
+        # every row holds its diagonal bit, so each row is a block of one
+        assert len(scans) == mt.rows if block == 1 else len(scans) > 1
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 40])
+def test_emit_rejects_m_off_the_identity_on_s(monkeypatch, block):
+    # the hits on S must number exactly |S|: one S row short of its
+    # diagonal bit, or holding another S member's, is an internal error
+    code, s, mt = subset_and_reconstruction("toric", 4, "toric_comb")
+    monkeypatch.setattr(css, "BLOCK", block)
+    for j in (0, len(s) // 2, len(s) - 1):
+        for q in (s[j], s[(j + 1) % len(s)]):
+            bad = BitMatrix(mt.rows, mt.cols)
+            bad.data = mt.data.copy()
+            bad.data[j, q >> 6] ^= np.uint64(1) << np.uint64(q & 63)
+            with pytest.raises(synth.InternalInvariantViolation,
+                               match=r"gate count \d+ != nnz - \|S\|"):
+                emit_circuit(code, s, bad)
+
+
+FAULTS = ("none", "range", "control", "target", "repeat", "order")
+
+
+@strategies.composite
+def one_fault_circuits(draw):
+    """A valid circuit's (n, plus, pairs) with at most one fault, at a gate
+    drawn anywhere or at the first or last gate of a block of 2, 3 or 7:
+    a target outside the register, a control outside the plus set, a
+    target inside it, a gate repeated, or two gates swapped."""
+    n = draw(strategies.integers(3, 12))
+    plus = sorted(draw(strategies.lists(strategies.integers(0, n - 1), unique=True,
+                                        min_size=1, max_size=n - 1)))
+    others = [q for q in range(n) if q not in plus]
+    pairs = np.array(sorted(draw(strategies.lists(
+        strategies.tuples(strategies.sampled_from(plus),
+                          strategies.sampled_from(others)),
+        unique=True, min_size=2, max_size=40))), dtype=np.int64)
+    m = len(pairs)
+    edges = sorted({min(max(k * b + d, 0), m - 1) for b in (2, 3, 7)
+                    for k in range(m // b + 1) for d in (-1, 0)})
+    i = draw(strategies.one_of(strategies.integers(0, m - 1),
+                               strategies.sampled_from(edges)))
+    fault = draw(strategies.sampled_from(FAULTS))
+    event(fault)
+    if fault == "range":
+        pairs[i, 1] = draw(strategies.sampled_from([-1, n, n + 5]))
+    elif fault == "control":
+        pairs[i, 0] = draw(strategies.sampled_from(others + [-1, n]))
+    elif fault == "target":
+        pairs[i, 1] = draw(strategies.sampled_from(plus))
+    elif fault == "repeat":
+        pairs = np.insert(pairs, i, pairs[i], axis=0)
+    elif fault == "order":
+        k = draw(strategies.integers(0, m - 1).filter(lambda k: k != i))
+        pairs[[i, k]] = pairs[[k, i]]
+    return n, plus, pairs, fault
+
+
+def circuit_outcome(n, plus, pairs, block):
+    """``FdscCircuit``'s gates, or its error message, with ``css.BLOCK``
+    set to ``block``."""
+    with unittest.mock.patch.object(css, "BLOCK", block):
+        try:
+            return FdscCircuit(n, plus, pairs).gates
+        except ValueError as e:
+            return str(e)
+
+
+@settings(max_examples=400)
+@given(case=one_fault_circuits())
+def test_blocked_circuit_check_matches_one_block(case):
+    # the same accept or reject, with the same message, in blocks of a few
+    # gates as in one block of them all
+    n, plus, pairs, fault = case
+    want = circuit_outcome(n, plus, pairs, 1 << 40)
+    assert isinstance(want, str) == (fault != "none")
+    for block in (1, 2, 3, 7):
+        assert circuit_outcome(n, plus, pairs, block) == want
 
 
 @pytest.mark.parametrize("m", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])

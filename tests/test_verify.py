@@ -300,14 +300,14 @@ def test_blocked_verify_matches_one_block(monkeypatch, family, size, strategy):
     code = css.build_family(family, size)
     circ = synth.synthesize(code, strategy)
     circuits = [circ, *one_gate_mutants(circ, seed=size, count=8)]
-    monkeypatch.setattr(verify, "BLOCK", 1 << 40)
+    monkeypatch.setattr(css, "BLOCK", 1 << 40)
     want = [verify_circuit(code, c) for c in circuits]
     assert want[0].passed and not any(rep.passed for rep in want[1:])
     blocks = []
     monkeypatch.setattr(verify, "odd_pairs",
                         lambda *a: blocks.append(a) or css.odd_pairs(*a))
     for block in (1, 2, 5, 32):
-        monkeypatch.setattr(verify, "BLOCK", block)
+        monkeypatch.setattr(css, "BLOCK", block)
         blocks.clear()
         assert [verify_circuit(code, c) for c in circuits] == want
         assert len(blocks) >= 4 * len(circuits)   # two blocks a rule, or more
