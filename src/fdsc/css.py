@@ -45,10 +45,11 @@ SHAPES = {"ghz": lambda n: (n,),
 FAMILIES = (*SHAPES, "custom")
 
 # Items per block of the loops that follow a circuit's size: set bits of M
-# per emission block and gates per circuit-check block (``synth``), checked
-# qubits and gates per parity-count block (``verify``).  Smaller blocks
-# sort faster and hold less; at 2^16 every verify-sweep job of the
-# benchmark is still one block, and toric L=128 comb is 33 a rule.
+# per emission block, gates per circuit-check block and per piece of the
+# circuit writer (``synth``), checked qubits and gates per parity-count
+# block (``verify``).  Smaller blocks sort faster and hold less; at 2^16
+# every verify-sweep job of the benchmark is still one block, and toric
+# L=128 comb is 33 a rule.
 BLOCK = 1 << 16
 
 
@@ -356,20 +357,20 @@ def index_lists(name: str, v, width: int | None = None):
 def _indices(v, what: str, error=ValueError) -> np.ndarray:
     """``v`` as an int64 array; ``error`` unless its values are integers (an
     empty ``v`` passes whatever its dtype): floats and booleans are rejected,
-    not truncated, also booleans beside integers in a sequence, which numpy
-    reads as integers.  An array's entries are not scanned one by one.
-    OverflowError for an integer beyond int64."""
-    a = np.asarray(v)
-    if a.dtype == object and all(type(x) is int or isinstance(x, np.integer)
-                                 for x in a.flat):
-        a = np.asarray(a.tolist(), dtype=np.int64)
-    if a.size and a.dtype.kind not in "iu":
-        raise error(f"{what} must be integers, not {a.dtype}")
-    if not isinstance(v, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_))
-            for x in np.asarray(v, dtype=object).flat):
-        raise error(f"{what} must be integers, not bool")
-    return a.astype(np.int64, copy=False)
+    not truncated.  A sequence or object array is checked item by item and
+    converted once; any other array by its dtype alone.  OverflowError for
+    an integer beyond int64."""
+    if isinstance(v, np.ndarray) and v.dtype != object:
+        if v.size and v.dtype.kind not in "iu":
+            raise error(f"{what} must be integers, not {v.dtype}")
+        if v.dtype == np.uint64 and v.size and v.max() > np.iinfo(np.int64).max:
+            raise OverflowError(f"{what} holds an integer beyond int64")
+        return v.astype(np.int64, copy=False)
+    items = np.asarray(v, dtype=object)
+    for x in items.flat:
+        if type(x) is not int and not isinstance(x, np.integer):
+            raise error(f"{what} must be integers, not {type(x).__name__}")
+    return items.astype(np.int64)
 
 
 def _unique_keys(pairs) -> dict:

@@ -144,10 +144,9 @@ class _Level:
     #                              remaining chain is a single abelian step)
 
 
-def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> Optional[_Level]:
-    """Recursive level data for the full chain ({e}, ..., G)."""
-    if len(chain) < 2:
-        return None
+def _build_level(group: FiniteGroup, chain: Sequence[Sequence[int]]) -> _Level:
+    """Recursive level data for the full chain ({e}, ..., G) of three or
+    more subgroups."""
     t, inv = group.table, group.inverse
     n_elements = _sorted_ids(chain[-2])
     rep = _coset_map(group, n_elements)

@@ -52,11 +52,10 @@ class FdscCircuit:
     nobody else holds).  ``gates`` is the same layer as a tuple of int
     pairs, built on request.
 
-    The constructor checks the gates ``css.BLOCK`` at a time, so its
-    temporaries do not grow with the circuit: first the structure rule on
-    every gate (target in the register, control in the plus set, target
-    outside it), then the plus qubits' order, then the gates' order.  The
-    first fault in that order is the one reported.
+    The constructor checks the plus qubits, then the gates in file order,
+    ``css.BLOCK`` at a time, and reports the first fault; at a gate the
+    structure rule (target in the register, control in the plus set, target
+    outside it) comes before the order.
     """
 
     n_qubits: int
@@ -70,32 +69,28 @@ class FdscCircuit:
         pairs = pairs.reshape(len(pairs), 2)   # no gates: shape (0,) to (0, 2)
         if ((plus < 0) | (plus >= self.n_qubits)).any():
             raise ValueError("plus qubit outside the register")
-        j = None   # the first gate not above the one before it
-        for lo in range(0, len(pairs), css.BLOCK):
-            c, t = pairs[lo:lo + css.BLOCK].T
-            bad = ((t < 0) | (t >= self.n_qubits)
-                   | ~np.isin(c, plus) | np.isin(t, plus))
-            if bad.any():
-                c, t = pairs[lo + bad.argmax()]
-                raise ValueError(f"gate ({c},{t}) breaks the one-layer "
-                                 f"structure (control in the plus set, "
-                                 f"target in the register outside it)")
-            if j is None:   # this block and the gate before it
-                first = max(lo - 1, 0)
-                c, t = pairs[first:lo + css.BLOCK].T
-                up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] > t[:-1]))
-                if not up.all():
-                    j = first + int(up.argmin()) + 1
         down = np.flatnonzero(plus[1:] <= plus[:-1])
         if down.size:
             q, before = plus[down[0] + 1], plus[down[0]]
             raise ValueError(f"plus qubit {q} repeated" if q == before
                              else f"plus qubit {q} out of increasing order")
-        if j is not None:
-            gate = f"gate ({pairs[j, 0]},{pairs[j, 1]})"
-            raise ValueError(f"{gate} repeated; equal CX gates cancel"
-                             if (pairs[j] == pairs[j - 1]).all()
-                             else f"{gate} out of increasing order")
+        for lo in range(0, len(pairs), css.BLOCK):
+            first = max(lo - 1, 0)   # this block and the gate before it
+            c, t = pairs[first:lo + css.BLOCK].T
+            broken = ((t < 0) | (t >= self.n_qubits)
+                      | ~np.isin(c, plus) | np.isin(t, plus))
+            bad = broken.copy()
+            bad[1:] |= (c[1:] < c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] <= t[:-1]))
+            if bad.any():
+                i = int(bad.argmax())
+                gate = f"gate ({c[i]},{t[i]})"
+                if broken[i]:
+                    raise ValueError(f"{gate} breaks the one-layer structure "
+                                     f"(control in the plus set, target in "
+                                     f"the register outside it)")
+                raise ValueError(f"{gate} repeated; equal CX gates cancel"
+                                 if c[i] == c[i - 1] and t[i] == t[i - 1]
+                                 else f"{gate} out of increasing order")
         for name, a in (("plus_qubits", plus), ("pairs", pairs)):
             a = a.view()
             a.flags.writeable = False
@@ -414,9 +409,9 @@ def _circuit_pieces(circ: FdscCircuit):
     then ``q]`` for each, and a gate (c, t) is table entries c and
     top + t, top being the length of each half.  The table covers 0..the
     largest gate qubit, or only the qubits the gates use when that range
-    is far larger than the gate array; it is indexed and joined 2^16
-    gates at a time, one piece each, and the first gate's leading comma is
-    dropped.
+    is far larger than the gate array; it is indexed and joined
+    ``css.BLOCK`` gates at a time, one piece each, and the first gate's
+    leading comma is dropped.
     """
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
@@ -427,7 +422,7 @@ def _circuit_pieces(circ: FdscCircuit):
     table = np.array([",[%d," % q for q in qubits] + ["%d]" % q for q in qubits],
                      dtype=object)
     yield '{"gates":['
-    for k, b in enumerate(np.split(index, range(1 << 16, len(index), 1 << 16))):
+    for k, b in enumerate(np.split(index, range(css.BLOCK, len(index), css.BLOCK))):
         gates = "".join(table[(b + (0, top)).ravel()].tolist())
         yield gates[1:] if k == 0 else gates
     yield "],"

@@ -236,20 +236,27 @@ def reverse_pivot_right_inverse(a) -> BitMatrix:
 
 
 def circuit_oracle(n_qubits, plus_qubits, gates):
-    """The one-layer circuit checks, one qubit and one gate tuple at a
-    time: the gate tuple as given, or ValueError where ``FdscCircuit``
-    must reject."""
-    if any(p >= q for p, q in itertools.pairwise(plus_qubits)):
-        raise ValueError("plus qubits not strictly increasing")
-    plus = set(plus_qubits)
-    if plus and not all(0 <= q < n_qubits for q in plus):
+    """The one-layer circuit checks, one qubit and one gate at a time: the
+    gates as a tuple of tuples, or ValueError with ``FdscCircuit``'s
+    message for the first fault in input order.  The plus qubits come
+    first (the register, then the order), then each gate in turn, its
+    structure before its order."""
+    if not all(0 <= q < n_qubits for q in plus_qubits):
         raise ValueError("plus qubit outside the register")
+    for p, q in itertools.pairwise(plus_qubits):
+        if p >= q:
+            raise ValueError(f"plus qubit {q} repeated" if p == q
+                             else f"plus qubit {q} out of increasing order")
+    plus, before = set(plus_qubits), None
     for c, t in gates:
-        if not (0 <= t < n_qubits):
-            raise ValueError(f"gate target {t} outside the register")
-        if c not in plus or t in plus:
-            raise ValueError(f"gate ({c},{t}) breaks the one-layer structure")
-    gates = tuple(gates)
-    if any(g >= h for g, h in itertools.pairwise(gates)):
-        raise ValueError("gates not strictly increasing")
-    return gates
+        gate = f"gate ({c},{t})"
+        if not (0 <= t < n_qubits) or c not in plus or t in plus:
+            raise ValueError(f"{gate} breaks the one-layer structure (control "
+                             f"in the plus set, target in the register "
+                             f"outside it)")
+        if before is not None and (c, t) <= before:
+            raise ValueError(f"{gate} repeated; equal CX gates cancel"
+                             if (c, t) == before
+                             else f"{gate} out of increasing order")
+        before = (c, t)
+    return tuple(map(tuple, gates))

@@ -607,6 +607,49 @@ def test_groups_malformed_file(tmp_path, capsys):
     assert rc == 2
 
 
+# Exits no other test reaches, each with its one stderr line.
+@pytest.mark.parametrize("argv, line", [
+    (("synth", "--code", "file:{code}", "--strategy", "greedy"),
+     "unknown family 'bogus'"),
+    (("synth", "--code", "xcube", "--size", "1", "--strategy", "xcube_dual_trees"),
+     "X-cube needs L >= 2"),
+    (("synth", "--code", "haah", "--size", "0", "--strategy", "haah_canonical"),
+     "cubic code needs L >= 1"),
+    (("groups", "--group", "cyclic:4", "--lengths", "2"),
+     "unknown group spec 'cyclic:4'")])
+def test_input_error_exits_2_with_its_line(tmp_path, capsys, argv, line):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({**json.loads(css.serialize_code(css.build_ghz(3))),
+                                "family": "bogus"}))
+    rc, stdout, err = run(capsys, *(a.format(code=code) for a in argv))
+    assert (rc, stdout, err) == (2, "", f"error: {line}\n")
+
+
+def test_groups_mismatch_exits_1(monkeypatch, capsys):
+    # a network that disagrees with the table fold is the command's own
+    # failed check: every length is reported, then exit 1
+    monkeypatch.setattr(groups, "evaluate",
+                        lambda net, seqs: np.full(np.shape(seqs)[:-1], -1))
+    rc, stdout, err = run(capsys, "groups", "--group", "dihedral:4",
+                          "--lengths", "2,3")
+    assert rc == 1 and stdout.startswith("n,depth,ancillas\n")
+    assert err == ("mismatch against table fold at n=2\n"
+                   "mismatch against table fold at n=3\n")
+
+
+def test_oracle_on_mismatched_qubit_counts_exits_2(tmp_path, monkeypatch, capsys):
+    # the oracle checks the qubit counts itself, also when verification
+    # (here a stand-in that passes) does not
+    path = tmp_path / "c.json"
+    path.write_text(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
+                                                             "greedy")))
+    monkeypatch.setattr(cli.verify, "verify_circuit",
+                        lambda code, circ: verify.VerifyReport(True, (), (), 0))
+    rc, stdout, err = run(capsys, "verify", "--circuit", str(path), "--code",
+                          "ghz", "--size", "4", "--oracle")
+    assert (rc, stdout, err) == (2, "", "error: circuit and code qubit counts differ\n")
+
+
 SMOKE_MATRIX = (
     [("ghz", 8, "greedy")]
     + [("toric", L, s) for L in (2, 4, 8)

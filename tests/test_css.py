@@ -13,7 +13,7 @@ from hypothesis import event, given, settings, strategies
 
 from conftest import (dense_code, dense_nullspace, dense_rank, dense_supports,
                       random_css_code, support_lists_ok)
-from fdsc import css, gf2
+from fdsc import css, gf2, groups, synth
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
 from fdsc.gf2 import BitMatrix
 
@@ -518,3 +518,17 @@ def test_index_lists_matches_plain_python(v, width):
     start, entries = css.index_lists("rows", v, width)
     assert start.dtype == entries.dtype == np.int64
     assert (start.tolist(), entries.tolist()) == expected
+
+
+@pytest.mark.parametrize("v", [[2 ** 63], np.array([2 ** 63], np.uint64),
+                               [[0, 2 ** 63]]], ids=["int", "uint64", "nested"])
+@pytest.mark.parametrize("take", [
+    lambda v: synth.FdscCircuit(3, v, []),
+    lambda v: synth.FdscCircuit(3, [0], v),
+    lambda v: synth.build_reconstruction(css.build_ghz(3), v),
+    groups.FiniteGroup.from_table], ids=["plus", "gates", "subset", "table"])
+def test_indices_beyond_int64_overflow(take, v):
+    # numpy reads [2**63] as uint64 and [[0, 2**63]] as float64: neither
+    # may wrap to a negative index or pass for a non-integer
+    with pytest.raises(OverflowError):
+        take(v)

@@ -9,7 +9,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies
+from hypothesis import event, example, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
                       dense_reconstruction, hgp_code, random_css_code,
@@ -494,10 +494,12 @@ def subset_and_reconstruction(family, size, strategy):
     ("toric", 5, "greedy"), ("haah", 3, "haah_canonical"),
     ("xcube", 3, "xcube_dual_trees"), ("hgp", 8, "greedy")])
 def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
-    # blocks of a few set bits of M emit the same gate array as one block
+    # blocks of a few set bits of M emit the same gate array as one block,
+    # and pieces of a few gates write and read back the same circuit file
     code, s, mt = subset_and_reconstruction(family, size, strategy)
     monkeypatch.setattr(css, "BLOCK", 1 << 40)
     want = emit_circuit(code, s, mt)
+    text = synth.serialize_circuit(want)
     scans = []
     nonzero = gf2.nonzero
     monkeypatch.setattr(gf2, "nonzero", lambda *a: scans.append(a) or nonzero(*a))
@@ -507,6 +509,8 @@ def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
         assert emit_circuit(code, s, mt) == want
         # every row holds its diagonal bit, so each row is a block of one
         assert len(scans) == mt.rows if block == 1 else len(scans) > 1
+        assert synth.serialize_circuit(want) == text
+        assert synth._read_canonical(text) == want
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 40])
@@ -528,12 +532,10 @@ def test_emit_rejects_m_off_the_identity_on_s(monkeypatch, block):
 FAULTS = ("none", "range", "control", "target", "repeat", "order")
 
 
-@strategies.composite
-def one_fault_circuits(draw):
-    """A valid circuit's (n, plus, pairs) with at most one fault, at a gate
-    drawn anywhere or at the first or last gate of a block of 2, 3 or 7:
-    a target outside the register, a control outside the plus set, a
-    target inside it, a gate repeated, or two gates swapped."""
+def valid_circuit(draw):
+    """A valid circuit's (n, plus, others, pairs) drawn by ``draw``: 3 to
+    12 qubits, plus a nonempty list of them, others the rest, and 2 to 40
+    gates."""
     n = draw(strategies.integers(3, 12))
     plus = sorted(draw(strategies.lists(strategies.integers(0, n - 1), unique=True,
                                         min_size=1, max_size=n - 1)))
@@ -542,13 +544,22 @@ def one_fault_circuits(draw):
         strategies.tuples(strategies.sampled_from(plus),
                           strategies.sampled_from(others)),
         unique=True, min_size=2, max_size=40))), dtype=np.int64)
-    m = len(pairs)
+    return n, plus, others, pairs
+
+
+def gate_index(draw, m):
+    """One of m gates, drawn anywhere or at the first or last gate of a
+    block of 2, 3 or 7."""
     edges = sorted({min(max(k * b + d, 0), m - 1) for b in (2, 3, 7)
                     for k in range(m // b + 1) for d in (-1, 0)})
-    i = draw(strategies.one_of(strategies.integers(0, m - 1),
-                               strategies.sampled_from(edges)))
-    fault = draw(strategies.sampled_from(FAULTS))
-    event(fault)
+    return draw(strategies.one_of(strategies.integers(0, m - 1),
+                                  strategies.sampled_from(edges)))
+
+
+def gate_fault(draw, fault, n, plus, others, pairs, i):
+    """``pairs`` with ``fault`` at gate i: a target outside the register, a
+    control outside the plus set, a target inside it, the gate repeated,
+    or it and another gate swapped."""
     if fault == "range":
         pairs[i, 1] = draw(strategies.sampled_from([-1, n, n + 5]))
     elif fault == "control":
@@ -558,9 +569,20 @@ def one_fault_circuits(draw):
     elif fault == "repeat":
         pairs = np.insert(pairs, i, pairs[i], axis=0)
     elif fault == "order":
-        k = draw(strategies.integers(0, m - 1).filter(lambda k: k != i))
+        k = draw(strategies.integers(0, len(pairs) - 1).filter(lambda k: k != i))
         pairs[[i, k]] = pairs[[k, i]]
-    return n, plus, pairs, fault
+    return pairs
+
+
+@strategies.composite
+def one_fault_circuits(draw):
+    """A valid circuit's (n, plus, pairs) with at most one fault of
+    ``gate_fault``, at a gate drawn by ``gate_index``."""
+    n, plus, others, pairs = valid_circuit(draw)
+    i = gate_index(draw, len(pairs))
+    fault = draw(strategies.sampled_from(FAULTS))
+    event(fault)
+    return n, plus, gate_fault(draw, fault, n, plus, others, pairs, i), fault
 
 
 def circuit_outcome(n, plus, pairs, block):
@@ -582,6 +604,49 @@ def test_blocked_circuit_check_matches_one_block(case):
     want = circuit_outcome(n, plus, pairs, 1 << 40)
     assert isinstance(want, str) == (fault != "none")
     for block in (1, 2, 3, 7):
+        assert circuit_outcome(n, plus, pairs, block) == want
+
+
+@strategies.composite
+def many_fault_circuits(draw):
+    """A valid circuit's (n, plus, pairs) with two to four faults: each of
+    ``gate_fault`` at a gate drawn by ``gate_index``, or in the plus set (a
+    qubit outside the register, repeated, or two swapped).  Faults may
+    undo one another."""
+    n, plus, others, pairs = valid_circuit(draw)
+    faults = draw(strategies.lists(strategies.sampled_from(FAULTS[1:] + ("plus",)),
+                                   min_size=2, max_size=4))
+    event(f"first fault drawn: {faults[0]}")
+    for fault in faults:
+        if fault != "plus":
+            i = gate_index(draw, len(pairs))
+            pairs = gate_fault(draw, fault, n, plus, others, pairs, i)
+            continue
+        j = draw(strategies.integers(0, len(plus) - 1))
+        kind = draw(strategies.sampled_from(["range", "repeat", "order"]))
+        if kind == "range":
+            plus[j] = draw(strategies.sampled_from([-1, n, n + 5]))
+        elif kind == "repeat" or len(plus) == 1:
+            plus.insert(j, plus[j])
+        else:
+            k = draw(strategies.integers(0, len(plus) - 1).filter(lambda k: k != j))
+            plus[j], plus[k] = plus[k], plus[j]
+    return n, plus, pairs
+
+
+@settings(max_examples=400)
+@given(case=many_fault_circuits())
+@example(case=(4, [0], np.array([[0, 2], [0, 1], [1, 3]])))
+@example(case=(4, [1, 0], np.array([[2, 3]])))
+def test_circuit_check_names_the_first_fault_in_input_order(case):
+    # the plus qubits first, then each gate in turn, its structure before
+    # its order: the same message in blocks of a few gates as in one
+    n, plus, pairs = case
+    try:
+        want = circuit_oracle(n, plus, pairs.tolist())
+    except ValueError as e:
+        want = str(e)
+    for block in (1, 2, 3, 7, 1 << 40):
         assert circuit_outcome(n, plus, pairs, block) == want
 
 
