@@ -404,14 +404,13 @@ def _circuit_pieces(circ: FdscCircuit):
     """The circuit file as compact JSON with sorted keys, in pieces.
 
     "gates" sorts first, so it is written in front of the rest of the
-    document, which ``css.dump_json`` writes.  Its text is a join of
-    number strings: one table holds ``,[q,`` for each qubit q a gate uses,
-    then ``q]`` for each, and a gate (c, t) is table entries c and
-    top + t, top being the length of each half.  The table covers 0..the
-    largest gate qubit, or only the qubits the gates use when that range
-    is far larger than the gate array; it is indexed and joined
-    ``css.BLOCK`` gates at a time, one piece each, and the first gate's
-    leading comma is dropped.
+    document, which ``css.dump_json`` writes.  Its text is gathered from a
+    byte table, NUL-padded rows of whole uint64 words: ``,[q,`` for each
+    qubit q a gate uses, then ``q]`` for each, so a gate (c, t) is rows c
+    and top + t, top being the length of each half.  The table covers
+    0..the largest gate qubit, or only the qubits the gates use when that
+    range is far larger than the gate array; it is gathered ``css.BLOCK``
+    gates at a time into one piece each, NULs and the first comma dropped.
     """
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
@@ -419,11 +418,12 @@ def _circuit_pieces(circ: FdscCircuit):
     if top > 4 * index.size + (1 << 16):   # a table of the used qubits only
         used, index = np.unique(index, return_inverse=True)
         qubits, top, index = used.tolist(), len(used), index.reshape(-1, 2)
-    table = np.array([",[%d," % q for q in qubits] + ["%d]" % q for q in qubits],
-                     dtype=object)
+    rows = [b",[%d," % q for q in qubits] + [b"%d]" % q for q in qubits]
+    width = max(map(len, rows), default=1) + 7 >> 3
+    table = np.array(rows, dtype=f"S{8 * width}").view(np.uint64).reshape(-1, width)
     yield '{"gates":['
     for k, b in enumerate(np.split(index, range(css.BLOCK, len(index), css.BLOCK))):
-        gates = "".join(table[(b + (0, top)).ravel()].tolist())
+        gates = table[(b + (0, top)).ravel()].tobytes().translate(None, b"\0").decode()
         yield gates[1:] if k == 0 else gates
     yield "],"
     yield css.dump_json({"version": 1, "n_qubits": circ.n_qubits,

@@ -1,5 +1,5 @@
-"""Exact verification of one-layer CX circuits against a CSS code, with a
-brute-force state-vector oracle at toy sizes.
+"""Exact verification of one-layer CX circuits against a CSS code, and a toy-
+size oracle: the output state vector against the ground state's basis labels.
 
 A circuit prepares |+> on S and |0> elsewhere, then applies CX gates whose
 controls lie in S and whose targets lie outside it.  Its output is the
@@ -107,50 +107,50 @@ def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:
 # -- state-vector oracle ---------------------------------------------------
 
 
-def _span_state(n_qubits: int, masks: np.ndarray) -> np.ndarray:
-    """Uniform superposition over the XOR span of the uint64 bit masks:
-    basis label i XORs masks[j] for every set bit j of i."""
-    idx = np.arange(1 << len(masks), dtype=np.uint64)
-    labels = np.zeros_like(idx)
-    for pos, mask in enumerate(masks):
-        labels ^= ((idx >> np.uint64(pos)) & np.uint64(1)) * mask
-    vec = np.zeros(1 << n_qubits, dtype=np.float64)
-    np.add.at(vec, labels.astype(np.int64), 1.0)
-    return vec / np.linalg.norm(vec)
+def _span(masks: np.ndarray) -> np.ndarray:
+    """The XOR span of the bit masks as int64 basis labels: label i XORs
+    masks[j] for every set bit j of i."""
+    labels = np.zeros(1, dtype=np.int64)
+    for mask in masks.tolist():
+        labels = np.concatenate((labels, labels ^ mask))
+    return labels
 
 
 def circuit_statevector(circ: FdscCircuit) -> np.ndarray:
-    """Amplitude vector of the circuit output (n <= 20): the span of the
-    columns of M_c, one bit mask per plus qubit."""
+    """Amplitude vector of the circuit output (n <= 20): uniform over the
+    span of the columns of M_c, one bit mask per plus qubit, independent
+    since M_c is the identity on the plus rows."""
     if circ.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={circ.n_qubits} > {STATEVECTOR_CAP}")
     plus, controls, targets = (a.astype(np.uint64) for a in final_state(circ))
     columns = np.uint64(1) << plus
     np.bitwise_or.at(columns, np.searchsorted(plus, controls),
                      np.uint64(1) << targets)
-    return _span_state(circ.n_qubits, columns)
+    labels = _span(columns)
+    vec = np.zeros(1 << circ.n_qubits)
+    vec[labels] = labels.size ** -0.5
+    return vec
 
 
-def ground_state_statevector(code: CssCode) -> np.ndarray:
-    """Equal superposition over applying every X-generator subset to |0...0>.
-
-    Enumerates only an independent column subset of the X-stabilizer matrix
-    so dependent generators do not blow the term count up.
-    """
+def ground_state_labels(code: CssCode) -> np.ndarray:
+    """The 2^rank distinct basis labels of the ground state, the span of
+    the X generators applied to |0...0>, enumerated from an independent
+    column subset so dependent generators do not blow the term count up."""
     if code.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={code.n_qubits} > {STATEVECTOR_CAP}")
     a = code.x_stabs.to_dense()
     bits = a[:, gf2.column_rank_profile(BitMatrix.from_dense(a))].astype(np.uint64)
     shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
-    return _span_state(code.n_qubits,
-                       np.bitwise_or.reduce(bits << shifts, axis=0))
+    return _span(np.bitwise_or.reduce(bits << shifts, axis=0))
 
 
 def statevector_check(code: CssCode, circ: FdscCircuit) -> bool:
-    """Exact equality of circuit output and the superposition ground state."""
+    """Exact equality of circuit output and the superposition ground state.
+    Both are uniform with sign +1, so they are equal iff the circuit's
+    nonzero amplitudes sit exactly on the ground state's labels."""
     if code.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={code.n_qubits} > {STATEVECTOR_CAP}")
     if circ.n_qubits != code.n_qubits:
         raise DimensionMismatch("circuit and code qubit counts differ")
-    return np.allclose(circuit_statevector(circ),
-                       ground_state_statevector(code), atol=1e-12)
+    vec, labels = circuit_statevector(circ), ground_state_labels(code)
+    return bool(np.count_nonzero(vec) == labels.size and (vec[labels] > 0).all())

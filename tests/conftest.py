@@ -1,9 +1,10 @@
 """Shared test helpers: dense-elimination oracles (rank, subset,
 reconstruction, verification), a two-scan packed elimination kernel, the
-right inverse with the reverse pivot order, a per-gate circuit check, the
-per-entry code-file rules, codes from dense arrays, random codes (small
-ones, and hypergraph products of random regular classical codes), and the
-hypothesis profile every property runs under.
+right inverse with the reverse pivot order, a two-vector state-vector
+oracle, a per-gate circuit check, the per-entry code-file rules, codes
+from dense arrays, random codes (small ones, and hypergraph products of
+random regular classical codes), and the hypothesis profile every
+property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -233,6 +234,37 @@ def reverse_pivot_right_inverse(a) -> BitMatrix:
     column-reversed matrix, with the rows of the result reversed back."""
     r = gf2.right_inverse(BitMatrix.from_dense(np.asarray(a)[:, ::-1]))
     return BitMatrix.from_dense(r.to_dense()[::-1])
+
+
+def _span_state(n_qubits: int, masks: np.ndarray) -> np.ndarray:
+    """Uniform superposition over the XOR span of the uint64 bit masks:
+    basis label i XORs masks[j] for every set bit j of i."""
+    idx = np.arange(1 << len(masks), dtype=np.uint64)
+    labels = np.zeros_like(idx)
+    for pos, mask in enumerate(masks):
+        labels ^= ((idx >> np.uint64(pos)) & np.uint64(1)) * mask
+    vec = np.zeros(1 << n_qubits, dtype=np.float64)
+    np.add.at(vec, labels.astype(np.int64), 1.0)
+    return vec / np.linalg.norm(vec)
+
+
+def reference_statevector_check(code: css.CssCode, circ) -> bool:
+    """The state-vector oracle with both states dense, the reference for
+    ``verify.statevector_check`` (n <= 20): the circuit output, the span of
+    the columns of M_c, against the superposition over an independent
+    column subset of the X generators, compared by ``np.allclose``."""
+    plus = circ.plus_qubits.astype(np.uint64)
+    controls, targets = circ.pairs.T.astype(np.uint64)
+    columns = np.uint64(1) << plus
+    np.bitwise_or.at(columns, np.searchsorted(plus, controls),
+                     np.uint64(1) << targets)
+    a = code.x_stabs.to_dense()
+    bits = a[:, gf2.column_rank_profile(BitMatrix.from_dense(a))].astype(np.uint64)
+    shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
+    return np.allclose(_span_state(circ.n_qubits, columns),
+                       _span_state(code.n_qubits,
+                                   np.bitwise_or.reduce(bits << shifts, axis=0)),
+                       atol=1e-12)
 
 
 def circuit_oracle(n_qubits, plus_qubits, gates):

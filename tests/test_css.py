@@ -142,6 +142,11 @@ LAYOUT = {
 }
 
 
+def test_build_family_rejects_an_unknown_family():
+    with pytest.raises(ParseError, match="unknown family 'bogus'"):
+        css.build_family("bogus", 3)
+
+
 @pytest.mark.parametrize("family, size", [
     ("ghz", 4), ("toric", 2), ("toric", 3), ("toric", 4), ("xcube", 2),
     ("xcube", 3), ("haah", 1), ("haah", 2), ("haah", 3)])

@@ -15,6 +15,18 @@ def test_rank_identity():
     assert gf2.rank(BitMatrix.identity(3)) == 3
 
 
+def test_bad_shapes_and_entries_raise():
+    with pytest.raises(ValueError, match="negative dimensions"):
+        BitMatrix(-1, 2)
+    for entry in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match="entry out of range"):
+            BitMatrix.from_entries([entry], 2, 3)
+    m = BitMatrix.identity(3)
+    for rhs in ([1, 0], [1, 0, 1, 0], [[1, 0, 1]]):
+        with pytest.raises(DimensionMismatch, match="rhs length"):
+            gf2.solve(m, np.array(rhs, dtype=np.uint8))
+
+
 def test_rank_duplicate_rows():
     assert gf2.rank(BitMatrix.from_dense([[1, 1], [1, 1]])) == 1
 

@@ -2,8 +2,9 @@
 stages and of the circuit writer: the tracemalloc peak of reading a
 circuit file and a code file, at sizes where the index lists dominate, of
 verifying the circuit read, of selecting the subset, building the
-reconstruction and emitting that circuit, and of writing it back out; and
-a scaling study's peak, which is one size's."""
+reconstruction and emitting that circuit, and of writing it back out; the
+state-vector oracle's peak, which is one state vector; and a scaling
+study's peak, which is one size's."""
 
 import functools
 import tracemalloc
@@ -76,6 +77,17 @@ def test_synthesis_stage_peak_within_budget(job, stage):
 def test_writer_peak_within_budget(job):
     circ = synth.parse_circuit(documents(*job)[0])
     assert traced_peak(synth.serialize_circuit, circ) <= BUDGETS[job][6]
+
+
+@pytest.mark.parametrize("family,size,strategy", [
+    ("ghz", 20, "greedy"), ("toric", 3, "toric_comb")])
+def test_oracle_peak_is_one_state_vector(family, size, strategy):
+    # the oracle holds the circuit's 2^n float64 vector and the ground
+    # state's labels: read 8.01 MiB at ghz 20 and 2.01 MiB at toric 3
+    code = css.build_family(family, size)
+    circ = synth.synthesize(code, strategy)
+    peak = traced_peak(lambda c: verify.statevector_check(code, c), circ)
+    assert peak <= 1.1 * 8 * 2 ** code.n_qubits / MiB
 
 
 def test_scaling_holds_one_size_at_a_time(capsys):

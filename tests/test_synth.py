@@ -884,6 +884,15 @@ def test_phi_solve_zero():
     assert not synth.haah_phi_solve(3, np.zeros(27, dtype=np.uint8)).any()
 
 
+@pytest.mark.parametrize("size", [26, 28, 9])
+def test_phi_maps_reject_a_wrong_length(size):
+    values = np.zeros(size, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"z must have L\^3 = 27 entries"):
+        synth.haah_phi_solve(3, values)
+    with pytest.raises(ValueError, match=r"phi must have L\^3 = 27 entries"):
+        synth.haah_z_from_phi(3, values)
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_phi_round_trip(L):
     rng = np.random.default_rng(L)

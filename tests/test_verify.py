@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import tableau_oracle as tableau
-from conftest import dense_code, dense_rank, random_css_code
+from conftest import (dense_code, dense_rank, random_css_code,
+                      reference_statevector_check)
 from fdsc import css, gf2, synth, verify
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import FdscCircuit
@@ -345,6 +346,38 @@ def test_statevector_cap():
     circ = synth.synthesize(code, "toric_comb")
     with pytest.raises(TooLarge):
         statevector_check(code, circ)
+    with pytest.raises(TooLarge, match="n=32 > 20"):
+        verify.circuit_statevector(circ)
+    with pytest.raises(TooLarge, match="n=32 > 20"):
+        verify.ground_state_labels(code)
+
+
+def oracle_cases():
+    """(code, circuit) pairs for the oracle's differential test: seeded
+    random codes with their greedy circuits, ghz 2 to 20, toric 2 and 3
+    and haah 1, each circuit with gates followed by its one-gate mutants,
+    and |+> on every qubit."""
+    rng = np.random.default_rng(2718)
+    codes = [(random_css_code(rng, n_max=12), "greedy") for _ in range(24)]
+    codes += [(css.build_ghz(n), "greedy") for n in range(2, 21)]
+    codes += [(css.build_toric(2), "toric_comb"), (css.build_toric(3), "greedy"),
+              (css.build_toric(3), "toric_comb"), (css.build_haah(1), "haah_canonical")]
+    for k, (code, strategy) in enumerate(codes):
+        circ = synth.synthesize(code, strategy, seed=k)
+        yield code, circ
+        # |+> on every qubit: the ground state's labels and more
+        yield code, FdscCircuit(code.n_qubits, range(code.n_qubits), ())
+        if circ.gates:   # the first mutant drops a gate
+            yield from ((code, c) for c in one_gate_mutants(circ, seed=k, count=4))
+
+
+def test_statevector_check_matches_two_vector_reference():
+    """The one-vector oracle gives the dense two-vector reference's verdict
+    on passing circuits and on their one-gate mutants alike."""
+    verdicts = [(statevector_check(code, circ), reference_statevector_check(code, circ))
+                for code, circ in oracle_cases()]
+    assert all(got == want for got, want in verdicts)
+    assert {want for _, want in verdicts} == {True, False}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
