@@ -51,10 +51,10 @@ def cmd_synth(args) -> int:
     circ = synth.synthesize(code, args.strategy, seed=args.seed,
                             restarts=args.restarts)
     if args.out:
-        text = synth.serialize_circuit(circ)
-        with open(args.out, "w") as f:   # no copy of the text with "\n" added
-            f.write(text)
-            f.write("\n")
+        data = synth.serialize_circuit(circ)
+        with open(args.out, "wb") as f:   # no copy of the bytes with "\n" added
+            f.write(data)
+            f.write(b"\n")
     print(css.dump_json({"gate_count": circ.gate_count,
                          "s_size": len(circ.plus_qubits),
                          "n_qubits": circ.n_qubits}))

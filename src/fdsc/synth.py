@@ -400,40 +400,68 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 # -- circuit serialization -------------------------------------------------
 
 
+def _number_table(qubits: np.ndarray) -> np.ndarray:
+    """NUL-padded rows of whole uint64 words: ``,[q,`` for each q of the
+    increasing nonnegative int64 array ``qubits``, then ``q]`` for each.
+    The digits are written by numpy arithmetic, one slice of equal digit
+    count at a time (``qubits`` increase, so each count is one slice)."""
+    digits = len(str(qubits[-1])) if len(qubits) else 1
+    width = digits + 3 + 7 >> 3   # the longest row, ",[q,", in words
+    table = np.zeros((2, len(qubits), 8 * width), dtype=np.uint8)
+    ends = np.searchsorted(qubits, 10 ** np.arange(1, digits, dtype=np.int64))
+    for d, (lo, hi) in enumerate(zip([0, *ends], [*ends, len(qubits)]), 1):
+        row, q = table[0, lo:hi], qubits[lo:hi]
+        for k in range(d + 1, 1, -1):   # last digit first
+            q, row[:, k] = np.divmod(q, 10)
+        row[:, 2:d + 2] += ord("0")
+        row[:, :2], row[:, d + 2] = tuple(b",["), ord(",")
+        table[1, lo:hi, :d], table[1, lo:hi, d] = row[:, 2:d + 2], ord("]")
+    return table.view(np.uint64).reshape(-1, width)
+
+
 def _circuit_pieces(circ: FdscCircuit):
-    """The circuit file as compact JSON with sorted keys, in pieces.
+    """The circuit file as compact JSON with sorted keys, in bytes-like
+    pieces.
 
     "gates" sorts first, so it is written in front of the rest of the
-    document, which ``css.dump_json`` writes.  Its text is gathered from a
-    byte table, NUL-padded rows of whole uint64 words: ``,[q,`` for each
-    qubit q a gate uses, then ``q]`` for each, so a gate (c, t) is rows c
-    and top + t, top being the length of each half.  The table covers
-    0..the largest gate qubit, or only the qubits the gates use when that
-    range is far larger than the gate array; it is gathered ``css.BLOCK``
-    gates at a time into one piece each, NULs and the first comma dropped.
+    document, which ``css.dump_json`` writes.  Its bytes are gathered from
+    ``_number_table``, so a gate (c, t) is rows c and top + t, top being
+    the length of each half.  The table covers 0..the largest gate qubit,
+    or only the qubits the gates use when that range is far larger than
+    the gate array; it is gathered ``css.BLOCK`` gates at a time into one
+    piece each, NULs dropped.  The first gate's leading comma is skipped
+    by a memoryview, not a copy, and each block's temporaries are freed
+    before the next is gathered.
     """
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
-    qubits = range(top)
     if top > 4 * index.size + (1 << 16):   # a table of the used qubits only
         used, index = np.unique(index, return_inverse=True)
-        qubits, top, index = used.tolist(), len(used), index.reshape(-1, 2)
-    rows = [b",[%d," % q for q in qubits] + [b"%d]" % q for q in qubits]
-    width = max(map(len, rows), default=1) + 7 >> 3
-    table = np.array(rows, dtype=f"S{8 * width}").view(np.uint64).reshape(-1, width)
-    yield '{"gates":['
-    for k, b in enumerate(np.split(index, range(css.BLOCK, len(index), css.BLOCK))):
-        gates = table[(b + (0, top)).ravel()].tobytes().translate(None, b"\0").decode()
-        yield gates[1:] if k == 0 else gates
-    yield "],"
-    yield css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
-                         "plus_qubits": circ.plus_qubits.tolist(),
-                         "metadata": circ.metadata})[1:]
+        table, top, index = _number_table(used), len(used), index.reshape(-1, 2)
+        del used   # not held while the blocks are gathered
+    else:
+        table = _number_table(np.arange(top))
+    yield b'{"gates":['
+    for lo in range(0, len(index), css.BLOCK):
+        # each temporary of the chain is freed as the next call returns
+        piece = table[(index[lo:lo + css.BLOCK] + (0, top)).ravel()] \
+            .tobytes().translate(None, b"\0")
+        yield memoryview(piece)[1:] if lo == 0 else piece
+        del piece   # not held while the next block is gathered
+    yield b"],"
+    yield memoryview(css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
+                                    "plus_qubits": circ.plus_qubits.tolist(),
+                                    "metadata": circ.metadata}).encode())[1:]
 
 
-def serialize_circuit(circ: FdscCircuit) -> str:
-    """The circuit file: the pieces of ``_circuit_pieces``, joined."""
-    return "".join(_circuit_pieces(circ))
+def serialize_circuit(circ: FdscCircuit) -> bytearray:
+    """The circuit file's bytes: the pieces of ``_circuit_pieces``,
+    appended to one buffer as each is made."""
+    out = bytearray()
+    for piece in _circuit_pieces(circ):
+        out += piece
+        del piece   # freed before the next piece is gathered
+    return out
 
 
 def _fields(text: str):
@@ -453,10 +481,11 @@ def _fields(text: str):
 
 
 def _read_canonical(text: str) -> Optional[FdscCircuit]:
-    """The circuit that ``serialize_circuit`` writes as ``text`` (less one
-    trailing newline), or None.  The gates section, up to the first quote,
-    is decoded by ``np.fromstring`` with its brackets gone, the rest by
-    ``css.load_json``; any text that does not write back the same may have
+    """The circuit whose file ``serialize_circuit`` writes, decoded, as
+    ``text`` (less one trailing newline), or None.  The gates section, up
+    to the first quote, is decoded by ``np.fromstring`` with its brackets
+    gone, the rest by ``css.load_json``; any text that does not write back
+    the same, each writer piece decoded and compared in turn, may have
     been misread, so the round trip is the one check."""
     if not text.startswith('{"gates":['):
         return None
@@ -469,6 +498,7 @@ def _read_canonical(text: str) -> Optional[FdscCircuit]:
     circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
     pos = 0
     for piece in _circuit_pieces(circ):   # the written text, a piece at a time
+        piece = str(piece, "utf-8")
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
@@ -486,9 +516,11 @@ def _read_general(text: str) -> FdscCircuit:
         raise css.ParseError(f"bad circuit document: {e}") from e
 
 
-def parse_circuit(text: str) -> FdscCircuit:
-    """Parse the JSON circuit format.  Malformed input is rejected, never
-    repaired: every qubit index must be an integer and every gate a pair.
+def parse_circuit(text: str | bytes | bytearray | memoryview) -> FdscCircuit:
+    """Parse the JSON circuit format, from str or from bytes, decoded once
+    as strict UTF-8 (ParseError naming the offset of a bad byte).
+    Malformed input is rejected, never repaired: every qubit index must be
+    an integer and every gate a pair.
 
     A canonical file, the exact text ``serialize_circuit`` writes, is read
     by a round trip through the writer (``_read_canonical``), without
@@ -496,6 +528,12 @@ def parse_circuit(text: str) -> FdscCircuit:
     that fails, is read by ``_read_general``; so every text is accepted as
     the same circuit, or rejected with the same message, as by
     ``_read_general`` alone.  MemoryError is not retried."""
+    if not isinstance(text, str):
+        try:
+            text = str(text, "utf-8")
+        except UnicodeDecodeError as e:
+            raise css.ParseError(f"invalid UTF-8 at byte {e.start}: "
+                                 f"{e.reason}") from e
     try:
         circ = _read_canonical(text)
     except MemoryError:

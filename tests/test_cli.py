@@ -51,7 +51,7 @@ def test_synth_out_is_the_serialized_circuit(tmp_path, capsys, family, size,
     seed = {"seed": 2, "restarts": 3} if flags else {}
     circ = synth.synthesize(css.build_family(family, size), strategy, **seed)
     data = out.read_bytes()
-    assert data == (synth.serialize_circuit(circ) + "\n").encode()
+    assert data == synth.serialize_circuit(circ) + b"\n"
     assert data.endswith(b"}\n") and data.count(b"\n") == 1
 
 
@@ -146,7 +146,7 @@ def test_verify_reads_any_layout_of_a_circuit_alike(tmp_path, capsys, drop):
         circ = synth.FdscCircuit(circ.n_qubits, circ.plus_qubits,
                                  np.delete(circ.pairs, drop, axis=0))
     canonical, indented = tmp_path / "canonical.json", tmp_path / "indented.json"
-    canonical.write_text(synth.serialize_circuit(circ) + "\n")
+    canonical.write_bytes(synth.serialize_circuit(circ) + b"\n")
     indented.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
     results = [run(capsys, "verify", "--circuit", str(path), "--code", "toric",
                    "--size", "6") for path in (canonical, indented)]
@@ -155,9 +155,9 @@ def test_verify_reads_any_layout_of_a_circuit_alike(tmp_path, capsys, drop):
 
 
 def test_verify_truncated_canonical_file_is_invalid_json(tmp_path, capsys):
-    text = synth.serialize_circuit(synth.synthesize(css.build_toric(4), "toric_comb"))
+    data = synth.serialize_circuit(synth.synthesize(css.build_toric(4), "toric_comb"))
     cut = tmp_path / "cut.json"
-    cut.write_text(text[:len(text) // 2])
+    cut.write_bytes(data[:len(data) // 2])
     with pytest.raises(css.ParseError) as exc:
         synth._read_general(cut.read_text())
     assert str(exc.value).startswith("invalid JSON: ")
@@ -236,8 +236,8 @@ def test_verify_huge_code_is_a_count_mismatch(tmp_path, capsys, n_qubits):
     # loading a code allocates nothing per qubit, so a huge register in the
     # code file reaches the qubit-count comparison with the circuit
     circ = tmp_path / "c.json"
-    circ.write_text(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
-                                                             "greedy")))
+    circ.write_bytes(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
+                                                              "greedy")))
     code = tmp_path / "code.json"
     code.write_text(json.dumps({**json.loads(css.serialize_code(css.build_ghz(3))),
                                 "n_qubits": n_qubits, "family": "custom",
@@ -497,7 +497,7 @@ INTEGER_INPUTS = {
 
 def integer_argv(tmp_path, name, value):
     circuit = tmp_path / "ghz3.json"
-    circuit.write_text(synth.serialize_circuit(
+    circuit.write_bytes(synth.serialize_circuit(
         synth.synthesize(css.build_ghz(3), "greedy")))
     return [a.replace("{}", value).format(circuit=circuit)
             for a in INTEGER_INPUTS[name]]
@@ -641,8 +641,8 @@ def test_oracle_on_mismatched_qubit_counts_exits_2(tmp_path, monkeypatch, capsys
     # the oracle checks the qubit counts itself, also when verification
     # (here a stand-in that passes) does not
     path = tmp_path / "c.json"
-    path.write_text(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
-                                                             "greedy")))
+    path.write_bytes(synth.serialize_circuit(synth.synthesize(css.build_ghz(3),
+                                                              "greedy")))
     monkeypatch.setattr(cli.verify, "verify_circuit",
                         lambda code, circ: verify.VerifyReport(True, (), (), 0))
     rc, stdout, err = run(capsys, "verify", "--circuit", str(path), "--code",
@@ -697,7 +697,7 @@ def test_repeated_json_key_exits_2(tmp_path, capsys, reader):
     texts = {
         "code": '{"n_qubits":99,' + css.serialize_code(css.build_ghz(3))[1:],
         "circuit": '{"gates":[[0,7]],' + synth.serialize_circuit(
-            synth.synthesize(css.build_toric(2), "toric_comb"))[1:],
+            synth.synthesize(css.build_toric(2), "toric_comb"))[1:].decode(),
         "group": '{"order":2,"table":[[0,1],[1,0]],"series":[[0],[0,1,1]],'
                  '"series":[[0],[0,1]]}',
     }

@@ -45,13 +45,14 @@ def reconstruct(monkeypatch, code, s):
 
 def one_gate_mutants(circ, seed: int, count: int):
     """Seeded (gate, circuit) pairs: the circuit with that one gate dropped
-    or, alternately, that one absent gate added."""
+    or, alternately, that one absent gate added (only added when there is
+    no gate)."""
     rng = np.random.default_rng(seed)
     plus, outside = list(circ.plus_qubits), sorted(
         set(range(circ.n_qubits)) - set(circ.plus_qubits))
     present = set(circ.gates)
     for k in range(count):
-        if k % 2 == 0:
+        if k % 2 == 0 and circ.gate_count:
             i = int(rng.integers(circ.gate_count))
             gate, gates = circ.gates[i], circ.gates[:i] + circ.gates[i + 1:]
         else:
@@ -61,6 +62,15 @@ def one_gate_mutants(circ, seed: int, count: int):
                         outside[rng.integers(len(outside))])
             gates = tuple(sorted(circ.gates + (gate,)))
         yield gate, FdscCircuit(circ.n_qubits, circ.plus_qubits, gates)
+
+
+def test_one_gate_mutants_of_a_circuit_with_no_gates_add_one():
+    # nothing to drop: every mutant adds its one gate, a control in the
+    # plus set and a target outside it
+    mutants = list(one_gate_mutants(FdscCircuit(4, (0, 1), ()), 0, 4))
+    assert len(mutants) == 4
+    assert all(m.gates == (gate,) and gate[0] in (0, 1) and gate[1] in (2, 3)
+               for gate, m in mutants)
 
 
 def parity_rule(code, gate) -> tuple:

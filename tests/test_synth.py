@@ -510,7 +510,7 @@ def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
         # every row holds its diagonal bit, so each row is a block of one
         assert len(scans) == mt.rows if block == 1 else len(scans) > 1
         assert synth.serialize_circuit(want) == text
-        assert synth._read_canonical(text) == want
+        assert synth._read_canonical(text.decode()) == want
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 40])
@@ -659,7 +659,7 @@ def test_serialize_circuit_matches_json_of_tuples(m):
            "plus_qubits": circ.plus_qubits.tolist(), "gates": circ.gates,
            "metadata": circ.metadata}
     assert synth.serialize_circuit(circ) == json.dumps(
-        doc, sort_keys=True, separators=(",", ":"))
+        doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def compact_json(circ):
@@ -701,9 +701,9 @@ def valid_circuits(draw):
 @settings(max_examples=40)
 @given(circ=valid_circuits())
 def test_serialize_circuit_matches_json_dumps(circ):
-    text = synth.serialize_circuit(circ)
-    assert text == compact_json(circ)
-    assert synth.parse_circuit(text) == circ
+    data = synth.serialize_circuit(circ)
+    assert data == compact_json(circ).encode()
+    assert synth.parse_circuit(data) == circ
 
 
 def test_serialize_huge_qubit_without_a_register_sized_table():
@@ -712,28 +712,31 @@ def test_serialize_huge_qubit_without_a_register_sized_table():
     circ = FdscCircuit(n, (0, 7), [(0, 5), (0, n - 1), (7, n - 2)])
     tracemalloc.start()
     try:
-        text = synth.serialize_circuit(circ)
+        data = synth.serialize_circuit(circ)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert text == compact_json(circ)
-    assert synth.parse_circuit(text) == circ
+    assert data == compact_json(circ).encode()
+    assert synth.parse_circuit(data) == circ
 
 
 def test_circuit_serialization_round_trip():
-    # each strategy's circuit file reads back to the same circuit, and
-    # writes out again byte for byte
+    # each strategy's circuit file reads back to the same circuit, from its
+    # bytes, any bytes-like copy or its decoded text, and writes out again
+    # byte for byte
     for family, size, strategy in (("toric", 4, "toric_comb"),
                                    ("toric", 4, "toric_recursive"),
                                    ("xcube", 3, "xcube_dual_trees"),
                                    ("haah", 2, "haah_canonical"),
                                    ("ghz", 5, "greedy")):
         circ = synthesize(css.build_family(family, size), strategy)
-        text = synth.serialize_circuit(circ)
-        again = synth.parse_circuit(text)
+        data = synth.serialize_circuit(circ)
+        again = synth.parse_circuit(data)
         assert again == circ
-        assert synth.serialize_circuit(again) == text
+        assert all(synth.parse_circuit(copy) == circ
+                   for copy in (data.decode(), bytes(data), memoryview(data)))
+        assert synth.serialize_circuit(again) == data
 
 
 @pytest.mark.parametrize("family, size, strategy, digest", [
@@ -745,8 +748,56 @@ def test_circuit_serialization_round_trip():
 def test_circuit_file_bytes_pinned(family, size, strategy, digest):
     # identical flags give byte-identical circuit files, release to release
     circ = synthesize(css.build_family(family, size), strategy)
-    text = synth.serialize_circuit(circ)
-    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+    data = synth.serialize_circuit(circ)
+    assert hashlib.sha256(data).hexdigest().startswith(digest)
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b'{"gates":[],\xff"metadata":{}}', 12),
+    (b'{"gates":[[0,1]],"metadata":{"x":"\xc3"},"n_qubits":2}', 34)])
+def test_parse_circuit_rejects_bytes_that_are_not_utf8(data, offset):
+    # a decode error is a ParseError naming the byte, not the message that
+    # json.loads gives a bytes document's decode error ("integer too long")
+    with pytest.raises(css.ParseError, match=f"invalid UTF-8 at byte {offset}: "):
+        synth.parse_circuit(data)
+
+
+@strategies.composite
+def digit_edge_circuits(draw):
+    """Valid circuits whose qubits sit at the writer's digit edges, 10^j - 1
+    and 10^j for j = 0..k (k up to 18), with 0 to 40 gates or 2^16 - 1,
+    2^16 or 2^16 + 1 (the writer's block size) made up by targets from 2
+    on; sometimes with a last target at 4 x (gate qubits) + 2^16, just past
+    the largest range the writer's table covers, or one below it."""
+    k = draw(strategies.integers(0, 18))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2 ** 32 - 1)))
+    edges = sorted({10 ** j + d for j in range(k + 1) for d in (-1, 0)})
+    plus = sorted(rng.choice(edges, draw(strategies.integers(
+        1, min(3, len(edges)))), replace=False).tolist())
+    gates = [(c, t) for c in plus for t in edges if t not in plus]
+    m = draw(strategies.one_of(strategies.integers(0, 40), strategies.sampled_from(
+        [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])))
+    past = draw(strategies.sampled_from([None, 0, -1]))
+    room = m - (past is not None)
+    if room < len(gates):
+        gates = [gates[i] for i in rng.choice(len(gates), max(room, 0), replace=False)]
+    taken = set(edges)
+    fill = (t for t in range(2, 2 * m + 60) if t not in taken)
+    gates += [(plus[0], next(fill)) for _ in range(room - len(gates))]
+    if past is not None and m:
+        gates.append((plus[0], 8 * m + (1 << 16) + past))
+    pairs = np.array(sorted(gates), dtype=np.int64).reshape(-1, 2)
+    top = int(pairs.max(initial=edges[-1])) + 1
+    event(f"used-qubit table: {top > 4 * pairs.size + (1 << 16)}")
+    event("no gates" if not len(pairs) else f"{len(pairs)} gates"
+          if len(pairs) > 40 else "1 to 40 gates")
+    return FdscCircuit(top, plus, pairs, {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(circ=digit_edge_circuits())
+def test_serialize_circuit_writes_each_qubit_as_json_does(circ):
+    assert synth.serialize_circuit(circ) == compact_json(circ).encode()
 
 
 GHZ3_CIRCUIT = {"version": 1, "n_qubits": 3, "plus_qubits": [0],
@@ -779,7 +830,7 @@ def test_parse_circuit_rejects_instead_of_repairing(change):
 
 
 # Canonical documents of every family, an empty layer and a metadata seed.
-CANONICAL = [synth.serialize_circuit(c) for c in (
+CANONICAL = [synth.serialize_circuit(c).decode() for c in (
     synthesize(css.build_family("toric", 3), "toric_comb"),
     synthesize(css.build_family("toric", 4), "toric_recursive"),
     synthesize(css.build_family("xcube", 2), "xcube_dual_trees"),
@@ -874,7 +925,7 @@ def test_canonical_files_never_take_the_general_path(monkeypatch):
         for tail in ("", "\n"):
             got = synth.parse_circuit(text + tail)
             assert got.gates == tuple(map(tuple, circ["gates"]))
-            assert synth.serialize_circuit(got) == text
+            assert synth.serialize_circuit(got) == text.encode()
 
 
 # -- cubic-code potential -----------------------------------------------------

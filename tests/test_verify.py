@@ -232,20 +232,33 @@ def assert_matches_oracles(code, circ):
 
 def one_gate_mutants(circ, seed, count):
     """Seeded circuits with one gate dropped or one absent gate added,
-    alternately (drops only when every control-target pair is present)."""
+    alternately (drops only when every control-target pair is present,
+    adds only when there is no gate, and none when neither is possible)."""
     rng = np.random.default_rng(seed)
     plus = set(circ.plus_qubits)
     present = set(circ.gates)
     absent = [(c, t) for c in circ.plus_qubits for t in range(circ.n_qubits)
               if t not in plus and (c, t) not in present]
     for k in range(count):
-        if k % 2 == 0 or not absent:
+        if circ.gates and (k % 2 == 0 or not absent):
             i = int(rng.integers(len(circ.gates)))
             gates = circ.gates[:i] + circ.gates[i + 1:]
+        elif not absent:
+            return
         else:
             added = absent[int(rng.integers(len(absent)))]
             gates = tuple(sorted(circ.gates + (added,)))
         yield FdscCircuit(circ.n_qubits, circ.plus_qubits, gates, {})
+
+
+def test_one_gate_mutants_of_a_circuit_with_no_gates_add_one():
+    # nothing to drop: every mutant adds one absent gate; nothing to add
+    # either (every qubit in the plus set): no mutant
+    mutants = list(one_gate_mutants(FdscCircuit(4, (0, 1), ()), seed=0, count=4))
+    assert len(mutants) == 4
+    assert all(len(m.gates) == 1 and m.gates[0][0] in (0, 1)
+               and m.gates[0][1] in (2, 3) for m in mutants)
+    assert list(one_gate_mutants(FdscCircuit(3, range(3), ()), seed=0, count=4)) == []
 
 
 @pytest.mark.parametrize("family,size,strategy", [
@@ -367,8 +380,7 @@ def oracle_cases():
         yield code, circ
         # |+> on every qubit: the ground state's labels and more
         yield code, FdscCircuit(code.n_qubits, range(code.n_qubits), ())
-        if circ.gates:   # the first mutant drops a gate
-            yield from ((code, c) for c in one_gate_mutants(circ, seed=k, count=4))
+        yield from ((code, c) for c in one_gate_mutants(circ, seed=k, count=4))
 
 
 def test_statevector_check_matches_two_vector_reference():
