@@ -36,7 +36,7 @@ def _positives(text: str, flag: str) -> list[int]:
 
 def _load_code(spec: str, size: int | None) -> css.CssCode:
     if spec.startswith("file:"):
-        return css.parse_code(Path(spec[5:]).read_text())
+        return css.parse_code(Path(spec[5:]).read_bytes())
     if spec not in css.SHAPES:
         raise css.ParseError(f"unknown code {spec!r}")
     if size is None:
@@ -55,7 +55,7 @@ def cmd_synth(args) -> int:
         with open(args.out, "wb") as f:   # no copy of the bytes with "\n" added
             f.write(data)
             f.write(b"\n")
-    print(css.dump_json({"gate_count": circ.gate_count,
+    print(css.dump_json({"gate_count": len(circ.pairs),
                          "s_size": len(circ.plus_qubits),
                          "n_qubits": circ.n_qubits}))
     return 0
@@ -63,7 +63,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     code = _load_code(args.code, args.size)
-    circ = synth.parse_circuit(Path(args.circuit).read_text())
+    circ = synth.parse_circuit(Path(args.circuit).read_bytes())
     report = verify.verify_circuit(code, circ)
     oracle_ok = not args.oracle or verify.statevector_check(code, circ)
     print(report.to_json())
@@ -92,7 +92,7 @@ def _scaling_run(args, L: int):
     t0 = time.perf_counter()   # wall_ms: synthesis and verification
     circ = synth.synthesize(code, args.strategy, seed=args.seed)
     report = verify.verify_circuit(code, circ) if L <= args.verify_upto else None
-    return ((code.family, code.n_qubits, len(circ.plus_qubits), circ.gate_count,
+    return ((code.family, code.n_qubits, len(circ.plus_qubits), len(circ.pairs),
              (time.perf_counter() - t0) * 1000.0), report)
 
 
@@ -114,7 +114,7 @@ def cmd_scaling(args) -> int:
     text = "family,strategy,L,n_qubits,s_size,gate_count,wall_ms\n" + "".join(
         f"{','.join(map(str, r[:-1]))},{r[-1]:.3f}\n" for r in rows)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(text.encode())
     else:
         sys.stdout.write(text)
     result = {"rows": len(rows), "failures": failures}
@@ -130,7 +130,7 @@ def _load_group(spec: str):
     if spec.startswith("abelian:"):
         return groups.make_abelian([integer(x) for x in spec[8:].split(",")])
     if spec.startswith("file:"):
-        return groups.parse_group(Path(spec[5:]).read_text())
+        return groups.parse_group(Path(spec[5:]).read_bytes())
     raise groups.ParseError(f"unknown group spec {spec!r}")
 
 

@@ -10,9 +10,10 @@ it costs O(nnz) memory and every check on it O(nnz log nnz) time; packed
 Construction checks that each support is nonempty and strictly increasing
 within the register, and the CSS commutation condition (every X/Z
 generator pair overlaps on an even number of qubits).  ``load_json``,
-``index_lists`` and ``dump_json`` read and write every file format.  Each
-index in a file is decoded once, by ``index_lists``, into an int64 array,
-and each from a library caller by ``_indices``, under the same rule.
+``index_lists`` and ``dump_json`` read and write every file format, and
+``load_json`` alone decodes a file's bytes, as strict UTF-8.  Each index
+in a file is decoded once, by ``index_lists``, into an int64 array, and
+each from a library caller by ``_indices``, under the same rule.
 
 Qubit layout (stable, a file-format convention): a family's qubits are
 one row-major array of the shape ``SHAPES`` gives for its size, so qubit
@@ -382,9 +383,11 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def load_json(text: str, *fields: str, **defaults) -> list:
+def load_json(text: str | bytes, *fields: str, **defaults) -> list:
     """The values of ``fields``, then of the keys of ``defaults`` (or their
-    defaults), in the JSON object ``text``.  ParseError for invalid JSON
+    defaults), in the JSON object ``text``, a str or bytes-like object.
+    ParseError for bytes that are not strict UTF-8 (decoded here, never by
+    ``json.loads``, which would take UTF-16/32 and a BOM), invalid JSON
     (also nested too deeply, an integer over 4,300 digits or a repeated
     key), a document that is not an object, or a missing field.  The
     cyclic garbage collector is paused while ``json.loads`` runs: the
@@ -393,7 +396,10 @@ def load_json(text: str, *fields: str, **defaults) -> list:
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text if isinstance(text, str) else str(text, "utf-8"),
+                         object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid UTF-8 at byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError as e:
@@ -413,8 +419,8 @@ def load_json(text: str, *fields: str, **defaults) -> list:
     return [doc[f] for f in fields] + [doc.get(k, d) for k, d in defaults.items()]
 
 
-def parse_code(text: str) -> CssCode:
-    """Parse the JSON code format; validates all CssCode invariants.
+def parse_code(text: str | bytes) -> CssCode:
+    """Parse the JSON code format, str or bytes; validates all CssCode invariants.
 
     Malformed input is rejected, never repaired: indices must be JSON
     integers (``index_lists``), each support list strictly increasing

@@ -10,7 +10,8 @@ Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
 word of each row are kept at zero by every operation.  All public
 operations work on copies; no input is mutated, except the ``out`` matrix
-that ``xor_rows`` is asked to write into.
+that ``xor_rows`` is asked to write into and the matrix that
+``row_rank_profile`` (also ``column_rank_profile``) eliminates in place.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ def row_rank_profile(m: BitMatrix, order: Optional[Sequence[int]] = None) -> lis
     """Row indices of m^T forming its first independent row set in the given
     scan order (default index order, which gives m's column rank profile,
     ``column_rank_profile``): each row independent of the rows kept before
-    it.  Takes the transpose, so those rows are columns of ``m`` and the
-    scan is one elimination in that column order.
+    it.  Those rows are columns of ``m``, so the scan is one elimination
+    of ``m`` itself, in place, in that column order.
     """
-    return [col for _, col in _eliminate(m.data.copy(),
+    return [col for _, col in _eliminate(m.data,
                                          range(m.cols) if order is None else order)]
 
 

@@ -315,8 +315,9 @@ def make_abelian(orders: Sequence[int]) -> SolvableSeries:
     return SolvableSeries(FiniteGroup.from_table(t), ((0,), tuple(range(total))))
 
 
-def parse_group(text: str) -> SolvableSeries:
-    """JSON group format: {"order": n, "table": [[..]], "series": [[ids]..]}."""
+def parse_group(text: str | bytes) -> SolvableSeries:
+    """JSON group format: {"order": n, "table": [[..]], "series": [[ids]..]},
+    as str or bytes."""
     order, table, series = load_json(text, "order", "table", "series")
     if type(order) is not int:
         raise ParseError("order must be an integer")

@@ -108,10 +108,6 @@ class FdscCircuit:
         c, t = self.pairs.T
         return tuple(zip(c.tolist(), t.tolist()))
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.pairs)
-
 
 # -- subset selection ------------------------------------------------------
 
@@ -464,7 +460,7 @@ def serialize_circuit(circ: FdscCircuit) -> bytearray:
     return out
 
 
-def _fields(text: str):
+def _fields(text: str | bytes):
     """The checked fields of a circuit document other than its gates:
     n_qubits, plus qubits as an int64 array, the raw gates and metadata."""
     version, n, plus, gates, meta = css.load_json(
@@ -480,33 +476,34 @@ def _fields(text: str):
     return n, css.index_lists("plus_qubits", [plus])[1], gates, meta
 
 
-def _read_canonical(text: str) -> Optional[FdscCircuit]:
-    """The circuit whose file ``serialize_circuit`` writes, decoded, as
-    ``text`` (less one trailing newline), or None.  The gates section, up
-    to the first quote, is decoded by ``np.fromstring`` with its brackets
-    gone, the rest by ``css.load_json``; any text that does not write back
-    the same, each writer piece decoded and compared in turn, may have
-    been misread, so the round trip is the one check."""
-    if not text.startswith('{"gates":['):
+def _read_canonical(data: bytes | bytearray) -> Optional[FdscCircuit]:
+    """The circuit whose file ``serialize_circuit`` writes as ``data``
+    (less one trailing newline), or None.  The gates section, up to the
+    first quote, is decoded by ``np.fromstring`` with its brackets gone,
+    into an array sized once by its commas; the rest by ``css.load_json``.
+    Any bytes that do not write back the same, each writer piece compared
+    in place in turn, may have been misread (a number missing leaves an
+    entry unset), so the round trip is the one check."""
+    if not data.startswith(b'{"gates":['):
         return None
-    end = text.find('"', 10)   # of "metadata", the key after "gates"
-    with warnings.catch_warnings():   # older numpy warns on a bad number
-        warnings.simplefilter("ignore")
-        flat = np.fromstring(text[10:end - 2].encode().translate(None, b"[]"),
-                             np.int64, sep=",")
-    n, plus, _, meta = _fields('{"gates":[],' + text[end:])
+    end = data.find(b'"', 10)   # of "metadata", the key after "gates"
+    numbers = bytes(memoryview(data)[10:end - 2]).translate(None, b"[]")
+    with warnings.catch_warnings():   # a bad number raises (older numpy warns)
+        warnings.simplefilter("error")
+        flat = np.fromstring(numbers, np.int64, numbers.count(b",") + bool(numbers), sep=",")
+    del numbers
+    n, plus, _, meta = _fields(b'{"gates":[],' + data[end:])
     circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
     pos = 0
-    for piece in _circuit_pieces(circ):   # the written text, a piece at a time
-        piece = str(piece, "utf-8")
-        if not text.startswith(piece, pos):
+    for piece in _circuit_pieces(circ):   # the written bytes, a piece at a time
+        if not data.startswith(piece, pos):
             return None
         pos += len(piece)
-    return circ if text[pos:] in ("", "\n") else None
+    return circ if data[pos:] in (b"", b"\n") else None
 
 
-def _read_general(text: str) -> FdscCircuit:
-    """The circuit in any JSON text, through ``css.load_json`` and
+def _read_general(text: str | bytes) -> FdscCircuit:
+    """The circuit in any JSON document, through ``css.load_json`` and
     ``css.index_lists``, or ParseError."""
     n, plus, gates, meta = _fields(text)
     pairs = css.index_lists("gates", gates, width=2)[1].reshape(-1, 2)
@@ -517,25 +514,19 @@ def _read_general(text: str) -> FdscCircuit:
 
 
 def parse_circuit(text: str | bytes | bytearray | memoryview) -> FdscCircuit:
-    """Parse the JSON circuit format, from str or from bytes, decoded once
-    as strict UTF-8 (ParseError naming the offset of a bad byte).
-    Malformed input is rejected, never repaired: every qubit index must be
-    an integer and every gate a pair.
+    """Parse the JSON circuit format, from UTF-8 bytes or str.  Malformed input
+    is rejected, never repaired: every qubit index must be an integer and
+    every gate a pair.
 
-    A canonical file, the exact text ``serialize_circuit`` writes, is read
-    by a round trip through the writer (``_read_canonical``), without
-    decoding its gates as JSON.  Any other text, and any canonical reading
-    that fails, is read by ``_read_general``; so every text is accepted as
-    the same circuit, or rejected with the same message, as by
+    A canonical file, the exact bytes ``serialize_circuit`` writes (a str
+    is encoded once), is read by a round trip through the writer
+    (``_read_canonical``).  Any other input, and any canonical reading
+    that fails, is read by ``_read_general``; so every input is accepted
+    as the same circuit, or rejected with the same message, as by
     ``_read_general`` alone.  MemoryError is not retried."""
-    if not isinstance(text, str):
-        try:
-            text = str(text, "utf-8")
-        except UnicodeDecodeError as e:
-            raise css.ParseError(f"invalid UTF-8 at byte {e.start}: "
-                                 f"{e.reason}") from e
-    try:
-        circ = _read_canonical(text)
+    try:   # a memoryview, which has no bytes methods, is copied
+        circ = _read_canonical(text.encode() if isinstance(text, str) else
+                               bytes(text) if isinstance(text, memoryview) else text)
     except MemoryError:
         raise
     except Exception:   # whatever went wrong, the general path words it

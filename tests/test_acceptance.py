@@ -47,7 +47,7 @@ def circuit_for(family: str, L: int, strategy: str) -> FdscCircuit:
 
 @functools.lru_cache(maxsize=None)
 def gates_for(family: str, L: int, strategy: str) -> int:
-    return circuit_for(family, L, strategy).gate_count
+    return len(circuit_for(family, L, strategy).pairs)
 
 
 def test_criterion_1_ghz_exactness():
@@ -57,14 +57,14 @@ def test_criterion_1_ghz_exactness():
     for n in range(2, 11):
         code = css.build_ghz(n)
         circ = synth.synthesize(code, "greedy")
-        counts_ok = circ.gate_count == n - 1
+        counts_ok = len(circ.pairs) == n - 1
         # exactly two equal-amplitude terms: |0...0> and |1...1>
         vec = verify.circuit_statevector(circ)
         state_ok = (np.count_nonzero(vec) == 2
                     and vec[0] == vec[(1 << n) - 1] > 0)
         if not (counts_ok and state_ok):
             ok = False
-            details.append(f"n={n} gates={circ.gate_count} state_ok={state_ok}")
+            details.append(f"n={n} gates={len(circ.pairs)} state_ok={state_ok}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     report(1, ok, ("N=2..10 exact gates and state" if ok else "; ".join(details))

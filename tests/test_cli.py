@@ -6,8 +6,11 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -35,7 +38,7 @@ def test_synth_ghz(tmp_path, capsys):
     line = json.loads(stdout.strip())
     assert line == {"gate_count": 4, "n_qubits": 5, "s_size": 1}
     circ = synth.parse_circuit(out.read_text())
-    assert circ.gate_count == 4
+    assert len(circ.pairs) == 4
 
 
 @pytest.mark.parametrize("family, size, strategy, flags", [
@@ -964,6 +967,62 @@ def test_integer_over_4300_digits_exits_2(tmp_path, capsys, reader, field):
     rc, stdout, err = run(capsys, *[a.format(path=path) for a in FUZZ_ARGV[reader]])
     assert (rc, stdout) == (2, "") and "set_int_max_str_digits" not in err
     assert err == "error: invalid JSON: integer too long to read\n"
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZ_DOCS))
+def test_file_not_utf8_exits_2_naming_the_byte(tmp_path, capsys, reader):
+    # every format is strict UTF-8, checked in one place (css.load_json):
+    # a Latin-1 byte in a string is named by its offset
+    text = json.dumps({**FUZZ_DOCS[reader], "note": "\u00e9"}, ensure_ascii=False)
+    path = tmp_path / f"{reader}.json"
+    path.write_bytes(text.encode("latin-1"))
+    rc, stdout, err = run(capsys, *[a.format(path=path) for a in FUZZ_ARGV[reader]])
+    offset = text.index("\u00e9")
+    assert (rc, stdout, err) == (2, "", f"error: invalid UTF-8 at byte {offset}: "
+                                 "invalid continuation byte\n")
+
+
+@pytest.mark.parametrize("encoding, line", [
+    ("utf-8-sig", "error: invalid JSON: Unexpected UTF-8 BOM"),
+    ("utf-16", "error: invalid UTF-8 at byte 0: invalid start byte\n")],
+    ids=["bom", "utf16"])
+@pytest.mark.parametrize("reader", sorted(FUZZ_DOCS))
+def test_file_with_a_bom_or_in_utf16_exits_2(tmp_path, capsys, reader,
+                                             encoding, line):
+    # json.loads reads both from bytes; the readers decode UTF-8 alone
+    path = tmp_path / f"{reader}.json"
+    path.write_bytes(json.dumps(FUZZ_DOCS[reader]).encode(encoding))
+    rc, stdout, err = run(capsys, *[a.format(path=path) for a in FUZZ_ARGV[reader]])
+    assert (rc, stdout) == (2, "") and err.startswith(line)
+
+
+def test_commands_take_no_text_codec_from_the_locale(tmp_path):
+    # files are read and written as bytes: in the C locale, with every
+    # open that would take the locale's codec made an error, each command
+    # reads inputs holding non-ASCII strings and exits 0
+    note = {"note": "\u00e9"}
+    ghz = synth.synthesize(css.build_ghz(4), "greedy")
+    files = {
+        "code.json": {**json.loads(css.serialize_code(css.build_ghz(4))),
+                      "family": "custom", "params": note},
+        "circuit.json": {**json.loads(synth.serialize_circuit(ghz)),
+                         "metadata": note},
+        "group.json": {**FUZZ_DOCS["group"], **note}}
+    for name, doc in files.items():
+        (tmp_path / name).write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(css.__file__).parents[1])}
+    for argv in ("synth --code ghz --size 4 --strategy greedy --out out.json",
+                 "verify --circuit circuit.json --code file:code.json",
+                 "scaling --code toric --strategy toric_comb --sizes 2,3 --out s.csv",
+                 "synth --code file:code.json --strategy greedy",
+                 "groups --group file:group.json --lengths 2"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W",
+             "error::EncodingWarning", "-m", "fdsc.cli", *argv.split()],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr.decode(errors="replace"))
+    assert (tmp_path / "out.json").read_bytes() == synth.serialize_circuit(ghz) + b"\n"
 
 
 def test_only_css_reads_and_writes_json():

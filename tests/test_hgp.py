@@ -52,8 +52,8 @@ def one_gate_mutants(circ, seed: int, count: int):
         set(range(circ.n_qubits)) - set(circ.plus_qubits))
     present = set(circ.gates)
     for k in range(count):
-        if k % 2 == 0 and circ.gate_count:
-            i = int(rng.integers(circ.gate_count))
+        if k % 2 == 0 and len(circ.pairs):
+            i = int(rng.integers(len(circ.pairs)))
             gate, gates = circ.gates[i], circ.gates[:i] + circ.gates[i + 1:]
         else:
             gate = None

@@ -324,18 +324,18 @@ def test_emit_gate_count_matches_nnz():
     s = tree_select(code, "toric_comb")
     m = build_reconstruction(code, s)
     circ = emit_circuit(code, s, m)
-    assert circ.gate_count == int(m.to_dense().sum()) - len(s)
+    assert len(circ.pairs) == int(m.to_dense().sum()) - len(s)
 
 
 def test_gate_count_ghz():
     for n in (2, 5, 9):
-        assert synthesize(css.build_ghz(n), "greedy").gate_count == n - 1
+        assert len(synthesize(css.build_ghz(n), "greedy").pairs) == n - 1
 
 
 def test_comb_vs_recursive_both_computed():
     code = css.build_toric(4)
-    comb = synthesize(code, "toric_comb").gate_count
-    rec = synthesize(code, "toric_recursive").gate_count
+    comb = len(synthesize(code, "toric_comb").pairs)
+    rec = len(synthesize(code, "toric_recursive").pairs)
     assert comb > 0 and rec > 0
 
 
@@ -345,14 +345,14 @@ def test_circuit_structure_invariants():
     plus = set(circ.plus_qubits)
     assert all(c in plus and t not in plus for c, t in circ.gates)
     assert list(circ.gates) == sorted(circ.gates)
-    assert circ.gate_count <= code.n_qubits * len(plus)
+    assert len(circ.pairs) <= code.n_qubits * len(plus)
 
 
 def test_explicit_strategy():
     code = css.build_toric(2)
     s = tree_select(code, "toric_comb")
     circ = emit_circuit(code, s, build_reconstruction(code, s))
-    assert circ.gate_count == synthesize(code, "toric_comb").gate_count
+    assert len(circ.pairs) == len(synthesize(code, "toric_comb").pairs)
     with pytest.raises(InvalidSubset):
         build_reconstruction(code, [0, 1])
 
@@ -362,15 +362,15 @@ def test_greedy_restarts_deterministic():
     c1 = synthesize(code, "greedy", seed=0, restarts=5)
     c2 = synthesize(code, "greedy", seed=0, restarts=5)
     assert c1 == c2
-    best = min(synthesize(code, "greedy", seed=k).gate_count for k in range(5))
-    assert c1.gate_count == best
+    best = min(len(synthesize(code, "greedy", seed=k).pairs) for k in range(5))
+    assert len(c1.pairs) == best
     # seeds 0-2 on toric L=4: seeds 1 and 2 tie on the fewest gates
     code = css.build_toric(4)
-    counts = [synthesize(code, "greedy", seed=k).gate_count for k in range(3)]
+    counts = [len(synthesize(code, "greedy", seed=k).pairs) for k in range(3)]
     tied = [k for k, count in enumerate(counts) if count == min(counts)]
     assert len(tied) > 1 and tied[0] > 0
     circ = synthesize(code, "greedy", seed=0, restarts=3)
-    assert circ.gate_count == min(counts) and circ.metadata["seed"] == tied[0]
+    assert len(circ.pairs) == min(counts) and circ.metadata["seed"] == tied[0]
 
 
 def test_fdsc_circuit_rejects_bad_gate():
@@ -510,7 +510,7 @@ def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
         # every row holds its diagonal bit, so each row is a block of one
         assert len(scans) == mt.rows if block == 1 else len(scans) > 1
         assert synth.serialize_circuit(want) == text
-        assert synth._read_canonical(text.decode()) == want
+        assert synth._read_canonical(text) == want
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 40])
@@ -905,27 +905,44 @@ def test_reader_paths_agree_on_mutated_documents(text):
     # does, or declines it; parse_circuit answers as the general path
     want = read_outcome(synth._read_general, text)
     assert read_outcome(synth.parse_circuit, text) == want
+    assert read_outcome(synth.parse_circuit, text.encode()) == want
     try:
-        fast = synth._read_canonical(text)
+        fast = synth._read_canonical(text.encode())
     except Exception:
         fast = None
     event(f"round trip took it: {fast is not None}")
+    # a written file, less one trailing newline, is always taken
+    assert (fast is not None) >= (text.removesuffix("\n") in CANONICAL)
     if fast is not None:
         assert fast == want
 
 
 def test_canonical_files_never_take_the_general_path(monkeypatch):
     # every family's written file, with or without the newline the CLI
-    # adds, is read by the round trip alone
+    # adds, as bytes, any bytes-like copy or text, is read by the round
+    # trip alone
     def general(text):
         raise AssertionError("the general path ran on a canonical file")
     monkeypatch.setattr(synth, "_read_general", general)
     for text in CANONICAL:
         circ = json.loads(text)
         for tail in ("", "\n"):
-            got = synth.parse_circuit(text + tail)
-            assert got.gates == tuple(map(tuple, circ["gates"]))
-            assert synth.serialize_circuit(got) == text.encode()
+            data = (text + tail).encode()
+            for copy in (data, bytearray(data), memoryview(data), text + tail):
+                got = synth.parse_circuit(copy)
+                assert got.gates == tuple(map(tuple, circ["gates"]))
+                assert synth.serialize_circuit(got) == text.encode()
+
+
+def test_lone_surrogate_in_text_is_read_by_the_general_path():
+    # a str that cannot be encoded is read as text, its surrogate kept; in
+    # bytes the same character is not UTF-8
+    circ = FdscCircuit(3, (0,), ((0, 1), (0, 2)), {"note": "\ud800"})
+    text = synth.serialize_circuit(circ).decode().replace("\\ud800", "\ud800")
+    assert "\\ud800" not in text
+    assert synth.parse_circuit(text) == circ
+    with pytest.raises(css.ParseError, match="invalid UTF-8 at byte"):
+        synth.parse_circuit(text.encode("utf-8", "surrogatepass"))
 
 
 # -- cubic-code potential -----------------------------------------------------
