@@ -157,10 +157,10 @@ class Supports:
 
     def packed(self, rows=None) -> BitMatrix:
         """Rows ``rows`` (default all) as a packed matrix over the n_qubits
-        columns, for elimination and products."""
+        columns, for elimination and products: the positions ``spread``
+        lists, packed by ``BitMatrix.from_entries``."""
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
-        return BitMatrix.from_entries(np.column_stack(self.spread(rows)),
-                                      rows.size, self.n_qubits)
+        return BitMatrix.from_entries(self.spread(rows), rows.size, self.n_qubits)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Bit-packed dense linear algebra over GF(2): elimination (rank, rank
 profiles, right inverse, solve), the product, row XORs by position and
-set-bit scans.  Packed matrices only: sparse row-grouped lists and codes
-live in ``css``, which packs a code's supports only where elimination runs.
-Every elimination is one kernel, ``_eliminate``, reached as a module
-global; it scans each pivot column once, and that one scan finds both the
-pivot and the rows it clears.
+set-bit scans.  Packed matrices only, built from positions only: a code's
+supports (``css.Supports.packed``, where elimination runs) or a (rows,
+cols) pair of index arrays (``BitMatrix.from_entries``); codes and sparse
+lists live in ``css``.  Every elimination is one kernel, ``_eliminate``,
+reached as a module global; it scans each pivot column once, and that one
+scan finds both the pivot and the rows it clears.
 
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
@@ -52,35 +53,19 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_entries(np.repeat(np.arange(n), 2).reshape(n, 2), n, n)
+        return cls.from_entries((np.arange(n), np.arange(n)), n, n)
 
     @classmethod
-    def from_dense(cls, arr) -> "BitMatrix":
-        a = np.atleast_2d(np.asarray(arr, dtype=np.uint8) & 1)
-        rows, cols = a.shape
+    def from_entries(cls, entries, rows: int, cols: int) -> "BitMatrix":
+        """Build from the positions of the 1-bits, a (rows, cols) pair of
+        index arrays as ``np.nonzero`` returns (duplicates OR together)."""
         m = cls(rows, cols)
-        if cols:
-            padded = np.zeros((rows, _words(cols) * WORD), dtype=np.uint8)
-            padded[:, :cols] = a
-            m.data = np.packbits(padded, axis=1, bitorder="little").view(
-                np.uint64).reshape(rows, _words(cols)).copy()
-        return m
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[int, int]], rows: int,
-                     cols: int) -> "BitMatrix":
-        """Build from (row, col) positions of the 1-bits (duplicates OR together)."""
-        m = cls(rows, cols)
-        if not len(entries):
-            return m
-        e = np.asarray(entries, dtype=np.int64)
-        if e[:, 0].min() < 0 or e[:, 0].max() >= rows \
-                or e[:, 1].min() < 0 or e[:, 1].max() >= cols:
+        r, c = (np.asarray(x, dtype=np.int64) for x in entries)
+        if r.size and (r.min() < 0 or r.max() >= rows
+                       or c.min() < 0 or c.max() >= cols):
             raise IndexError("entry out of range")
-        words = _words(cols)
-        flat = e[:, 0] * words + (e[:, 1] >> 6)
-        bits = np.uint64(1) << (e[:, 1] & 63).astype(np.uint64)
-        np.bitwise_or.at(m.data.reshape(-1), flat, bits)
+        np.bitwise_or.at(m.data.reshape(-1), r * _words(cols) + (c >> 6),
+                         _BIT[c & 63])
         return m
 
     # -- conversions ---------------------------------------------------
@@ -94,9 +79,6 @@ class BitMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
                 and self.cols == other.cols and np.array_equal(self.data, other.data))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
 
 
 # -- elimination core ----------------------------------------------------

@@ -237,11 +237,11 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     pivot = np.zeros(k, dtype=bool)
     resolved = np.zeros(cols.size, dtype=bool)
 
-    def combine(gens, keep, out=None, dst=None):
-        """Rows A[:, g] XOR the columns of M over the S members of g that
-        ``keep`` selects, a mask over (position in gens, column) pairs."""
+    def combine(gens, out=None, dst=None):
+        """Rows A[:, g] XOR the columns of M over the resolved S members
+        of g, for g in gens."""
         i, c = gen_cols.spread(gens)
-        keep = keep(i, c)
+        keep = resolved[c]
         return gf2.xor_rows(mt, i[keep], c[keep], len(gens), a.spread(gens),
                             out, dst)
 
@@ -249,8 +249,8 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     while frontier.size:
         new, first = np.unique(xor_cols[frontier], return_index=True)
         gens = frontier[first]
+        combine(gens, mt, new)   # all of g's S members but new[i] are resolved
         pivot[gens] = resolved[new] = True
-        combine(gens, lambda i, c: c != new[i], mt, new)
         i, touched = col_gens.spread(new)
         np.subtract.at(unresolved, touched, 1)
         np.bitwise_xor.at(xor_cols, touched, new[i])
@@ -260,7 +260,7 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     core_cols = np.flatnonzero(~resolved)
     if core_cols.size:
         core = rest[unresolved[rest] > 0]
-        rhs = combine(core, lambda i, c: resolved[c])
+        rhs = combine(core)
         try:   # pi_U A[:, G']: each member of U on its generators in G'
             r = gf2.right_inverse(col_gens.restrict(core).packed(core_cols))
         except gf2.RankDeficient as e:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import css, gf2
 from .css import CssCode, Supports, dump_json, odd_pairs
-from .gf2 import BitMatrix, DimensionMismatch
+from .gf2 import DimensionMismatch
 from .synth import FdscCircuit
 
 
@@ -135,13 +135,16 @@ def circuit_statevector(circ: FdscCircuit) -> np.ndarray:
 def ground_state_labels(code: CssCode) -> np.ndarray:
     """The 2^rank distinct basis labels of the ground state, the span of
     the X generators applied to |0...0>, enumerated from an independent
-    column subset so dependent generators do not blow the term count up."""
+    generator subset so dependent generators do not blow the term count
+    up: the column rank profile of the n x k matrix A, packed from the
+    code's supports, with each kept generator's qubits as one bit mask."""
     if code.n_qubits > STATEVECTOR_CAP:
         raise TooLarge(f"n={code.n_qubits} > {STATEVECTOR_CAP}")
-    a = code.x_stabs.to_dense()
-    bits = a[:, gf2.column_rank_profile(BitMatrix.from_dense(a))].astype(np.uint64)
-    shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
-    return _span(np.bitwise_or.reduce(bits << shifts, axis=0))
+    keep = gf2.column_rank_profile(code.x_stabs.transpose().packed())
+    i, q = code.x_stabs.spread(keep)
+    masks = np.zeros(len(keep), dtype=np.int64)
+    np.bitwise_or.at(masks, i, 1 << q)
+    return _span(masks)
 
 
 def statevector_check(code: CssCode, circ: FdscCircuit) -> bool:

@@ -2,9 +2,9 @@
 reconstruction, verification), a two-scan packed elimination kernel, the
 right inverse with the reverse pivot order, a two-vector state-vector
 oracle, a per-gate circuit check, the per-entry code-file rules, codes
-from dense arrays, random codes (small ones, and hypergraph products of
-random regular classical codes), and the hypothesis profile every
-property runs under.
+and packed matrices from dense arrays, random codes (small ones, and
+hypergraph products of random regular classical codes), and the
+hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -219,6 +219,12 @@ def hgp_code(h1: np.ndarray, h2: np.ndarray) -> css.CssCode:
     return dense_code(hx.T, hz.T)
 
 
+def packed(a) -> BitMatrix:
+    """The 0/1 array ``a`` as a packed matrix, from its nonzero positions."""
+    a = np.asarray(a)
+    return BitMatrix.from_entries(np.nonzero(a), *a.shape)
+
+
 def padding_ok(m: BitMatrix) -> bool:
     """No set bits beyond the logical column count."""
     if m.cols % 64 == 0 or m.data.size == 0:
@@ -232,8 +238,8 @@ def reverse_pivot_right_inverse(a) -> BitMatrix:
     """A right inverse of the dense 0/1 matrix ``a`` by Gauss-Jordan with
     its columns scanned last to first: ``gf2.right_inverse`` of the
     column-reversed matrix, with the rows of the result reversed back."""
-    r = gf2.right_inverse(BitMatrix.from_dense(np.asarray(a)[:, ::-1]))
-    return BitMatrix.from_dense(r.to_dense()[::-1])
+    r = gf2.right_inverse(packed(np.asarray(a)[:, ::-1]))
+    return packed(r.to_dense()[::-1])
 
 
 def _span_state(n_qubits: int, masks: np.ndarray) -> np.ndarray:
@@ -259,7 +265,7 @@ def reference_statevector_check(code: css.CssCode, circ) -> bool:
     np.bitwise_or.at(columns, np.searchsorted(plus, controls),
                      np.uint64(1) << targets)
     a = code.x_stabs.to_dense()
-    bits = a[:, gf2.column_rank_profile(BitMatrix.from_dense(a))].astype(np.uint64)
+    bits = a[:, gf2.column_rank_profile(packed(a))].astype(np.uint64)
     shifts = np.arange(code.n_qubits, dtype=np.uint64)[:, None]
     return np.allclose(_span_state(circ.n_qubits, columns),
                        _span_state(code.n_qubits,

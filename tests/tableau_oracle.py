@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from conftest import packed
 from fdsc.css import CssCode
 from fdsc.gf2 import BitMatrix, DimensionMismatch
 from fdsc.synth import FdscCircuit
@@ -115,8 +116,8 @@ def initial_state(n: int, plus_qubits: Iterable[int]) -> SymplecticState:
         raise IndexOutOfRange(f"plus qubits outside 0..{n - 1}")
     in_plus = np.zeros(n, dtype=bool)
     in_plus[plus] = True
-    sx = BitMatrix.from_dense(np.diag(in_plus))
-    sz = BitMatrix.from_dense(np.diag(~in_plus))
+    sx = packed(np.diag(in_plus))
+    sz = packed(np.diag(~in_plus))
     return SymplecticState(n, sx, sz, np.zeros(n, dtype=np.uint8))
 
 
@@ -147,8 +148,8 @@ def apply_cx_layer(state: SymplecticState,
     for q in controls | targets:
         if not 0 <= q < state.n_qubits:
             raise IndexOutOfRange(q)
-    sx = BitMatrix.from_dense(state.stab_x.to_dense())
-    sz = BitMatrix.from_dense(state.stab_z.to_dense())
+    sx = packed(state.stab_x.to_dense())
+    sz = packed(state.stab_z.to_dense())
     for c, t in gates:
         xc = _col_bits(sx, c)
         zt = _col_bits(sz, t)

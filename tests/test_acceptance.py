@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_css_code, reverse_pivot_right_inverse
+from conftest import packed, random_css_code, reverse_pivot_right_inverse
 from fdsc import css, gf2, groups, synth, verify
 from fdsc.cli import fit_loglog
 from fdsc.synth import FdscCircuit
@@ -210,7 +210,7 @@ def test_criterion_7_greedy_convergence():
     for k in range(50):
         code = random_css_code(rng)
         s = synth.greedy_select(code, seed=k)
-        a = gf2.BitMatrix.from_dense(code.x_stabs.to_dense())
+        a = packed(code.x_stabs.to_dense())
         if len(s) != gf2.rank(a) or not _solves(code, s):
             ok = False
             bad.append(f"random #{k}")
@@ -224,12 +224,12 @@ def test_criterion_8_right_inverse_independence():
     for _ in range(50):
         code = random_css_code(rng)
         s = synth.greedy_select(code)
-        a = gf2.BitMatrix.from_dense(code.x_stabs.to_dense())
+        a = packed(code.x_stabs.to_dense())
         sub = a.to_dense()[s]
         m = synth.build_reconstruction(code, s).to_dense().T
         # the forward pivot order, then the reverse one: the right inverse
         # of the column-reversed matrix, rows reversed back
-        for r in (gf2.right_inverse(gf2.BitMatrix.from_dense(sub)),
+        for r in (gf2.right_inverse(packed(sub)),
                   reverse_pivot_right_inverse(sub)):
             if not np.array_equal(m, gf2.mul(a, r).to_dense()):
                 ok = False

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import event, given, settings, strategies
 
 from conftest import (dense_code, dense_nullspace, dense_rank, dense_supports,
-                      random_css_code, support_lists_ok)
+                      packed, random_css_code, support_lists_ok)
 from fdsc import css, gf2, groups, synth
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
-from fdsc.gf2 import BitMatrix
 
 
 def overlap_parities(code):
@@ -47,7 +46,7 @@ def test_ghz7_commutation():
 
 
 def packed_rank(sup: css.Supports) -> int:
-    return gf2.rank(BitMatrix.from_dense(sup.to_dense()))
+    return gf2.rank(packed(sup.to_dense()))
 
 
 def test_toric_l2_structure():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies
 
-from conftest import (dense_rank, dense_supports, padding_ok,
+from conftest import (dense_rank, dense_supports, packed, padding_ok,
                       reference_eliminate, reverse_pivot_right_inverse)
 from fdsc import css, gf2
 from fdsc.gf2 import BitMatrix, DimensionMismatch, RankDeficient
@@ -18,9 +18,9 @@ def test_rank_identity():
 def test_bad_shapes_and_entries_raise():
     with pytest.raises(ValueError, match="negative dimensions"):
         BitMatrix(-1, 2)
-    for entry in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+    for r, c in ((2, 0), (0, 3), (-1, 0), (0, -1)):
         with pytest.raises(IndexError, match="entry out of range"):
-            BitMatrix.from_entries([entry], 2, 3)
+            BitMatrix.from_entries(([0, r], [0, c]), 2, 3)
     m = BitMatrix.identity(3)
     for rhs in ([1, 0], [1, 0, 1, 0], [[1, 0, 1]]):
         with pytest.raises(DimensionMismatch, match="rhs length"):
@@ -28,18 +28,18 @@ def test_bad_shapes_and_entries_raise():
 
 
 def test_rank_duplicate_rows():
-    assert gf2.rank(BitMatrix.from_dense([[1, 1], [1, 1]])) == 1
+    assert gf2.rank(packed([[1, 1], [1, 1]])) == 1
 
 
 def test_rank_toric_vertex_matrix():
     # product of all vertex operators is the identity: rank = L^2 - 1
     code = css.build_toric(2)
-    assert gf2.rank(BitMatrix.from_dense(code.x_stabs.to_dense())) == 3
+    assert gf2.rank(packed(code.x_stabs.to_dense())) == 3
     assert dense_rank(code.x_stabs.to_dense()) == 3
 
 
 def test_rank_does_not_mutate_input():
-    m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = packed([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     before = m.data.copy()
     gf2.rank(m)
     assert np.array_equal(m.data, before)
@@ -49,19 +49,19 @@ def test_rank_does_not_mutate_input():
 def test_rank_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=(rng.integers(1, 40), rng.integers(1, 40)))
-    m = BitMatrix.from_dense(a)
+    m = packed(a)
     assert gf2.rank(m) == dense_rank(a)
-    assert gf2.rank(BitMatrix.from_dense(a.T)) == gf2.rank(m)
+    assert gf2.rank(packed(a.T)) == gf2.rank(m)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_invariant_under_permutation(seed):
     rng = np.random.default_rng(100 + seed)
     a = rng.integers(0, 2, size=(12, 17))
-    r = gf2.rank(BitMatrix.from_dense(a))
+    r = gf2.rank(packed(a))
     pr = rng.permutation(12)
     pc = rng.permutation(17)
-    assert gf2.rank(BitMatrix.from_dense(a[pr][:, pc])) == r
+    assert gf2.rank(packed(a[pr][:, pc])) == r
 
 
 def test_right_inverse_identity():
@@ -70,14 +70,14 @@ def test_right_inverse_identity():
 
 
 def test_right_inverse_postcondition():
-    m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    m = packed([[1, 1, 0], [0, 1, 1]])
     r = gf2.right_inverse(m)
     assert gf2.mul(m, r) == BitMatrix.identity(2)
 
 
 def test_right_inverse_rank_deficient():
     with pytest.raises(RankDeficient):
-        gf2.right_inverse(BitMatrix.from_dense([[1, 1], [1, 1]]))
+        gf2.right_inverse(packed([[1, 1], [1, 1]]))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -89,20 +89,20 @@ def test_right_inverse_random_full_rank(seed):
         a = rng.integers(0, 2, size=(rows, cols))
         if dense_rank(a) == rows:
             break
-    m = BitMatrix.from_dense(a)
+    m = packed(a)
     for r in (gf2.right_inverse(m), reverse_pivot_right_inverse(a)):
         assert gf2.mul(m, r) == BitMatrix.identity(rows)
         assert padding_ok(r)
 
 
 def test_mul_identity():
-    b = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    b = packed([[1, 0, 1], [0, 1, 1]])
     assert gf2.mul(BitMatrix.identity(2), b) == b
 
 
 def test_mul_mod2():
-    a = BitMatrix.from_dense([[1, 1]])
-    b = BitMatrix.from_dense([[1], [1]])
+    a = packed([[1, 1]])
+    b = packed([[1], [1]])
     assert gf2.mul(a, b).to_dense().tolist() == [[0]]
 
 
@@ -127,7 +127,7 @@ def test_mul_matches_dense(seed):
     rng = np.random.default_rng(300 + seed)
     a = rng.integers(0, 2, size=(9, 13))
     b = rng.integers(0, 2, size=(13, 7))
-    got = gf2.mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+    got = gf2.mul(packed(a), packed(b))
     assert np.array_equal(got.to_dense(), (a @ b) % 2)
     assert padding_ok(got)
 
@@ -140,7 +140,7 @@ def test_solve_identity():
 
 def test_solve_underdetermined():
     a = np.array([[1, 1]], dtype=np.uint8)
-    x = gf2.solve(BitMatrix.from_dense(a), np.array([1], dtype=np.uint8))
+    x = gf2.solve(packed(a), np.array([1], dtype=np.uint8))
     assert x is not None and ((a @ x) % 2).tolist() == [1]
 
 
@@ -153,7 +153,7 @@ def test_solve_no_solution():
 def test_solve_random(seed):
     rng = np.random.default_rng(400 + seed)
     a = rng.integers(0, 2, size=(10, 14))
-    m = BitMatrix.from_dense(a)
+    m = packed(a)
     x0 = rng.integers(0, 2, size=14).astype(np.uint8)
     rhs = (a @ x0) % 2
     x = gf2.solve(m, rhs.astype(np.uint8))
@@ -175,19 +175,36 @@ def test_nnz_ghz_reconstruction_column():
 
 
 def test_from_entries_round_trip():
-    entries = [(0, 0), (0, 65), (2, 127), (1, 64)]
-    m = BitMatrix.from_entries(entries, 3, 128)
+    """Positions as a (rows, cols) pair, in any order; a repeated position
+    ORs into the same bit rather than cancelling."""
+    rows, cols = [0, 0, 2, 1, 2, 0], [0, 65, 127, 64, 127, 0]
+    m = BitMatrix.from_entries((rows, cols), 3, 128)
     d = m.to_dense()
-    assert [(i, j) for i, j in entries if not d[i, j]] == []
+    assert d[rows, cols].all()
     assert d.sum() == 4
     assert padding_ok(m)
+
+
+@settings(max_examples=200)
+@given(data=strategies.data())
+def test_positions_round_trip(data):
+    """Packing a matrix's own set-bit positions rebuilds it exactly: no
+    rows, no columns, and column counts on either side of a word."""
+    rows = data.draw(strategies.integers(0, 8))
+    cols = data.draw(strategies.one_of(strategies.sampled_from([0, 1, 63, 64, 65, 128]),
+                                       strategies.integers(0, 200)))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2 ** 32 - 1)))
+    density = data.draw(strategies.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    m = packed(rng.random((rows, cols)) < density)
+    got = BitMatrix.from_entries(gf2.nonzero(m), m.rows, m.cols)
+    assert got == m and padding_ok(got)
 
 
 @pytest.mark.parametrize("shape", [(5, 70), (40, 1), (3, 128), (6, 0), (0, 9)])
 def test_nonzero_matches_dense(shape):
     rng = np.random.default_rng(sum(shape))
     a = (rng.random(shape) < 0.3).astype(np.uint8)
-    rows, cols = gf2.nonzero(BitMatrix.from_dense(a))
+    rows, cols = gf2.nonzero(packed(a))
     want_rows, want_cols = np.nonzero(a)
     assert rows.tolist() == want_rows.tolist()
     assert cols.tolist() == want_cols.tolist()
@@ -215,7 +232,7 @@ def test_nonzero_matches_dense_in_row_ranges(data):
                                      strategies.integers(lo, rows)))
     event(f"{'padding' if cols % 64 else 'whole words'}, "
           f"{'to the end' if hi is None else 'a range'}")
-    m = BitMatrix.from_dense(a)
+    m = packed(a)
     got = gf2.nonzero(m, lo, hi) if lo or hi is not None else gf2.nonzero(m)
     want_rows, want_cols = np.nonzero(a[lo:hi])
     assert got[0].tolist() == (want_rows + lo).tolist()
@@ -232,7 +249,7 @@ def test_row_spread_matches_dense(shape, density):
     matrix does."""
     rng = np.random.default_rng(sum(shape))
     a = (rng.random(shape) < density).astype(np.uint8)
-    m = BitMatrix.from_dense(a)
+    m = packed(a)
     assert [x.tolist() for x in gf2.nonzero(m)] == [x.tolist() for x in np.nonzero(a)]
     sup = dense_supports(a)
     assert np.array_equal(sup.to_dense(), a)
@@ -261,10 +278,10 @@ def test_xor_rows_matches_dense(seed):
         want[i] ^= a[r]
     for i, c in zip(*flips):
         want[i, c] ^= 1
-    got = gf2.xor_rows(BitMatrix.from_dense(a), seg, src, n, flips)
+    got = gf2.xor_rows(packed(a), seg, src, n, flips)
     assert np.array_equal(got.to_dense(), want) and padding_ok(got)
     dst = rng.permutation(9)[:n]
-    out = gf2.xor_rows(BitMatrix.from_dense(a), seg, src, flips=flips,
+    out = gf2.xor_rows(packed(a), seg, src, flips=flips,
                        out=BitMatrix(9, 70), dst=dst)
     assert np.array_equal(out.to_dense()[dst], want)
     assert not np.delete(out.to_dense(), dst, axis=0).any()
@@ -276,7 +293,7 @@ def test_mul_shapes_match_dense(n, k, m):
     rng = np.random.default_rng(n + k + m)
     a = rng.integers(0, 2, size=(n, k))
     b = rng.integers(0, 2, size=(k, m))
-    got = gf2.mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+    got = gf2.mul(packed(a), packed(b))
     assert (got.rows, got.cols) == (n, m)
     assert np.array_equal(got.to_dense(), (a @ b) % 2)
     assert padding_ok(got)
@@ -285,7 +302,7 @@ def test_mul_shapes_match_dense(n, k, m):
 def test_transpose_matches_numpy():
     rng = np.random.default_rng(1)
     a = rng.integers(0, 2, size=(5, 70))
-    t = BitMatrix.from_dense(BitMatrix.from_dense(a).to_dense().T)
+    t = packed(packed(a).to_dense().T)
     assert np.array_equal(t.to_dense(), a.T)
     assert padding_ok(t)
 
@@ -293,7 +310,7 @@ def test_transpose_matches_numpy():
 def test_row_rank_profile_prefix_property():
     rng = np.random.default_rng(2)
     a = rng.integers(0, 2, size=(20, 8))
-    profile = gf2.row_rank_profile(BitMatrix.from_dense(a.T))
+    profile = gf2.row_rank_profile(packed(a.T))
     # each selected row increases the rank of the prefix
     for k in range(1, len(profile) + 1):
         assert dense_rank(a[profile[:k]]) == k
@@ -311,12 +328,12 @@ def test_row_rank_profile_follows_scan_order(seed):
     for r in order:
         if dense_rank(a[kept + [r]]) > len(kept):
             kept.append(r)
-    assert gf2.row_rank_profile(BitMatrix.from_dense(a.T), order) == kept
+    assert gf2.row_rank_profile(packed(a.T), order) == kept
 
 
 def test_column_rank_profile_lex_first():
     a = np.array([[1, 1, 0, 1], [0, 0, 0, 1], [1, 1, 0, 0]])
-    assert gf2.column_rank_profile(BitMatrix.from_dense(a)) == [0, 3]
+    assert gf2.column_rank_profile(packed(a)) == [0, 3]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -371,7 +388,7 @@ def elimination_inputs(draw):
              "repeats": rng.integers(0, max(cols, 1), 2 * cols),
              "padding": rng.permutation(-(-cols // 64) * 64)}[kind]
     event(f"{density} {kind}")
-    return BitMatrix.from_dense(a).data, [int(c) for c in order]
+    return packed(a).data, [int(c) for c in order]
 
 
 @settings(max_examples=300)
@@ -400,5 +417,5 @@ def test_elimination_goes_through_the_module_kernel(monkeypatch, run):
         return kernel(data, *args, **kwargs)
 
     monkeypatch.setattr(gf2, "_eliminate", counted)
-    run(BitMatrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0]]))
+    run(packed([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0]]))
     assert len(calls) == 1

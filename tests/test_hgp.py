@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (dense_greedy, dense_rank, dense_reconstruction,
-                      dense_verify, hgp_code, regular_checks)
+                      dense_verify, hgp_code, packed, regular_checks)
 from fdsc import gf2
-from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, build_reconstruction, emit_circuit,
                         greedy_select)
 from fdsc.verify import verify_circuit
@@ -118,8 +117,8 @@ def test_reconstruction_at_6400_qubits_equals_right_inverse_product(monkeypatch)
     mt, core = reconstruct(monkeypatch, code, s)
     assert core >= len(s) / 2
     a = code.x_stabs.to_dense()
-    r = gf2.right_inverse(BitMatrix.from_dense(a[s]))
-    product = gf2.mul(BitMatrix.from_dense(a), r)
+    r = gf2.right_inverse(packed(a[s]))
+    product = gf2.mul(packed(a), r)
     assert np.array_equal(mt.to_dense().T, product.to_dense())
     circ = emit_circuit(code, s, mt)
     assert verify_circuit(code, circ).passed

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
-                      dense_reconstruction, hgp_code, random_css_code,
+                      dense_reconstruction, hgp_code, packed, random_css_code,
                       regular_checks, reverse_pivot_right_inverse)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
@@ -43,7 +43,7 @@ def test_greedy_seeded_satisfies_conditions(seed):
     rng = np.random.default_rng(seed)
     code = random_css_code(rng)
     s = greedy_select(code, seed=seed)
-    assert len(s) == gf2.rank(BitMatrix.from_dense(code.x_stabs.to_dense()))
+    assert len(s) == gf2.rank(packed(code.x_stabs.to_dense()))
     build_reconstruction(code, s)
 
 
@@ -147,8 +147,8 @@ def test_reconstruction_rejects_bad_subset():
 def right_inverse_products(code, s):
     """Dense A (pi_S A)^+ for both pivot orders of the right inverse."""
     a = code.x_stabs.to_dense()
-    return [gf2.mul(BitMatrix.from_dense(a), r).to_dense()
-            for r in (gf2.right_inverse(BitMatrix.from_dense(a[s])),
+    return [gf2.mul(packed(a), r).to_dense()
+            for r in (gf2.right_inverse(packed(a[s])),
                       reverse_pivot_right_inverse(a[s]))]
 
 

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import tableau_oracle as tableau
-from conftest import (dense_code, dense_rank, random_css_code,
-                      reference_statevector_check)
+from conftest import (dense_code, dense_nullspace, dense_rank, packed,
+                      random_css_code, reference_statevector_check)
 from fdsc import css, gf2, synth, verify
-from fdsc.gf2 import BitMatrix
 from fdsc.synth import FdscCircuit
 from fdsc.verify import TooLarge, statevector_check, verify_circuit
 from tableau_oracle import (InvalidLayer, SymplecticState, apply_cx_layer,
@@ -64,8 +63,8 @@ def test_cx_conjugation_rules():
 
 def test_cx_preserves_signs_in_xz_convention():
     # CX (X0 Z1) CX = +(X0 Z0)(X1 Z1): exponents change, the sign does not
-    sx = BitMatrix.from_dense([[1, 0], [0, 1]])
-    sz = BitMatrix.from_dense([[0, 1], [1, 0]])
+    sx = packed([[1, 0], [0, 1]])
+    sz = packed([[0, 1], [1, 0]])
     st = SymplecticState(2, sx, sz, np.array([0, 1], dtype=np.uint8))
     out = apply_cx_layer(st, [(0, 1)])
     assert out.stab_x.to_dense()[0].tolist() == [1, 1]
@@ -75,15 +74,15 @@ def test_cx_preserves_signs_in_xz_convention():
 
 def test_membership_sign_accumulation():
     # (X0 Z0)(Z1) involves no same-qubit reorder: sign stays +
-    st = SymplecticState(2, BitMatrix.from_dense([[1, 0], [0, 0]]),
-                         BitMatrix.from_dense([[1, 0], [0, 1]]),
+    st = SymplecticState(2, packed([[1, 0], [0, 0]]),
+                         packed([[1, 0], [0, 1]]),
                          np.zeros(2, dtype=np.uint8))
     member = tableau.GroupMembership(st)
     assert member.contains(np.array([1, 0]), np.array([1, 1]), sign=0)
     # (X0 Z1)(Z0 X1) = -(X0 Z0)(X1 Z1): commuting pair whose canonical
     # product reorders Z1 past X1
-    st2 = SymplecticState(2, BitMatrix.from_dense([[1, 0], [0, 1]]),
-                          BitMatrix.from_dense([[0, 1], [1, 0]]),
+    st2 = SymplecticState(2, packed([[1, 0], [0, 1]]),
+                          packed([[0, 1], [1, 0]]),
                           np.zeros(2, dtype=np.uint8))
     member2 = tableau.GroupMembership(st2)
     one = np.array([1, 1])
@@ -363,6 +362,29 @@ def test_statevector_cap():
         verify.circuit_statevector(circ)
     with pytest.raises(TooLarge, match="n=32 > 20"):
         verify.ground_state_labels(code)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ground_state_labels_are_the_span_of_every_generator(seed):
+    """The labels enumerated from independent generators alone are the
+    span of every generator's mask, and number 2^rank, on random codes
+    with repeated and dependent X generators: those add no term."""
+    rng = np.random.default_rng(3100 + seed)
+    n, k = int(rng.integers(2, 17)), int(rng.integers(1, 6))
+    a = (rng.random((n, k)) < 0.4).astype(np.uint8)
+    a[rng.integers(0, n), ~a.any(axis=0)] = 1   # no empty generator
+    sums = [a[:, rng.choice(k, size=min(k, w), replace=False)].sum(axis=1) % 2
+            for w in (2, 3)]
+    a = np.column_stack([a, a[:, rng.integers(0, k, size=2)],
+                         *(c for c in sums if c.any())])
+    a = a[:, rng.permutation(a.shape[1])]
+    code = dense_code(a, dense_nullspace(a.T)[:3].T)
+    span = np.zeros(1, dtype=np.int64)
+    for mask in (a.astype(np.int64) << np.arange(n)[:, None]).sum(axis=0):
+        span = np.unique(np.concatenate((span, span ^ mask)))
+    labels = verify.ground_state_labels(code)
+    assert np.array_equal(np.sort(labels), span)
+    assert labels.size == 2 ** dense_rank(a) < 2 ** a.shape[1]
 
 
 def oracle_cases():
