@@ -3,9 +3,10 @@ sparse row-grouped-list type (compressed sparse rows, CSR).
 
 This module alone knows the CSR layout: code supports, their transpose,
 the reconstruction's restricted lists, row gathers (``Supports.spread``)
-and the parity count over (row, column) pairs (``odd_pairs``).  A code is
-two ``Supports`` (``x_stabs`` and ``z_stabs``, each generator's qubits), so
-it costs O(nnz) memory and every check on it O(nnz log nnz) time; packed
+and the one sparse GF(2) product (``odd_product``), behind the
+commutation check and both verify rules.  A code is two ``Supports``
+(``x_stabs`` and ``z_stabs``, each generator's qubits), so it costs
+O(nnz) memory and every check on it O(nnz log nnz) time; packed
 ``BitMatrix`` rows are built only for elimination and products.
 Construction checks that each support is nonempty and strictly increasing
 within the register, and the CSS commutation condition (every X/Z
@@ -47,10 +48,9 @@ FAMILIES = (*SHAPES, "custom")
 
 # Items per block of the loops that follow a circuit's size: set bits of M
 # per emission block, gates per circuit-check block and per piece of the
-# circuit writer (``synth``), checked qubits and gates per parity-count
-# block (``verify``).  Smaller blocks sort faster and hold less; at 2^16
-# every verify-sweep job of the benchmark is still one block, and toric
-# L=128 comb is 33 a rule.
+# circuit writer (``synth``), listed pairs per ``odd_product`` block.
+# Smaller blocks sort faster and hold less; at 2^16 a verify-sweep job of
+# the benchmark takes 1 to 5 blocks a rule, and toric L=128 comb 129.
 BLOCK = 1 << 16
 
 
@@ -70,23 +70,46 @@ class CommutationViolation(ValueError):
         self.pair = (i, j)
 
 
-def _gather(lo: np.ndarray, w: np.ndarray, values: np.ndarray):
-    """Pairs (i, v), ordered by i, for each v in values[lo[i]:lo[i] + w[i]]."""
-    # position in values of each entry: its slice's start plus its rank
-    pos = np.arange(w.sum()) + np.repeat(lo - (np.cumsum(w) - w), w)
-    return np.repeat(np.arange(lo.size), w), values[pos]
-
-
 def odd_pairs(rows, cols, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (rows[e], cols[e]) listed an odd number of times, sorted,
     as a row array and a column array; columns lie in 0..n_cols-1.
 
-    One sort of the keys rows * n_cols + cols; a key is odd when its run of
-    equal keys has odd length."""
-    keys = np.sort(rows * n_cols + cols)
+    One sort of the keys rows * n_cols + cols, made and sorted in place; a
+    key is odd when its run of equal keys has odd length."""
+    keys = np.multiply(rows, n_cols)
+    keys += cols
+    keys.sort()
     runs = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1,
                            [keys.size]))
     return np.divmod(keys[runs[:-1][np.diff(runs) & 1 == 1]], n_cols)
+
+
+def row_blocks(ends: np.ndarray):
+    """Row ranges (a, b), in order, of at most ``BLOCK`` items or of one row
+    where a ``BLOCK``-th item falls, for ends[r] items before row r."""
+    cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1], BLOCK))
+    rows = np.unique(np.concatenate(([0], cuts - 1, cuts, [ends.size - 1]))).tolist()
+    return zip(rows, rows[1:])
+
+
+def odd_product(left: Supports, right: Supports, add=None):
+    """The 1-entries of left @ right + add over GF(2), sorted, as a row and
+    a column array (``add``, if given: 1-entries as a (rows, cols) pair).
+    Row by row, as in Gustavson's sparse product: left's entry (i, q), in
+    any order and repeats included, lists (i, c) for each c in right's row
+    q; ``odd_pairs`` keeps the pairs listed an odd number of times, a
+    ``row_blocks`` block at a time, then over all blocks and ``add``."""
+    # pairs listed before each row, summed over left's entries by blocks
+    weight, ends = np.diff(right.start), np.zeros(len(left) + 1, dtype=np.int64)
+    for a, b in row_blocks(left.start):
+        run = np.cumsum(np.append(0, weight[left.qubits[left.start[a]:left.start[b]]]))
+        ends[a + 1:b + 1] = ends[a] + run[left.start[a + 1:b + 1] - left.start[a]]
+    found = [add or (np.zeros(0, dtype=np.int64),) * 2]
+    for a, b in row_blocks(ends):
+        e, cols = right.spread(left.qubits[left.start[a]:left.start[b]])
+        e = np.repeat(np.arange(a, b), np.diff(left.start[a:b + 1]))[e]
+        found.append(odd_pairs(e, cols, right.n_qubits))
+    return odd_pairs(*map(np.concatenate, zip(*found)), right.n_qubits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +153,11 @@ class Supports:
         (i, column) for each column of row rows[i], ordered by i."""
         rows = np.asarray(rows, dtype=np.int64)
         lo = self.start[rows]
-        return _gather(lo, self.start[rows + 1] - lo, self.qubits)
+        w = self.start[rows + 1] - lo
+        # position in qubits of each entry: its row's start plus its rank
+        pos = np.repeat(lo - (np.cumsum(w) - w), w)
+        pos += np.arange(pos.size)
+        return np.repeat(np.arange(rows.size), w), self.qubits[pos]
 
     def transpose(self) -> "Supports":
         """Column c's rows, increasing, as row c (one stable sort)."""
@@ -140,12 +167,12 @@ class Supports:
                         self.generators()[order])
 
     def restrict(self, cols) -> "Supports":
-        """The same rows over the columns ``cols`` alone, column cols[i]
-        renamed i; entries keep their order, so no sort."""
-        label = np.full(self.n_qubits, -1, dtype=np.int64)
-        label[cols] = np.arange(len(cols))
-        new = label[self.qubits]
-        keep = new >= 0
+        """The same rows over the distinct columns ``cols`` alone, column
+        cols[i] renamed i; entries keep their order, so no sort of them.
+        Columns are found by binary search: no table is sized by n_qubits."""
+        order = np.argsort(cols)
+        new = np.append(order, -1)[np.searchsorted(cols, self.qubits, sorter=order)]
+        keep = np.append(cols, -1)[new] == self.qubits   # -1: not found
         start = np.concatenate(([0], np.cumsum(keep)))[self.start]
         return Supports(len(cols), start, new[keep])
 
@@ -190,13 +217,13 @@ class CssCode:
             if empty.any():
                 raise ParseError(f"{name}[{empty.argmax()}] is empty")
         # X generator i and Z generator j anticommute when they share an odd
-        # number of qubits; Z entries by binary search (no n_qubits table)
+        # number of qubits: a 1 at (i, j) of X times Z-by-qubit on Z's qubits
         order = np.argsort(self.z_stabs.qubits, kind="stable")
-        zq, xq = self.z_stabs.qubits[order], self.x_stabs.qubits
-        lo = np.searchsorted(zq, xq)
-        e, j = _gather(lo, np.searchsorted(zq, xq, "right") - lo,
-                       self.z_stabs.generators()[order])
-        i, j = odd_pairs(self.x_stabs.generators()[e], j, self.n_z)
+        zq = self.z_stabs.qubits[order]
+        head = np.flatnonzero(np.diff(zq, prepend=-1))   # each used qubit's first
+        by_qubit = Supports(self.n_z, np.append(head, zq.size),
+                            self.z_stabs.generators()[order])
+        i, j = odd_product(self.x_stabs.restrict(zq[head]), by_qubit)
         if i.size:
             raise CommutationViolation(int(i[0]), int(j[0]))
 

@@ -6,13 +6,13 @@ controls lie in S and whose targets lie outside it.  Its output is the
 uniform superposition over the column span of M_c, the N x |S| matrix with
 the identity on the S rows and a 1 at (t, c) for every gate (c, t).  That is
 a CSS state: its stabilizer group is X^v for v in the column span of M_c
-and Z^w for w orthogonal to every column, all with sign +1.  So:
+and Z^w for w orthogonal to every column, all with sign +1.  With T the
+N x N matrix whose row q lists q's targets, and W = I + T:
 
-* X generator a holds iff a == M_c a|_S, the only candidate combination
-  since M_c is the identity on S: for every t outside S, a[t] equals the
-  XOR of a over t's controls.
-* Z generator b holds iff b is orthogonal to every column of M_c: for
-  every s in S, b[s] equals the XOR of b over s's targets.
+* X generator a holds iff a == M_c a|_S (M_c is the identity on S), that
+  is, iff a W has no 1 outside S: a[t] is the XOR of a over t's controls.
+* Z generator b holds iff b is orthogonal to every column of M_c, that is,
+  iff W b has no 1 on S: b[s] is the XOR of b over s's targets.
 
 Both checks are exact and need no elimination and no sign bookkeeping.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import css, gf2
-from .css import CssCode, Supports, dump_json, odd_pairs
+from .css import CssCode, Supports, dump_json
 from .gf2 import DimensionMismatch
 from .synth import FdscCircuit
 
@@ -57,51 +57,25 @@ def final_state(circ: FdscCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return circ.plus_qubits, circ.pairs[:, 0], circ.pairs[:, 1]
 
 
-def _failed_generators(gens: Supports, src: np.ndarray, dst: np.ndarray,
-                       checked: np.ndarray) -> tuple[int, ...]:
-    """Sorted indices of the generators g of ``gens`` for which g[q]
-    differs from the XOR of g[src[i]] over all i with dst[i] == q, at some
-    checked qubit q.  Every ``dst`` entry must be a checked qubit, and
-    ``dst`` must be sorted.
-
-    The parities are counted over (generator, qubit) pairs: each generator
-    on a checked qubit, plus each generator on qubit src[i] moved to qubit
-    dst[i].  Pairs on different checked qubits never meet, so they are
-    counted in blocks of checked qubits, each about ``css.BLOCK`` checked
-    qubits and gates, cut where every ``css.BLOCK``-th of either begins.
-    Cost is about nnz plus the generators on the ``src`` qubits, and memory
-    a block's share of that.
-    """
-    own = np.flatnonzero(checked)
-    by_qubit = gens.transpose()
-    step = css.BLOCK
-    cuts = np.unique(np.concatenate((own[step::step], dst[step::step])))
-    o = [0, *np.searchsorted(own, cuts).tolist(), own.size]
-    d = [0, *np.searchsorted(dst, cuts).tolist(), dst.size]
-    failed = []
-    for a, b, c, e in zip(o, o[1:], d, d[1:]):
-        i, g = by_qubit.spread(np.concatenate((own[a:b], src[c:e])))
-        at = np.concatenate((own[a:b], dst[c:e]))
-        failed.append(odd_pairs(g, at[i], gens.n_qubits)[0])
-    return tuple(np.unique(np.concatenate(failed)).tolist())
-
-
 def verify_circuit(code: CssCode, circ: FdscCircuit) -> VerifyReport:
-    """Check every X and Z generator of the code against the output state.
-    The gates are sorted by control already, as the Z rule needs; the X rule
-    sorts them by target once."""
+    """Check every X and Z generator against the output state, each rule one
+    ``css.odd_product`` with T.  The gates are sorted by control, so the
+    rows of T are slices of the target column: no gate column is sorted or
+    copied."""
     if circ.n_qubits != code.n_qubits:
         raise DimensionMismatch("circuit and code qubit counts differ")
-    plus, controls, targets = final_state(circ)
-    in_s = np.zeros(code.n_qubits, dtype=bool)
-    in_s[plus] = True
-    # the gates by target: one sort of target-major keys
-    by_target, by_control = np.divmod(np.sort(targets * circ.n_qubits + controls),
-                                      circ.n_qubits)
-    failed_x = _failed_generators(code.x_stabs, by_control, by_target, ~in_s)
-    failed_z = _failed_generators(code.z_stabs, targets, controls, in_s)
-    return VerifyReport(not failed_x and not failed_z, failed_x, failed_z,
-                        code.n_x + code.n_z)
+    n, (plus, controls, targets) = code.n_qubits, final_state(circ)
+    first = np.searchsorted(controls, np.arange(n + 1))   # each qubit's gates
+    x, z = code.x_stabs, code.z_stabs.transpose()
+    off = ~np.isin(x.qubits, plus)
+    # a W off S: a T (no 1 on S) plus a's own entries off S, by generator
+    g = css.odd_product(x, Supports(n, first, targets),
+                        (x.generators()[off], x.qubits[off]))[0]
+    # W b on S: T b on S (whose rows of T tile the target column) plus b
+    h = css.odd_product(Supports(n, first[np.append(plus, n)], targets), z,
+                        z.spread(plus))[1]
+    failed = [tuple(np.unique(v).tolist()) for v in (g, h)]
+    return VerifyReport(not (g.size or h.size), *failed, code.n_x + code.n_z)
 
 
 # -- state-vector oracle ---------------------------------------------------

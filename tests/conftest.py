@@ -151,6 +151,20 @@ def dense_supports(a) -> css.Supports:
     return css.Supports(a.shape[0], np.concatenate(([0], np.cumsum(weight))), qubits)
 
 
+def dense_product(left: css.Supports, right: css.Supports, add=None):
+    """The 1-entries of L @ R + A over GF(2), for two row-grouped lists and
+    the (rows, cols) entries ``add``, as a sorted (rows, cols) pair: from
+    dense count matrices, where an entry listed twice counts twice."""
+    def counts(sup):
+        a = np.zeros((len(sup), sup.n_qubits), dtype=np.int64)
+        np.add.at(a, (sup.generators(), sup.qubits), 1)
+        return a
+    total = counts(left) @ counts(right)
+    if add is not None:
+        np.add.at(total, add, 1)
+    return np.nonzero(total % 2)
+
+
 def dense_code(a, b) -> css.CssCode:
     """The custom code with X supports the columns of ``a``, Z those of ``b``."""
     return css.CssCode(len(a), dense_supports(a), dense_supports(b))

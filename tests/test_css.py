@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import unittest.mock
 from collections import Counter
 from types import SimpleNamespace
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies
 
-from conftest import (dense_code, dense_nullspace, dense_rank, dense_supports,
-                      packed, random_css_code, support_lists_ok)
+from conftest import (dense_code, dense_nullspace, dense_product, dense_rank,
+                      dense_supports, packed, random_css_code, support_lists_ok)
 from fdsc import css, gf2, groups, synth
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
 
@@ -288,6 +289,44 @@ def test_odd_pairs_matches_counter(case):
     assert all(a.dtype == np.int64 for a in got)
 
 
+@strategies.composite
+def product_operands(draw):
+    """Operands of ``css.odd_product``: left and right up to 6 rows each,
+    rows listing their columns in any order, repeats included, so a row
+    may be empty or cancel to zero (a left row lists up to 12 columns of
+    right rows up to 6 long, heavier than a block of 1 or 3 pairs); and
+    None or up to 8 (row, column) entries to add, repeats included."""
+    def rows(n_rows, n_cols, max_size):
+        lists = draw(strategies.lists(strategies.lists(
+            strategies.integers(0, n_cols - 1), max_size=max_size),
+            min_size=n_rows, max_size=n_rows))
+        return css.Supports(n_cols, np.cumsum([0, *map(len, lists)]),
+                            list(itertools.chain.from_iterable(lists)))
+
+    n_left, n_mid, n_cols = (draw(strategies.integers(lo, 6)) for lo in (0, 1, 1))
+    add = draw(strategies.none() | strategies.lists(strategies.tuples(
+        strategies.integers(0, max(n_left - 1, 0)), strategies.integers(0, n_cols - 1)),
+        max_size=8 if n_left else 0))
+    if add is not None:
+        add = tuple(np.array(add, dtype=np.int64).reshape(-1, 2).T)
+    return rows(n_left, n_mid, 12), rows(n_mid, n_cols, 6), add
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 40], ids=["1", "3", "2^40"])
+@settings(max_examples=200)
+@given(operands=product_operands())
+def test_odd_product_matches_dense(block, operands):
+    """The sparse GF(2) product, with entries added or not, against
+    L @ R + A over GF(2) of dense count matrices, in blocks of 1 and 3
+    listed pairs and in one block."""
+    with unittest.mock.patch.object(css, "BLOCK", block):
+        got = css.odd_product(*operands)
+    want = dense_product(*operands)
+    event("zero product" if not want[0].size else "nonzero product")
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert all(a.dtype == np.int64 for a in got)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transpose_restrict_and_row_packing_match_dense(seed):
     """Row-grouped list operations against the dense qubit x generator
@@ -316,12 +355,14 @@ def test_random_codes_commute(seed):
     assert packed_rank(code.x_stabs) == dense_rank(code.x_stabs.to_dense())
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(data=strategies.data())
 def test_commutation_check_matches_overlap_parities(data):
     """Random dense X/Z pairs, half of them with Z drawn from the orthogonal
     complement of X: the code is accepted exactly when every overlap is
-    even, and otherwise rejected with the lexicographically first pair."""
+    even, and otherwise rejected with the lexicographically first pair,
+    whatever the block (``css.BLOCK`` listed pairs) of the product."""
+    block = data.draw(strategies.sampled_from([1, 3, 1 << 40]))
     n = data.draw(strategies.integers(1, 12))
 
     def columns(k, basis=None):
@@ -343,12 +384,13 @@ def test_commutation_check_matches_overlap_parities(data):
     b = b[:, b.any(axis=0)]  # a combination may cancel to zero
     x, z = dense_supports(a), dense_supports(b)
     odd = np.argwhere(overlap_parities(SimpleNamespace(x_stabs=x, z_stabs=z)))
-    if odd.size == 0:
-        css.CssCode(n, x, z)
-    else:
-        with pytest.raises(CommutationViolation) as exc:
+    with unittest.mock.patch.object(css, "BLOCK", block):
+        if odd.size == 0:
             css.CssCode(n, x, z)
-        assert exc.value.pair == tuple(map(int, odd[0]))
+        else:
+            with pytest.raises(CommutationViolation) as exc:
+                css.CssCode(n, x, z)
+            assert exc.value.pair == tuple(map(int, odd[0]))
 
 
 @pytest.mark.parametrize("family,size", [("ghz", 5), ("toric", 4), ("xcube", 3),

@@ -308,7 +308,7 @@ def test_matches_oracles_on_random_layers(seed, synthesized, flips):
     ("toric", 8, "toric_comb"), ("toric", 8, "toric_recursive"),
     ("xcube", 3, "xcube_dual_trees"), ("haah", 3, "haah_canonical")])
 def test_blocked_verify_matches_one_block(monkeypatch, family, size, strategy):
-    # blocks of a few checked qubits and gates count the same parities as
+    # blocks of a few listed (row, column) pairs count the same parities as
     # one block of them all, on a passing circuit and on one-gate mutants
     code = css.build_family(family, size)
     circ = synth.synthesize(code, strategy)
@@ -317,13 +317,15 @@ def test_blocked_verify_matches_one_block(monkeypatch, family, size, strategy):
     want = [verify_circuit(code, c) for c in circuits]
     assert want[0].passed and not any(rep.passed for rep in want[1:])
     blocks = []
-    monkeypatch.setattr(verify, "odd_pairs",
-                        lambda *a: blocks.append(a) or css.odd_pairs(*a))
+    odd_pairs = css.odd_pairs   # the original, so the patch does not recurse
+    monkeypatch.setattr(css, "odd_pairs",
+                        lambda *a: blocks.append(a) or odd_pairs(*a))
     for block in (1, 2, 5, 32):
         monkeypatch.setattr(css, "BLOCK", block)
         blocks.clear()
         assert [verify_circuit(code, c) for c in circuits] == want
-        assert len(blocks) >= 4 * len(circuits)   # two blocks a rule, or more
+        # two blocks a rule, or more, then the rule's one sum with its add
+        assert len(blocks) >= 6 * len(circuits)
 
 
 # -- state-vector oracle ------------------------------------------------------
