@@ -145,10 +145,8 @@ def cmd_groups(args) -> int:
         print(f"{row['n']},{row['depth']},{row['ancillas']}")
     all_ok = True
     for n in lengths:
-        if series.group.order ** n <= 100_000:
-            ok = groups.exhaustive_check(series, n)
-        else:
-            ok = groups.random_check(series, n, args.trials, seed=0)
+        ok = (groups.exhaustive_check(series, n) if series.group.order ** n <= 100_000
+              else groups.random_check(series, n, args.trials, seed=0))
         if not ok:
             print(f"mismatch against table fold at n={n}", file=sys.stderr)
             all_ok = False

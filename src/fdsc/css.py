@@ -47,8 +47,8 @@ SHAPES = {"ghz": lambda n: (n,),
 FAMILIES = (*SHAPES, "custom")
 
 # Items per block of the loops that follow a circuit's size: set bits of M
-# per emission block, gates per circuit-check block and per piece of the
-# circuit writer (``synth``), listed pairs per ``odd_product`` block.
+# per emission block, gates per circuit-check block, qubits per piece of
+# the circuit writer (``synth``), listed pairs per ``odd_product`` block.
 # Smaller blocks sort faster and hold less; at 2^16 a verify-sweep job of
 # the benchmark takes 1 to 5 blocks a rule, and toric L=128 comb 129.
 BLOCK = 1 << 16

@@ -45,8 +45,7 @@ class BitMatrix:
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self.data = np.zeros((rows, _words(cols)), dtype=np.uint64)
 
     # -- constructors -------------------------------------------------
@@ -96,8 +95,7 @@ def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False
     ``reduced`` adds one scan of the rows above.
     """
     nrows = data.shape[0]
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for col in col_order:
         if r == nrows:
             break
@@ -234,8 +232,7 @@ def solve(m: BitMatrix, rhs: np.ndarray) -> Optional[np.ndarray]:
     wl = _words(m.cols)
     aug = np.hstack([m.data, rhs.astype(np.uint64)[:, None]])
     pivots = _eliminate(aug, range(m.cols), reduced=True)
-    npiv = len(pivots)
-    if np.any(aug[npiv:, wl]):
+    if np.any(aug[len(pivots):, wl]):
         return None
     x = np.zeros(m.cols, dtype=np.uint8)
     for prow, pcol in pivots:

@@ -3,8 +3,9 @@
 The preparation circuit for a CSS code is determined by a qubit subset S
 whose rows of the X-stabilizer support matrix A form a basis of A's row
 space (equivalently |S| = rank(pi_S A) = rank(A)).  The reconstruction
-matrix M_S maps Z-values on S to Z-values everywhere; its off-diagonal
-nonzero entries are exactly the CX gates of the one-layer circuit.
+matrix M_S maps Z-values on S to Z-values everywhere.  On S it is the
+identity; its nonzero entries off S are exactly the CX gates of the
+one-layer circuit, and only those rows are stored.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class InvalidSubset(ValueError):
 
 class InternalInvariantViolation(AssertionError):
     """A built-in strategy's subset fails the rank conditions, or emission
-    breaks the one-gate-per-nonzero rule (indicates a code bug)."""
+    is given a reconstruction matrix that is not |S| x (N - |S|)
+    (indicates a code bug)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +206,10 @@ def tree_select(code: CssCode, strategy: str) -> np.ndarray:
 
 
 def build_reconstruction(code: CssCode, s) -> BitMatrix:
-    """The columns of the unique N x |S| matrix M with M pi_S A = A, as the
-    rows of an |S| x N matrix (row j is column j of M, for S member j).
-    ``s`` is any integer sequence or array, strictly increasing within
-    0..N-1.
+    """The unique N x |S| matrix M with M pi_S A = A, off S (on S it is
+    the identity), as an |S| x (N - |S|) matrix: row j, column i holds
+    M[q_i, j], q_i the i-th qubit outside S in increasing order.  ``s`` is
+    any integer sequence or array, strictly increasing within 0..N-1.
 
     Peeling: while some unused X generator g has exactly one unresolved S
     member s, resolve s by g: column s of M is A[:, g] XOR the columns of
@@ -218,7 +220,8 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     pi_U A[:, G'].  A complete peel plus a full-row-rank core make
     pi_S A full row rank, so the final check that every non-pivot
     generator equals the XOR of M's columns over its S members holds
-    exactly when rank(A) = |S|.  Raises InvalidSubset otherwise, or when
+    exactly when rank(A) = |S| (it holds on S by construction, so only
+    rows off S are compared).  Raises InvalidSubset otherwise, or when
     ``s`` holds non-integers or is not strictly increasing within 0..N-1.
     """
     n, k = code.n_qubits, code.n_x
@@ -226,8 +229,8 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     if cols.size and (cols[0] < 0 or cols[-1] >= n
                       or not np.all(cols[1:] > cols[:-1])):
         raise InvalidSubset(f"subset must increase strictly within 0..{n - 1}")
-    a = code.x_stabs
-    gen_cols = a.restrict(cols)   # each generator's S members
+    gen_cols = code.x_stabs.restrict(cols)   # each generator's S members
+    gen_off = code.x_stabs.restrict(np.delete(np.arange(n), cols))   # and those off S
     col_gens = gen_cols.transpose()
     sg = gen_cols.generators()
     unresolved = np.bincount(sg, minlength=k)
@@ -235,16 +238,16 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
     np.bitwise_xor.at(xor_cols, sg, gen_cols.qubits)
     # row j is zero until S member j is resolved: combine's mask only skips
     # zero rows (5 % of the time on a stalled hypergraph product, N=30,625)
-    mt = BitMatrix(cols.size, n)
+    mt = BitMatrix(cols.size, gen_off.n_qubits)
     pivot = np.zeros(k, dtype=bool)
     resolved = np.zeros(cols.size, dtype=bool)
 
     def combine(gens, out=None, dst=None):
-        """Rows A[:, g] XOR the columns of M over the resolved S members
-        of g, for g in gens."""
+        """Rows A[:, g] off S XOR the columns of M over the resolved S
+        members of g, for g in gens."""
         i, c = gen_cols.spread(gens)
         keep = resolved[c]
-        return gf2.xor_rows(mt, i[keep], c[keep], len(gens), a.spread(gens),
+        return gf2.xor_rows(mt, i[keep], c[keep], len(gens), gen_off.spread(gens),
                             out, dst)
 
     frontier = np.flatnonzero(unresolved == 1)
@@ -256,8 +259,9 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
         i, touched = col_gens.spread(new)
         np.subtract.at(unresolved, touched, 1)
         np.bitwise_xor.at(xor_cols, touched, new[i])
-        frontier = np.unique(touched[(unresolved[touched] == 1)
-                                     & ~pivot[touched]])
+        frontier = touched[(unresolved[touched] == 1) & ~pivot[touched]]
+        frontier.sort()   # np.unique hashes, several times slower
+        frontier = frontier[np.diff(frontier, prepend=-1) > 0]
     rest = np.flatnonzero(~pivot)
     core_cols = np.flatnonzero(~resolved)
     if core_cols.size:
@@ -271,51 +275,44 @@ def build_reconstruction(code: CssCode, s) -> BitMatrix:
         gi, u = gf2.nonzero(r)
         order = np.argsort(u, kind="stable")
         gf2.xor_rows(rhs, u[order], gi[order], out=mt, dst=core_cols)
-    # exact check (pi_S A)^T M^T == A^T on the non-pivot generators, in
-    # blocks of about 2^26 bits of product
-    for block in np.array_split(rest, rest.size * n >> 26 or 1):
-        if gf2.mul(gen_cols.packed(block), mt) != a.packed(block):
+    # exact check (pi_S A)^T M^T == A^T off S on the non-pivot generators,
+    # in blocks of about 2^26 bits of product
+    for block in np.array_split(rest, rest.size * mt.cols >> 26 or 1):
+        if gf2.mul(gen_cols.packed(block), mt) != gen_off.packed(block):
             raise InvalidSubset("|S| != rank of the X-stabilizer matrix")
     return mt
 
 
 def emit_circuit(code: CssCode, s: np.ndarray, mt: BitMatrix,
                  metadata: Optional[dict] = None) -> FdscCircuit:
-    """One CX per off-S nonzero of the reconstruction matrix, read from its
+    """One CX per nonzero of the reconstruction matrix off S, read from its
     columns (``mt`` as returned by ``build_reconstruction`` for the subset
-    array ``s``, which are the controls).  The rows of ``mt`` follow the
+    array ``s``, which are the controls): bit (j, i) of ``mt`` is the gate
+    from s[j] to the i-th qubit outside S.  The rows of ``mt`` follow the
     sorted subset and ``gf2.nonzero`` scans row-major, so the (control,
-    target) array comes out sorted, as the circuit requires.
+    target) array comes out sorted, as the circuit requires.  Raises
+    InternalInvariantViolation unless ``mt`` is |S| x (N - |S|).
 
-    The gate array, nnz - |S| rows, is allocated once and filled in the
-    ``css.row_blocks`` of the set bits (at most ``css.BLOCK`` each, or one
-    row alone), so no temporary grows with the circuit.  The row counts
-    that cut the blocks are taken ``css.BLOCK`` words at a time.
+    The gate array, one row per set bit, is allocated once and filled in
+    the ``css.row_blocks`` of the set bits (at most ``css.BLOCK`` each, or
+    one row alone), so no temporary grows with the circuit.  The row
+    counts that cut the blocks are taken ``css.BLOCK`` words at a time.
     """
-    s = s.copy()   # the circuit's own plus qubits, O(|S|)
-    in_s = np.zeros(code.n_qubits, dtype=bool)
-    in_s[s] = True
+    off = np.delete(np.arange(code.n_qubits), s)
+    if (mt.rows, mt.cols) != (len(s), len(off)):
+        raise InternalInvariantViolation(f"M is {mt.rows} x {mt.cols}, not |S| x (N - |S|)")
     ends = np.zeros(mt.rows + 1, dtype=np.int64)   # row r's set bits at r + 1, then summed
     chunk = max(1, css.BLOCK // max(1, mt.data.shape[1]))
     for i in range(0, mt.rows, chunk):
         ends[i + 1:i + chunk + 1] = np.bitwise_count(mt.data[i:i + chunk]).sum(axis=1)
-    total = int(np.cumsum(ends, out=ends)[-1])
-    pairs = np.empty((max(total - len(s), 0), 2), dtype=np.int64)
-    done = 0   # off-S bits so far; a block past the array is only counted
+    pairs = np.empty((int(np.cumsum(ends, out=ends)[-1]), 2), dtype=np.int64)
     for lo, hi in css.row_blocks(ends):
-        col, t = gf2.nonzero(mt, lo, hi)
-        off = ~in_s[t]
-        k = int(np.count_nonzero(off))
-        if done + k <= len(pairs):
-            pairs[done:done + k, 0] = s[col[off]]
-            pairs[done:done + k, 1] = t[off]
-        done += k
-    if done != total - len(s):
-        raise InternalInvariantViolation(
-            f"gate count {done} != nnz - |S| = {total - len(s)}")
+        row, col = gf2.nonzero(mt, lo, hi)
+        pairs[ends[lo]:ends[hi], 0] = s[row]
+        pairs[ends[lo]:ends[hi], 1] = off[col]
     meta = dict(metadata or {})
     meta["gate_count"] = len(pairs)
-    return FdscCircuit(code.n_qubits, s, pairs, meta)
+    return FdscCircuit(code.n_qubits, s.copy(), pairs, meta)   # its own plus qubits
 
 
 def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
@@ -341,7 +338,7 @@ def synthesize(code: CssCode, strategy: str, seed: Optional[int] = None,
             mt = build_reconstruction(code, s)
         except InvalidSubset as e:
             raise InternalInvariantViolation(f"{strategy}: {e}") from e
-        # gate count + |S|, counted only where candidates are compared
+        # the gate count, counted only where candidates are compared
         weight = gf2.nnz(mt) if len(seeds) > 1 else 0
         if best is None or weight < best[0]:
             best = (weight, k, s, mt)
@@ -394,11 +391,12 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 # -- circuit serialization -------------------------------------------------
 
 
-def _number_table(qubits: np.ndarray) -> np.ndarray:
-    """NUL-padded rows of whole uint64 words: ``,[q,`` for each q of the
-    increasing nonnegative int64 array ``qubits``, then ``q]`` for each.
-    The digits are written by numpy arithmetic, one slice of equal digit
-    count at a time (``qubits`` increase, so each count is one slice)."""
+def _number_table(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NUL-padded rows of whole uint64 words, ``,[q,`` for each q of the
+    increasing nonnegative int64 array ``qubits`` then ``q]`` for each,
+    and where each power of ten from 10 starts in ``qubits``.  The digits
+    are written by numpy arithmetic, one slice of equal digit count at a
+    time (``qubits`` increase, so each count is one slice)."""
     digits = len(str(qubits[-1])) if len(qubits) else 1
     width = digits + 3 + 7 >> 3   # the longest row, ",[q,", in words
     table = np.zeros((2, len(qubits), 8 * width), dtype=np.uint8)
@@ -410,50 +408,56 @@ def _number_table(qubits: np.ndarray) -> np.ndarray:
         row[:, 2:d + 2] += ord("0")
         row[:, :2], row[:, d + 2] = tuple(b",["), ord(",")
         table[1, lo:hi, :d], table[1, lo:hi, d] = row[:, 2:d + 2], ord("]")
-    return table.view(np.uint64).reshape(-1, width)
+    return table.view(np.uint64).reshape(-1, width), ends
 
 
 def _circuit_pieces(circ: FdscCircuit):
-    """The circuit file as compact JSON with sorted keys, in bytes-like
-    pieces.
+    """The circuit file's length, then the file as compact JSON with
+    sorted keys, in bytes-like pieces.
 
     "gates" sorts first, so it is written in front of the rest of the
     document, which ``css.dump_json`` writes.  Its bytes are gathered from
     ``_number_table``, so a gate (c, t) is rows c and top + t, top being
     the length of each half.  The table covers 0..the largest gate qubit,
     or only the qubits the gates use when that range is far larger than
-    the gate array; it is gathered ``css.BLOCK`` gates at a time into one
-    piece each, NULs dropped.  The first gate's leading comma is skipped
-    by a memoryview, not a copy, and each block's temporaries are freed
-    before the next is gathered.
+    the gate array; it is gathered ``css.BLOCK`` qubits at a time into one
+    piece each, NULs dropped, the first gate's leading comma skipped by a
+    memoryview.  A gate writes 4 bytes and its qubits' digits: one each,
+    and one more for each power of ten a qubit reaches.
     """
+    rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits, "metadata": circ.metadata,
+                          "plus_qubits": circ.plus_qubits.tolist()}).encode()
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
     if top > 4 * index.size + (1 << 16):   # a table of the used qubits only
         used, index = np.unique(index, return_inverse=True)
-        table, top, index = _number_table(used), len(used), index.reshape(-1, 2)
+        (table, cuts), top, index = _number_table(used), len(used), index.reshape(-1, 2)
         del used   # not held while the blocks are gathered
     else:
-        table = _number_table(np.arange(top))
+        table, cuts = _number_table(np.arange(top))
+    half = max(css.BLOCK // 2, 1)   # gates a piece
+    digits = index.size + sum(int(np.count_nonzero(index[lo:lo + half] >= c))
+                              for lo in range(0, len(index), half) for c in cuts)
+    yield 11 + max(digits + 4 * len(index) - 1, 0) + len(rest)
     yield b'{"gates":['
-    for lo in range(0, len(index), css.BLOCK):
+    for lo in range(0, len(index), half):
         # each temporary of the chain is freed as the next call returns
-        piece = table[(index[lo:lo + css.BLOCK] + (0, top)).ravel()] \
+        piece = table[(index[lo:lo + half] + (0, top)).ravel()] \
             .tobytes().translate(None, b"\0")
         yield memoryview(piece)[1:] if lo == 0 else piece
         del piece   # not held while the next block is gathered
     yield b"],"
-    yield memoryview(css.dump_json({"version": 1, "n_qubits": circ.n_qubits,
-                                    "plus_qubits": circ.plus_qubits.tolist(),
-                                    "metadata": circ.metadata}).encode())[1:]
+    yield memoryview(rest)[1:]   # its "{" dropped
 
 
 def serialize_circuit(circ: FdscCircuit) -> bytearray:
-    """The circuit file's bytes: the pieces of ``_circuit_pieces``,
-    appended to one buffer as each is made."""
-    out = bytearray()
-    for piece in _circuit_pieces(circ):
-        out += piece
+    """The circuit file's bytes: each piece of ``_circuit_pieces`` copied,
+    as it is made, into one buffer allocated once at the file's length."""
+    pieces = _circuit_pieces(circ)
+    out, pos = bytearray(next(pieces)), 0
+    for piece in pieces:
+        memoryview(out)[pos:pos + len(piece)] = piece   # no copy of the piece first
+        pos += len(piece)
         del piece   # freed before the next piece is gathered
     return out
 
@@ -492,8 +496,9 @@ def _read_canonical(data: bytes | bytearray) -> Optional[FdscCircuit]:
     del numbers
     n, plus, _, meta = _fields(b'{"gates":[],' + data[end:])
     circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
-    pos = 0
-    for piece in _circuit_pieces(circ):   # the written bytes, a piece at a time
+    pieces, pos = _circuit_pieces(circ), 0
+    next(pieces)   # the file's length
+    for piece in pieces:   # the written bytes, a piece at a time
         if not data.startswith(piece, pos):
             return None
         pos += len(piece)

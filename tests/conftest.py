@@ -1,10 +1,11 @@
 """Shared test helpers: dense-elimination oracles (rank, subset,
-reconstruction, verification), a two-scan packed elimination kernel, the
-right inverse with the reverse pivot order, a two-vector state-vector
-oracle, a per-gate circuit check, the per-entry code-file rules, codes
-and packed matrices from dense arrays, random codes (small ones, and
-hypergraph products of random regular classical codes), and the
-hypothesis profile every property runs under.
+reconstruction, verification), the full reconstruction matrix from its
+rows off S, a two-scan packed elimination kernel, the right inverse with
+the reverse pivot order, a two-vector state-vector oracle, a per-gate
+circuit check, the per-entry code-file rules, codes and packed matrices
+from dense arrays, random codes (small ones, and hypergraph products of
+random regular classical codes), and the hypothesis profile every
+property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -122,6 +123,17 @@ def dense_reconstruction(a, qubits):
     r = np.zeros((cols, rows), dtype=np.uint8)
     r[pivots] = rref[:rows, cols:]
     return (a.astype(np.int64) @ r) % 2
+
+
+def full_reconstruction(code: css.CssCode, s, mt: BitMatrix) -> np.ndarray:
+    """The dense N x |S| reconstruction matrix M from the rows off S that
+    ``build_reconstruction`` returns as ``mt``: the identity rows on S,
+    and column j of ``mt`` as row i of M for the i-th qubit outside S."""
+    s = np.asarray(s, dtype=np.int64)
+    m = np.zeros((code.n_qubits, len(s)), dtype=np.uint8)
+    m[s, np.arange(len(s))] = 1
+    m[np.delete(np.arange(code.n_qubits), s)] = mt.to_dense().T
+    return m
 
 
 def dense_verify(code: css.CssCode, circ) -> tuple:

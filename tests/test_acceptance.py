@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import packed, random_css_code, reverse_pivot_right_inverse
+from conftest import (full_reconstruction, packed, random_css_code,
+                      reverse_pivot_right_inverse)
 from fdsc import css, gf2, groups, synth, verify
 from fdsc.cli import fit_loglog
 from fdsc.synth import FdscCircuit
@@ -226,7 +227,7 @@ def test_criterion_8_right_inverse_independence():
         s = synth.greedy_select(code)
         a = packed(code.x_stabs.to_dense())
         sub = a.to_dense()[s]
-        m = synth.build_reconstruction(code, s).to_dense().T
+        m = full_reconstruction(code, s, synth.build_reconstruction(code, s))
         # the forward pivot order, then the reverse one: the right inverse
         # of the column-reversed matrix, rows reversed back
         for r in (gf2.right_inverse(packed(sub)),

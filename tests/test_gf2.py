@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies
 
-from conftest import (dense_rank, dense_supports, packed, padding_ok,
-                      reference_eliminate, reverse_pivot_right_inverse)
+from conftest import (dense_rank, dense_supports, full_reconstruction, packed,
+                      padding_ok, reference_eliminate,
+                      reverse_pivot_right_inverse)
 from fdsc import css, gf2
 from fdsc.gf2 import BitMatrix, DimensionMismatch, RankDeficient
 from tableau_oracle import EchelonBasis
@@ -170,8 +171,8 @@ def test_nnz_ghz_reconstruction_column():
     from fdsc import synth
     code = css.build_ghz(4)
     m = synth.build_reconstruction(code, [0])
-    assert gf2.nnz(m) == 4
-    assert m.to_dense().T.tolist() == [[1], [1], [1], [1]]
+    assert gf2.nnz(m) == 3   # the column off S: M is the identity on S
+    assert full_reconstruction(code, [0], m).tolist() == [[1], [1], [1], [1]]
 
 
 def test_from_entries_round_trip():

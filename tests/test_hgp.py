@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (dense_greedy, dense_rank, dense_reconstruction,
-                      dense_verify, hgp_code, packed, regular_checks)
+                      dense_verify, full_reconstruction, hgp_code, packed,
+                      regular_checks)
 from fdsc import gf2
 from fdsc.synth import (FdscCircuit, build_reconstruction, emit_circuit,
                         greedy_select)
@@ -98,7 +99,8 @@ def test_matches_dense_oracles(monkeypatch, seed, n1, n2):
     assert dense_rank(a[shuffled]) == len(shuffled) == len(s)
     mt, core = reconstruct(monkeypatch, code, s)
     assert core > 0 and (core >= len(s) / 2 or code.n_qubits < 400)
-    assert np.array_equal(mt.to_dense().T, dense_reconstruction(a, s))
+    assert np.array_equal(full_reconstruction(code, s, mt),
+                          dense_reconstruction(a, s))
     circ = emit_circuit(code, s, mt)
     rep = verify_circuit(code, circ)
     assert rep.passed and (rep.failed_x, rep.failed_z, rep.n_checked) == \
@@ -119,7 +121,7 @@ def test_reconstruction_at_6400_qubits_equals_right_inverse_product(monkeypatch)
     a = code.x_stabs.to_dense()
     r = gf2.right_inverse(packed(a[s]))
     product = gf2.mul(packed(a), r)
-    assert np.array_equal(mt.to_dense().T, product.to_dense())
+    assert np.array_equal(full_reconstruction(code, s, mt), product.to_dense())
     circ = emit_circuit(code, s, mt)
     assert verify_circuit(code, circ).passed
     for gate, mutant in one_gate_mutants(circ, 5, 4):

@@ -3,7 +3,8 @@ stages and of the circuit writer: the tracemalloc peak of reading a
 circuit file and a code file, at sizes where the index lists dominate, of
 verifying the circuit read (and at haah 20, where the gate array
 dominates, one synthesized: no copy of a gate column), of selecting the
-subset, building the reconstruction and emitting that circuit, and of
+subset, building the reconstruction (and at toric 128 recursive, where M
+dominates, only its rows off S) and emitting that circuit, and of
 writing it back out; of greedy selection, which eliminates its packed
 matrix in place; the state-vector oracle's peak, which is one state
 vector; and a scaling study's peak, which is one size's."""
@@ -20,16 +21,20 @@ MiB = 2 ** 20
 # (family, size, strategy): budgets in MiB for parse_circuit, parse_code,
 # verify_circuit, tree_select, build_reconstruction, emit_circuit (M not
 # counted) and serialize_circuit (its bytes counted).  Each is the peak
-# read when it was set (Python 3.11, numpy 2.4) plus 10 %: toric 7.03, 4.69,
-# 2.74, 0.125, 5.45, 7.07, 4.30; haah 4.33, 2.37, 2.80, 0.033, 0.520, 4.59,
-# 2.45; xcube 3.24, 6.17, 2.91, 1.93, 1.47, 3.39, 2.08.  The reader budgets
+# read when it was set (Python 3.11, numpy 2.4) plus 10 %: toric 6.62, 4.69,
+# 2.74, 0.125, 2.51, 7.07, 4.18; haah 3.64, 2.37, 2.80, 0.033, 0.418, 4.59,
+# 2.36; xcube 2.91, 6.17, 2.91, 1.93, 1.20, 3.39, 1.93.  The reader budgets
 # are for the files' bytes, which the CLI passes; a second copy of the gates
-# section breaks them (it read toric 10.06, haah 5.64, xcube 4.07), and a
-# sort of the gates by target breaks the verify budgets (11.5, 12.1, 12.4).
-BUDGETS = {("toric", 64, "toric_comb"): (7.8, 5.2, 3.1, 0.14, 6.0, 7.8, 4.8),
-           ("haah", 10, "haah_canonical"): (4.8, 2.7, 3.1, 0.037, 0.58, 5.1, 2.7),
-           ("xcube", 12, "xcube_dual_trees"): (3.6, 6.8, 3.2, 2.13, 1.62, 3.7,
-                                               2.3)}
+# section breaks them (it read toric 10.06, haah 5.64, xcube 4.07), a sort
+# of the gates by target breaks the verify budgets (11.5, 12.1, 12.4), M's
+# rows on S, packed as well, break the reconstruct budgets (4.42, 0.522,
+# 1.47), and writer pieces of css.BLOCK gates rather than qubits, with the
+# buffer allocated at the file's length, break the writer budgets (5.18,
+# 3.36, 2.93).
+BUDGETS = {("toric", 64, "toric_comb"): (7.3, 5.2, 3.1, 0.14, 2.8, 7.8, 4.6),
+           ("haah", 10, "haah_canonical"): (4.0, 2.7, 3.1, 0.037, 0.46, 5.1, 2.6),
+           ("xcube", 12, "xcube_dual_trees"): (3.2, 6.8, 3.2, 2.13, 1.32, 3.7,
+                                               2.1)}
 
 
 @functools.cache
@@ -98,6 +103,16 @@ def test_synthesis_stage_peak_within_budget(job, stage):
     assert traced_peak(run, code) <= BUDGETS[job][stage]
 
 
+def test_reconstruction_holds_only_rows_off_s():
+    # toric 128 recursive: M off S takes 32 MiB (|S| = 16,383 rows of
+    # 16,385 bits) and the peak read 39.4 MiB; packing the rows on S as
+    # well made it 76.3, above the 64 MiB that full-width M alone takes
+    code = css.build_family("toric", 128)
+    s = synth.tree_select(code, "toric_recursive")
+    peak = traced_peak(lambda c: synth.build_reconstruction(c, s), code)
+    assert peak <= 43.4 < 64
+
+
 @pytest.mark.parametrize("job", sorted(BUDGETS), ids=lambda job: f"{job[0]}{job[1]}")
 def test_writer_peak_within_budget(job):
     circ = synth.parse_circuit(documents(*job)[0])
@@ -113,9 +128,10 @@ def test_greedy_select_eliminates_its_own_matrix():
 
 def test_writer_peak_is_its_output_plus_one_block():
     # haah 14's file sets the peak of a synth --out run of the fracton
-    # workload: the writer holds the file's bytes once, with their buffer's
-    # growth slack, the number table and one block's temporaries (read 7.75
-    # MiB for 6.35 MiB of output; pieces joined into a str read 12.71)
+    # workload: the writer holds the file's bytes once, in a buffer
+    # allocated at their length, the number table and one block's
+    # temporaries (read 7.47 MiB for 6.35 MiB of output; a buffer grown
+    # piece by piece read 7.75, pieces joined into a str 12.71)
     circ = synth.synthesize(css.build_family("haah", 14), "haah_canonical")
     size = len(synth.serialize_circuit(circ)) / MiB
     assert traced_peak(synth.serialize_circuit, circ) <= size + 3

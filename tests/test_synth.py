@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 import unittest.mock
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import event, example, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_rank,
-                      dense_reconstruction, hgp_code, packed, random_css_code,
-                      regular_checks, reverse_pivot_right_inverse)
+                      dense_reconstruction, full_reconstruction, hgp_code,
+                      packed, random_css_code, regular_checks,
+                      reverse_pivot_right_inverse)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -113,29 +115,43 @@ def test_xcube_subset_closed_form(L):
 def test_reconstruction_ghz_all_ones():
     code = css.build_ghz(4)
     m = build_reconstruction(code, [0])
-    assert m.to_dense().T.tolist() == [[1], [1], [1], [1]]
+    assert m.to_dense().T.tolist() == [[1], [1], [1]]
+    assert full_reconstruction(code, [0], m).tolist() == [[1], [1], [1], [1]]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_reconstruction_unit_rows_on_s(seed):
+    # the rows off S, completed by unit rows on S, solve M pi_S A = A
     rng = np.random.default_rng(50 + seed)
     code = random_css_code(rng)
     s = greedy_select(code)
-    m = build_reconstruction(code, s)
-    dense = m.to_dense().T
-    for col, q in enumerate(s):
-        expected = np.zeros(len(s), dtype=np.uint8)
-        expected[col] = 1
-        assert np.array_equal(dense[q], expected)
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
+    a = code.x_stabs.to_dense()
+    assert np.array_equal(m[s], np.eye(len(s), dtype=np.uint8))
+    assert np.array_equal(m.astype(np.int64) @ a[s] % 2, a)
+
+
+@pytest.mark.parametrize("family,size,strategy", [
+    ("ghz", 5, "greedy"), ("toric", 4, "toric_comb"),
+    ("toric", 4, "toric_recursive"), ("xcube", 3, "xcube_dual_trees"),
+    ("haah", 3, "haah_canonical"), ("hgp", 8, "greedy"), ("trivial", 3, "greedy")])
+def test_reconstruction_shape_is_s_by_the_rest(family, size, strategy):
+    if family == "trivial":
+        code = dense_code(np.zeros((size, 0)), np.ones((size, 1)))
+        s = greedy_select(code)
+        mt = build_reconstruction(code, s)
+    else:
+        code, s, mt = subset_and_reconstruction(family, size, strategy)
+    assert (mt.rows, mt.cols) == (len(s), code.n_qubits - len(s))
 
 
 def test_reconstruction_image_equals_code_image():
     code = css.build_toric(2)
     s = greedy_select(code)
-    m = build_reconstruction(code, s)
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
     a = code.x_stabs.to_dense()
-    stacked = np.hstack([m.to_dense().T, a])
-    assert dense_rank(stacked) == dense_rank(a) == dense_rank(m.to_dense())
+    stacked = np.hstack([m, a])
+    assert dense_rank(stacked) == dense_rank(a) == dense_rank(m)
 
 
 def test_reconstruction_rejects_bad_subset():
@@ -157,7 +173,7 @@ def test_reconstruction_pivot_order_independent(seed):
     rng = np.random.default_rng(800 + seed)
     code = random_css_code(rng)
     s = greedy_select(code)
-    m = build_reconstruction(code, s).to_dense().T
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
     for product in right_inverse_products(code, s):
         assert np.array_equal(m, product)
 
@@ -196,7 +212,7 @@ def test_solve_matches_dense_oracle(monkeypatch):
         valid = dense_rank(a[s]) == len(s) == dense_rank(a)
         before = runs["right_inverse"]
         try:
-            m = build_reconstruction(code, s).to_dense().T
+            m = full_reconstruction(code, s, build_reconstruction(code, s))
         except InvalidSubset:
             m = None
         if runs["right_inverse"] > before:
@@ -217,7 +233,7 @@ def test_family_reconstruction_equals_right_inverse_product(family, size,
     # toric comb and recursive trees: test_toric_tree_path_equals_generic
     code = css.build_family(family, size)
     s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
-    m = build_reconstruction(code, s).to_dense().T
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
     for product in right_inverse_products(code, s):
         assert np.array_equal(m, product)
 
@@ -230,9 +246,35 @@ def test_family_reconstruction_equals_right_inverse_product(family, size,
 def test_toric_tree_path_equals_generic(L, strategy):
     code = css.build_toric(L)
     s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
-    m = build_reconstruction(code, s).to_dense().T
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
     for product in right_inverse_products(code, s):
         assert np.array_equal(m, product)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 40])
+def test_reconstruction_is_the_product_off_s(monkeypatch, block):
+    # M off S, and the gates read off it, equal the rows off S of
+    # A (pi_S A)^+, on random codes and on a hypergraph product whose peel
+    # stalls, at every block size
+    monkeypatch.setattr(css, "BLOCK", block)
+    cores, right_inverse = [], gf2.right_inverse
+    monkeypatch.setattr(gf2, "right_inverse",
+                        lambda m: cores.append(m.rows) or right_inverse(m))
+    rng = np.random.default_rng(32)
+    codes = [random_css_code(rng) for _ in range(12)]
+    codes.append(hgp_code(regular_checks(rng, 12), regular_checks(rng, 12)))
+    for code in codes:
+        s = greedy_select(code)
+        a = code.x_stabs.to_dense()
+        off = np.delete(np.arange(code.n_qubits), s)
+        want = gf2.mul(packed(a), right_inverse(packed(a[s]))).to_dense()[off]
+        cores.clear()
+        mt = build_reconstruction(code, s)
+        assert np.array_equal(mt.to_dense().T, want)
+        targets, controls = np.nonzero(want)
+        gates = sorted(zip(s[controls].tolist(), off[targets].tolist()))
+        assert emit_circuit(code, s, mt).gates == tuple(gates)
+    assert sum(cores) >= len(s) / 2   # the hypergraph product's core
 
 
 @pytest.mark.parametrize("family,size,strategy", [
@@ -242,8 +284,8 @@ def test_emit_matches_dense_scan(family, size, strategy):
     code = css.build_family(family, size)
     s = greedy_select(code) if strategy == "greedy" else tree_select(code, strategy)
     m = build_reconstruction(code, s)
-    want = sorted((s[col], q) for q, col in np.argwhere(m.to_dense().T)
-                  if q not in s)
+    want = sorted((s[col], q) for q, col
+                  in np.argwhere(full_reconstruction(code, s, m)) if q not in s)
     circ = emit_circuit(code, s, m)
     assert circ.gates == tuple(want)
     assert all(type(q) is int for g in circ.gates for q in g)
@@ -324,7 +366,8 @@ def test_emit_gate_count_matches_nnz():
     s = tree_select(code, "toric_comb")
     m = build_reconstruction(code, s)
     circ = emit_circuit(code, s, m)
-    assert len(circ.pairs) == int(m.to_dense().sum()) - len(s)
+    assert len(circ.pairs) == gf2.nnz(m)
+    assert len(circ.pairs) == int(full_reconstruction(code, s, m).sum()) - len(s)
 
 
 def test_gate_count_ghz():
@@ -507,26 +550,29 @@ def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
         monkeypatch.setattr(css, "BLOCK", block)
         scans.clear()
         assert emit_circuit(code, s, mt) == want
-        # every row holds its diagonal bit, so each row is a block of one
-        assert len(scans) == mt.rows if block == 1 else len(scans) > 1
+        # the scans tile M's rows, a row may be empty, and each scan holds
+        # at most ``block`` set bits or is one row alone
+        bounds = [(lo, hi) for _, lo, hi in scans]
+        assert len(bounds) > 1 and bounds[-1][1] == mt.rows
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert all(hi - lo == 1 or np.bitwise_count(mt.data[lo:hi]).sum() <= block
+                   for lo, hi in bounds)
         assert synth.serialize_circuit(want) == text
         assert synth._read_canonical(text) == want
 
 
-@pytest.mark.parametrize("block", [1, 3, 1 << 40])
-def test_emit_rejects_m_off_the_identity_on_s(monkeypatch, block):
-    # the hits on S must number exactly |S|: one S row short of its
-    # diagonal bit, or holding another S member's, is an internal error
+def test_emit_rejects_m_not_s_by_the_rest():
+    # M holds |S| rows over the N - |S| qubits off S: a matrix over all N
+    # qubits (S rows included), or a row or column short or over, is an
+    # internal error, as is a subset that does not match M
     code, s, mt = subset_and_reconstruction("toric", 4, "toric_comb")
-    monkeypatch.setattr(css, "BLOCK", block)
-    for j in (0, len(s) // 2, len(s) - 1):
-        for q in (s[j], s[(j + 1) % len(s)]):
-            bad = BitMatrix(mt.rows, mt.cols)
-            bad.data = mt.data.copy()
-            bad.data[j, q >> 6] ^= np.uint64(1) << np.uint64(q & 63)
-            with pytest.raises(synth.InternalInvariantViolation,
-                               match=r"gate count \d+ != nnz - \|S\|"):
-                emit_circuit(code, s, bad)
+    n, k = code.n_qubits, len(s)
+    for rows, cols, subset in ((k, n, s), (k - 1, n - k, s), (k + 1, n - k, s),
+                               (k, n - k - 1, s), (k, n - k + 1, s),
+                               (k, n - k, s[1:])):
+        with pytest.raises(synth.InternalInvariantViolation,
+                           match=rf"M is {rows} x {cols}, not \|S\| x \(N - \|S\|\)"):
+            emit_circuit(code, subset, BitMatrix(rows, cols))
 
 
 FAULTS = ("none", "range", "control", "target", "repeat", "order")
@@ -652,7 +698,8 @@ def test_circuit_check_names_the_first_fault_in_input_order(case):
 
 @pytest.mark.parametrize("m", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
 def test_serialize_circuit_matches_json_of_tuples(m):
-    # a star circuit on 2^16 + 2 qubits: gate blocks of 2^16 pairs split it
+    # a star circuit on 2^16 + 2 qubits: writer pieces of 2^15 gates (2^16
+    # qubits) split it
     circ = FdscCircuit(2 ** 16 + 2, (0,), [(0, t) for t in range(1, m + 1)],
                        {"strategy": "star"})
     doc = {"version": 1, "n_qubits": circ.n_qubits,
@@ -673,7 +720,7 @@ def compact_json(circ):
 @strategies.composite
 def valid_circuits(draw):
     """Random valid circuits: up to 4 controls, up to 40 gates or 2^16 - 1,
-    2^16 or 2^16 + 1 (the writer's block size), on distinct qubits below
+    2^16 or 2^16 + 1 (two writer pieces of 2^15), on distinct qubits below
     ``top``: a little above the gate count, far above it (the writer's
     table covers only the used qubits) or 2^40 (sometimes with a gate
     qubit 2^40 - 1).  ``n_qubits`` is ``top`` or 2^40."""
@@ -719,6 +766,21 @@ def test_serialize_huge_qubit_without_a_register_sized_table():
     assert peak < 1 << 20
     assert data == compact_json(circ).encode()
     assert synth.parse_circuit(data) == circ
+
+
+@pytest.mark.parametrize("circ", [
+    FdscCircuit(3, (), ()), FdscCircuit(2 ** 40, (0, 7), [(0, 5), (7, 2 ** 40 - 2)]),
+    synth.synthesize(css.build_toric(8), "toric_comb"),
+    synth.synthesize(css.build_haah(3), "haah_canonical")],
+    ids=["empty", "huge", "toric8", "haah3"])
+def test_serialize_circuit_allocates_its_buffer_once(circ):
+    # the writer counts the file's bytes first (four a gate, a digit per
+    # qubit and per power of ten it reaches) and fills one buffer of that
+    # length: a buffer grown piece by piece has slack, and its copies leave
+    # holes in the heap
+    data = synth.serialize_circuit(circ)
+    assert data == compact_json(circ).encode()
+    assert sys.getsizeof(data) == sys.getsizeof(bytearray(len(data)))
 
 
 def test_circuit_serialization_round_trip():
@@ -980,8 +1042,7 @@ def test_phi_single_seed_fractal_vs_reconstruction():
     code = css.build_haah(L)
     s1 = sorted(css.qubit_index("haah", L, x, y, z, 0)
                 for x in range(L) for y in range(L) for z in range(L))
-    m = build_reconstruction(code, s1)
-    dense = m.to_dense().T
+    dense = full_reconstruction(code, s1, build_reconstruction(code, s1))
     z1 = np.zeros(L ** 3, dtype=np.uint8)
     z1[0] = 1
     phi = synth.haah_phi_solve(L, z1)
@@ -999,7 +1060,7 @@ def test_canonical_columns_match_adjacent_solve():
     L = 3
     code = css.build_haah(L)
     s = tree_select(code, "haah_canonical")
-    m = build_reconstruction(code, s).to_dense().T
+    m = full_reconstruction(code, s, build_reconstruction(code, s))
     for probe in (0, 7, 13):
         z2 = np.zeros(L ** 3, dtype=np.uint8)
         z2[probe] = 1
