@@ -575,6 +575,27 @@ def test_emit_rejects_m_not_s_by_the_rest():
             emit_circuit(code, subset, BitMatrix(rows, cols))
 
 
+@pytest.mark.parametrize("block", [1, 3, 1 << 40])
+def test_emit_rejects_m_off_the_identity_on_s(monkeypatch, block):
+    # M's part on S is the identity and is not passed: the full |S| x N
+    # matrix, with its S part the identity, one S row short of its
+    # diagonal bit, or holding another S member's, is an internal error
+    # at every block size, and the emit reads no gate from it
+    code, s, mt = subset_and_reconstruction("toric", 4, "toric_comb")
+    monkeypatch.setattr(css, "BLOCK", block)
+    full = full_reconstruction(code, s, mt).T.copy()
+    shape = rf"M is {len(s)} x {code.n_qubits}, not \|S\| x \(N - \|S\|\)"
+    for j, q in [(None, None)] + [(j, q) for j in (0, len(s) // 2, len(s) - 1)
+                                  for q in (s[j], s[(j + 1) % len(s)])]:
+        bad = full.copy()
+        if j is not None:
+            bad[j, q] ^= 1
+        with unittest.mock.patch.object(gf2, "nonzero") as scan, \
+                pytest.raises(synth.InternalInvariantViolation, match=shape):
+            emit_circuit(code, s, packed(bad))
+        scan.assert_not_called()
+
+
 FAULTS = ("none", "range", "control", "target", "repeat", "order")
 
 
