@@ -39,6 +39,11 @@ class InternalInvariantViolation(AssertionError):
     (indicates a code bug)."""
 
 
+def _table_fits(top: int, entries: int) -> bool:
+    """Whether a table over qubits 0..top-1 is small beside ``entries`` gate qubits."""
+    return top <= 4 * entries + (1 << 16)
+
+
 @dataclass(frozen=True, eq=False)
 class FdscCircuit:
     """Initial |+>/|0> assignment plus one commuting CX layer.
@@ -57,7 +62,8 @@ class FdscCircuit:
     The constructor checks the plus qubits, then the gates in file order,
     ``css.BLOCK`` at a time, and reports the first fault; at a gate the
     structure rule (target in the register, control in the plus set, target
-    outside it) comes before the order.
+    outside it) comes before the order.  Plus-set membership is one bool
+    table over the plus range, unless it does not ``_table_fits`` (np.isin).
     """
 
     n_qubits: int
@@ -76,11 +82,15 @@ class FdscCircuit:
             q, before = plus[down[0] + 1], plus[down[0]]
             raise ValueError(f"plus qubit {q} repeated" if q == before
                              else f"plus qubit {q} out of increasing order")
+        top = int(plus[-1]) + 1 if plus.size else 0
+        in_plus = lambda q: np.isin(q, plus)
+        if _table_fits(top, pairs.size):   # q reads q + 1, and q < 0 or q > plus[-1]
+            table = np.isin(np.arange(-1, top + 1), plus)   # clips to a False end
+            in_plus = lambda q: np.take(table, q + 1, mode="clip")   # (2^63 - 1 wraps)
         for lo in range(0, len(pairs), css.BLOCK):
             first = max(lo - 1, 0)   # this block and the gate before it
             c, t = pairs[first:lo + css.BLOCK].T
-            broken = ((t < 0) | (t >= self.n_qubits)
-                      | ~np.isin(c, plus) | np.isin(t, plus))
+            broken = (t < 0) | (t >= self.n_qubits) | ~in_plus(c) | in_plus(t)
             bad = broken.copy()
             bad[1:] |= (c[1:] < c[:-1]) | ((c[1:] == c[:-1]) & (t[1:] <= t[:-1]))
             if bad.any():
@@ -392,11 +402,11 @@ def haah_z_from_phi(L: int, phi: np.ndarray) -> np.ndarray:
 
 
 def _number_table(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """NUL-padded rows of whole uint64 words, ``,[q,`` for each q of the
-    increasing nonnegative int64 array ``qubits`` then ``q]`` for each,
-    and where each power of ten from 10 starts in ``qubits``.  The digits
-    are written by numpy arithmetic, one slice of equal digit count at a
-    time (``qubits`` increase, so each count is one slice)."""
+    """NUL-padded whole uint64 words, one void item each: ``,[q,`` in row 0
+    and ``q]`` in row 1 for each q of the increasing nonnegative int64 array
+    ``qubits``, and where each power of ten from 10 starts in ``qubits``.
+    The digits are written by numpy arithmetic, one slice of equal digit
+    count at a time (``qubits`` increase, so each count is one slice)."""
     digits = len(str(qubits[-1])) if len(qubits) else 1
     width = digits + 3 + 7 >> 3   # the longest row, ",[q,", in words
     table = np.zeros((2, len(qubits), 8 * width), dtype=np.uint8)
@@ -408,7 +418,7 @@ def _number_table(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row[:, 2:d + 2] += ord("0")
         row[:, :2], row[:, d + 2] = tuple(b",["), ord(",")
         table[1, lo:hi, :d], table[1, lo:hi, d] = row[:, 2:d + 2], ord("]")
-    return table.view(np.uint64).reshape(-1, width), ends
+    return table.view(f"V{8 * width}")[..., 0], ends
 
 
 def _circuit_pieces(circ: FdscCircuit):
@@ -417,33 +427,37 @@ def _circuit_pieces(circ: FdscCircuit):
 
     "gates" sorts first, so it is written in front of the rest of the
     document, which ``css.dump_json`` writes.  Its bytes are gathered from
-    ``_number_table``, so a gate (c, t) is rows c and top + t, top being
-    the length of each half.  The table covers 0..the largest gate qubit,
-    or only the qubits the gates use when that range is far larger than
-    the gate array; it is gathered ``css.BLOCK`` qubits at a time into one
-    piece each, NULs dropped, the first gate's leading comma skipped by a
-    memoryview.  A gate writes 4 bytes and its qubits' digits: one each,
-    and one more for each power of ten a qubit reaches.
+    ``_number_table``, a gate (c, t) being row 0's item c and row 1's t,
+    over 0..the largest gate qubit, or the used qubits only unless that
+    range ``_table_fits``.  ``css.BLOCK`` qubits at a time, each row is
+    gathered by one flat ``np.take`` into a (block, 2) array, whose bytes
+    make a piece, NULs dropped, the first gate's comma skipped by a
+    memoryview.  A gate writes 4 bytes and its qubits' digits: one each, one
+    more a power of ten reached (sorted controls: a binary search a power).
     """
     rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits, "metadata": circ.metadata,
                           "plus_qubits": circ.plus_qubits.tolist()}).encode()
     index = circ.pairs
     top = int(index.max()) + 1 if index.size else 0
-    if top > 4 * index.size + (1 << 16):   # a table of the used qubits only
-        used, index = np.unique(index, return_inverse=True)
-        (table, cuts), top, index = _number_table(used), len(used), index.reshape(-1, 2)
+    if not _table_fits(top, index.size):   # a table of the used qubits only
+        used, index = np.unique(index, return_inverse=True)   # inverse monotone
+        (table, cuts), index = _number_table(used), index.reshape(-1, 2)
         del used   # not held while the blocks are gathered
     else:
         table, cuts = _number_table(np.arange(top))
     half = max(css.BLOCK // 2, 1)   # gates a piece
-    digits = index.size + sum(int(np.count_nonzero(index[lo:lo + half] >= c))
-                              for lo in range(0, len(index), half) for c in cuts)
+    c, t = index.T
+    digits = index.size + int((len(c) - np.searchsorted(c, cuts)).sum() + sum(
+        np.count_nonzero(t[lo:lo + half] >= d) for lo in range(0, len(t), half) for d in cuts))
     yield 11 + max(digits + 4 * len(index) - 1, 0) + len(rest)
     yield b'{"gates":['
     for lo in range(0, len(index), half):
-        # each temporary of the chain is freed as the next call returns
-        piece = table[(index[lo:lo + half] + (0, top)).ravel()] \
-            .tobytes().translate(None, b"\0")
+        rows = np.empty((len(t[lo:lo + half]), 2), table.dtype)
+        for k, column in enumerate((c, t)):   # in range, so "clip" never clips
+            np.take(table[k], column[lo:lo + half], out=rows[:, k], mode="clip")
+        piece = rows.tobytes()
+        del rows   # freed before the piece is translated
+        piece = piece.translate(None, b"\0")
         yield memoryview(piece)[1:] if lo == 0 else piece
         del piece   # not held while the next block is gathered
     yield b"],"
@@ -483,9 +497,9 @@ def _read_canonical(data: bytes | bytearray) -> Optional[FdscCircuit]:
     (less one trailing newline), or None.  The gates section, up to the
     first quote, is decoded by ``np.fromstring`` with its brackets gone,
     into an array sized once by its commas; the rest by ``css.load_json``.
-    Any bytes that do not write back the same, each writer piece compared
-    in place in turn, may have been misread (a number missing leaves an
-    entry unset), so the round trip is the one check."""
+    Any bytes that do not write back the same (the writer's length, then
+    each of its pieces compared in place) may have been misread (a number
+    missing leaves an entry unset), so the round trip is the one check."""
     if not data.startswith(b'{"gates":['):
         return None
     end = data.find(b'"', 10)   # of "metadata", the key after "gates"
@@ -497,12 +511,13 @@ def _read_canonical(data: bytes | bytearray) -> Optional[FdscCircuit]:
     n, plus, _, meta = _fields(b'{"gates":[],' + data[end:])
     circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
     pieces, pos = _circuit_pieces(circ), 0
-    next(pieces)   # the file's length
+    if next(pieces) != len(data) - data.endswith(b"\n"):   # the file's length
+        return None
     for piece in pieces:   # the written bytes, a piece at a time
         if not data.startswith(piece, pos):
             return None
         pos += len(piece)
-    return circ if data[pos:] in (b"", b"\n") else None
+    return circ   # pos is the length, so data[pos:] is b"" or b"\n"
 
 
 def _read_general(text: str | bytes) -> FdscCircuit:

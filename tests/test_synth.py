@@ -602,7 +602,9 @@ FAULTS = ("none", "range", "control", "target", "repeat", "order")
 def valid_circuit(draw):
     """A valid circuit's (n, plus, others, pairs) drawn by ``draw``: 3 to
     12 qubits, plus a nonempty list of them, others the rest, and 2 to 40
-    gates."""
+    gates; or the same with every qubit (and n) shifted by 2^40, where the
+    circuit check's plus-set table would be too large and np.isin reads
+    membership."""
     n = draw(strategies.integers(3, 12))
     plus = sorted(draw(strategies.lists(strategies.integers(0, n - 1), unique=True,
                                         min_size=1, max_size=n - 1)))
@@ -611,7 +613,10 @@ def valid_circuit(draw):
         strategies.tuples(strategies.sampled_from(plus),
                           strategies.sampled_from(others)),
         unique=True, min_size=2, max_size=40))), dtype=np.int64)
-    return n, plus, others, pairs
+    shift = draw(strategies.sampled_from([0, 2 ** 40]))
+    event(f"qubits shifted by {shift}")
+    return (n + shift, [q + shift for q in plus], [q + shift for q in others],
+            pairs + shift)
 
 
 def gate_index(draw, m):
@@ -626,11 +631,15 @@ def gate_index(draw, m):
 def gate_fault(draw, fault, n, plus, others, pairs, i):
     """``pairs`` with ``fault`` at gate i: a target outside the register, a
     control outside the plus set, a target inside it, the gate repeated,
-    or it and another gate swapped."""
+    or it and another gate swapped.  Qubits outside the register include
+    -1, n, -2^63 and 2^63 - 1, and controls outside the plus set also
+    plus[-1] + 1, just past its table (as a target, plus[-1] + 1 is n or
+    one of the others a valid circuit draws)."""
+    far = [-1, n, -2 ** 63, 2 ** 63 - 1]
     if fault == "range":
-        pairs[i, 1] = draw(strategies.sampled_from([-1, n, n + 5]))
+        pairs[i, 1] = draw(strategies.sampled_from(far + [n + 5]))
     elif fault == "control":
-        pairs[i, 0] = draw(strategies.sampled_from(others + [-1, n]))
+        pairs[i, 0] = draw(strategies.sampled_from(others + far + [plus[-1] + 1]))
     elif fault == "target":
         pairs[i, 1] = draw(strategies.sampled_from(plus))
     elif fault == "repeat":
@@ -652,6 +661,14 @@ def one_fault_circuits(draw):
     return n, plus, gate_fault(draw, fault, n, plus, others, pairs, i), fault
 
 
+def oracle_outcome(n, plus, pairs):
+    """``circuit_oracle``'s gates, or its error message."""
+    try:
+        return circuit_oracle(n, plus, pairs.tolist())
+    except ValueError as e:
+        return str(e)
+
+
 def circuit_outcome(n, plus, pairs, block):
     """``FdscCircuit``'s gates, or its error message, with ``css.BLOCK``
     set to ``block``."""
@@ -666,10 +683,11 @@ def circuit_outcome(n, plus, pairs, block):
 @given(case=one_fault_circuits())
 def test_blocked_circuit_check_matches_one_block(case):
     # the same accept or reject, with the same message, in blocks of a few
-    # gates as in one block of them all
+    # gates as in one block of them all, and as the oracle's
     n, plus, pairs, fault = case
     want = circuit_outcome(n, plus, pairs, 1 << 40)
     assert isinstance(want, str) == (fault != "none")
+    assert want == oracle_outcome(n, plus, pairs)
     for block in (1, 2, 3, 7):
         assert circuit_outcome(n, plus, pairs, block) == want
 
@@ -709,10 +727,7 @@ def test_circuit_check_names_the_first_fault_in_input_order(case):
     # the plus qubits first, then each gate in turn, its structure before
     # its order: the same message in blocks of a few gates as in one
     n, plus, pairs = case
-    try:
-        want = circuit_oracle(n, plus, pairs.tolist())
-    except ValueError as e:
-        want = str(e)
+    want = oracle_outcome(n, plus, pairs)
     for block in (1, 2, 3, 7, 1 << 40):
         assert circuit_outcome(n, plus, pairs, block) == want
 
