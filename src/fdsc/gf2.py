@@ -4,8 +4,9 @@ set-bit scans.  Packed matrices only, built from positions only: a code's
 supports (``css.Supports.packed``, where elimination runs) or a (rows,
 cols) pair of index arrays (``BitMatrix.from_entries``); codes and sparse
 lists live in ``css``.  Every elimination is one kernel, ``_eliminate``,
-reached as a module global; it scans each pivot column once, and that one
-scan finds both the pivot and the rows it clears.
+reached as a module global; one scan of each pivot column, in index order,
+finds both the pivot and the rows it clears (a caller that needs another
+order restricts a code's supports to its candidates, in that order, first).
 
 Matrices are stored row-major as numpy uint64 words, 64 bits per word,
 little-endian within each word.  Padding bits beyond ``cols`` in the last
@@ -17,7 +18,7 @@ that ``xor_rows`` is asked to write into and the matrix that
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -83,11 +84,10 @@ class BitMatrix:
 # -- elimination core ----------------------------------------------------
 
 
-def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False):
-    """In-place Gaussian elimination over the given pivot-column order.
-
-    Returns a list of (pivot_row, pivot_col) in elimination order.  Rows at
-    and above previously placed pivots are only touched when ``reduced``.
+def _eliminate(data: np.ndarray, cols: int, reduced: bool = False):
+    """In-place Gaussian elimination over pivot columns 0..cols-1, in order,
+    returning the (pivot_row, pivot_col) pairs placed.  Rows at and above
+    previously placed pivots are only touched when ``reduced``.
 
     One scan of the pivot column below the placed pivots finds both the
     pivot row p (the first hit) and the rows it clears (the other hits):
@@ -96,7 +96,7 @@ def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False
     """
     nrows = data.shape[0]
     pivots, r = [], 0
-    for col in col_order:
+    for col in range(cols):
         if r == nrows:
             break
         w, bit = col >> 6, _BIT[col & 63]
@@ -120,18 +120,14 @@ def _eliminate(data: np.ndarray, col_order: Iterable[int], reduced: bool = False
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the image, by Gaussian elimination on a working copy."""
-    return len(_eliminate(m.data.copy(), range(m.cols)))
+    return len(_eliminate(m.data.copy(), m.cols))
 
 
-def row_rank_profile(m: BitMatrix, order: Optional[Sequence[int]] = None) -> list[int]:
-    """Row indices of m^T forming its first independent row set in the given
-    scan order (default index order, which gives m's column rank profile,
-    ``column_rank_profile``): each row independent of the rows kept before
-    it.  Those rows are columns of ``m``, so the scan is one elimination
-    of ``m`` itself, in place, in that column order.
-    """
-    return [col for _, col in _eliminate(m.data,
-                                         range(m.cols) if order is None else order)]
+def row_rank_profile(m: BitMatrix) -> list[int]:
+    """Row indices of m^T forming its first independent row set in index
+    order, each independent of the rows kept before it: m's column rank
+    profile (``column_rank_profile``), by one elimination of m in place."""
+    return [col for _, col in _eliminate(m.data, m.cols)]
 
 
 column_rank_profile = row_rank_profile
@@ -214,7 +210,7 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     """
     # [m | I] with the identity starting at a word boundary
     aug = np.hstack([m.data, BitMatrix.identity(m.rows).data])
-    pivots = _eliminate(aug, range(m.cols), reduced=True)
+    pivots = _eliminate(aug, m.cols, reduced=True)
     if len(pivots) < m.rows:
         raise RankDeficient(f"rank {len(pivots)} < {m.rows} rows")
     out = BitMatrix(m.cols, m.rows)
@@ -231,7 +227,7 @@ def solve(m: BitMatrix, rhs: np.ndarray) -> Optional[np.ndarray]:
         raise DimensionMismatch(f"rhs length {rhs.shape} != {m.rows}")
     wl = _words(m.cols)
     aug = np.hstack([m.data, rhs.astype(np.uint64)[:, None]])
-    pivots = _eliminate(aug, range(m.cols), reduced=True)
+    pivots = _eliminate(aug, m.cols, reduced=True)
     if np.any(aug[len(pivots):, wl]):
         return None
     x = np.zeros(m.cols, dtype=np.uint8)

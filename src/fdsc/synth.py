@@ -124,6 +124,12 @@ class FdscCircuit:
 # -- subset selection ------------------------------------------------------
 
 
+def _independent_qubits(code: CssCode, qubits: np.ndarray) -> np.ndarray:
+    """Sorted, each of the distinct int64 ``qubits`` whose A-row is independent
+    of those before it: the rank profile of A restricted to them, in order."""
+    return np.sort(qubits[gf2.row_rank_profile(code.x_stabs.restrict(qubits).packed())])
+
+
 def greedy_select(code: CssCode, seed: Optional[int] = None) -> np.ndarray:
     """Greedy scan keeping each qubit whose A-row is independent so far, as
     a sorted int64 array.
@@ -135,8 +141,7 @@ def greedy_select(code: CssCode, seed: Optional[int] = None) -> np.ndarray:
     order = list(range(code.n_qubits))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    return np.sort(np.array(gf2.row_rank_profile(code.x_stabs.packed(), order),
-                            dtype=np.int64))
+    return _independent_qubits(code, np.array(order, dtype=np.int64))
 
 
 def toric_comb_qubits(code: CssCode) -> np.ndarray:
@@ -175,8 +180,7 @@ def xcube_dual_qubits(code: CssCode) -> np.ndarray:
     seeds = np.concatenate((css.qubit_index("xcube", L, *v, 2),
                             css.qubit_index("xcube", L, 0, *h, 0),
                             css.qubit_index("xcube", L, h[0], 0, h[1], 1)))
-    return np.array(gf2.row_rank_profile(code.x_stabs.packed(),
-                                         np.sort(seeds).tolist()), dtype=np.int64)
+    return _independent_qubits(code, np.sort(seeds))
 
 
 def haah_canonical_qubits(code: CssCode) -> np.ndarray:
@@ -432,8 +436,8 @@ def _circuit_pieces(circ: FdscCircuit):
     range ``_table_fits``.  ``css.BLOCK`` qubits at a time, each row is
     gathered by one flat ``np.take`` into a (block, 2) array, whose bytes
     make a piece, NULs dropped, the first gate's comma skipped by a
-    memoryview.  A gate writes 4 bytes and its qubits' digits: one each, one
-    more a power of ten reached (sorted controls: a binary search a power).
+    memoryview.  A gate writes 4 bytes and a digit a qubit, one more a power
+    of ten reached (binary searches: powers in controls, targets in powers).
     """
     rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits, "metadata": circ.metadata,
                           "plus_qubits": circ.plus_qubits.tolist()}).encode()
@@ -448,7 +452,7 @@ def _circuit_pieces(circ: FdscCircuit):
     half = max(css.BLOCK // 2, 1)   # gates a piece
     c, t = index.T
     digits = index.size + int((len(c) - np.searchsorted(c, cuts)).sum() + sum(
-        np.count_nonzero(t[lo:lo + half] >= d) for lo in range(0, len(t), half) for d in cuts))
+        np.searchsorted(cuts, t[lo:lo + half], "right").sum() for lo in range(0, len(t), half)))
     yield 11 + max(digits + 4 * len(index) - 1, 0) + len(rest)
     yield b'{"gates":['
     for lo in range(0, len(index), half):

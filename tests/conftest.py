@@ -1,6 +1,7 @@
 """Shared test helpers: dense-elimination oracles (rank, subset,
 reconstruction, verification), the full reconstruction matrix from its
-rows off S, a two-scan packed elimination kernel, the right inverse with
+rows off S, a two-scan packed elimination kernel (and on it, the rank
+profile of a scan order over the whole packed A), the right inverse with
 the reverse pivot order, a two-vector state-vector oracle, a per-gate
 circuit check, the per-entry code-file rules, codes and packed matrices
 from dense arrays, random codes (small ones, and hypergraph products of
@@ -83,6 +84,13 @@ def reference_eliminate(data: np.ndarray, col_order, reduced: bool = False):
         pivots.append((r, col))
         r += 1
     return pivots
+
+
+def seed_profile(code: css.CssCode, seeds) -> list[int]:
+    """The seeds whose A-row is independent of the seeds before them: the
+    whole packed A eliminated by ``reference_eliminate`` with the seeds,
+    in the order given, as its pivot-column order."""
+    return [int(c) for _, c in reference_eliminate(code.x_stabs.packed().data, seeds)]
 
 
 def dense_rank(a: np.ndarray) -> int:

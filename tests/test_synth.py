@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies
 
-from conftest import (circuit_oracle, dense_code, dense_rank,
+from conftest import (circuit_oracle, dense_code, dense_nullspace, dense_rank,
                       dense_reconstruction, full_reconstruction, hgp_code,
                       packed, random_css_code, regular_checks,
-                      reverse_pivot_right_inverse)
+                      reverse_pivot_right_inverse, seed_profile)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
 from fdsc.synth import (FdscCircuit, IncompatibleStrategy, InvalidSubset,
@@ -110,6 +111,44 @@ def test_xcube_subset_closed_form(L):
     s = tree_select(css.build_xcube(L), "xcube_dual_trees")
     assert s.dtype == np.int64 and s.tolist() == want
     assert len(s) == (L - 1) ** 2 * (L + 2)
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_xcube_subset_is_the_seed_profile_of_all_of_a(L):
+    # eliminating A restricted to the sorted seeds keeps the seeds that the
+    # whole packed A, eliminated over the sorted seeds alone, keeps
+    code = css.build_xcube(L)
+    v, h = np.indices((L, L, L)).reshape(3, -1), np.indices((L, L)).reshape(2, -1)
+    seeds = np.sort(np.concatenate((css.qubit_index("xcube", L, *v, 2),
+                                    css.qubit_index("xcube", L, 0, *h, 0),
+                                    css.qubit_index("xcube", L, h[0], 0, h[1], 1))))
+    assert synth.xcube_dual_qubits(code).tolist() == seed_profile(code, seeds)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_greedy_keeps_the_qubits_that_raise_the_rank(case, seed):
+    """Greedy in its scan order (index order, or the seeded shuffle) keeps
+    exactly the qubits whose A-row raises the rank of those kept, on codes
+    with repeated and dependent X generators and qubits in no X generator."""
+    rng = np.random.default_rng(3400 + case)
+    n = int(rng.integers(4, 25))
+    live = rng.permutation(n)[:int(rng.integers(2, n))]   # the rest: in no X generator
+    a = np.zeros((n, int(rng.integers(2, 6))), dtype=np.uint8)
+    a[live] = rng.random((live.size, a.shape[1])) < 0.4
+    a[live[0]] = 1   # no empty generator
+    a = np.column_stack([a, a[:, 0], a[:, 0] ^ a[:, 1]])
+    a = a[:, a.any(axis=0)]
+    code = dense_code(a, dense_nullspace(a.T).T)
+    order = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    kept = []
+    for q in order:
+        if dense_rank(a[kept + [q]]) > len(kept):
+            kept.append(q)
+    assert dense_rank(a) < a.shape[1] and not a.any(axis=1).all()   # as drawn
+    assert greedy_select(code, seed).tolist() == sorted(kept)
 
 
 def test_reconstruction_ghz_all_ones():
