@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--strategy", required=True)
     pc.add_argument("--sizes", required=True)
     pc.add_argument("--seed", type=integer, default=None)
-    pc.add_argument("--verify-upto", type=integer, default=0, dest="verify_upto")
+    pc.add_argument("--verify-upto", type=integer, default=float("inf"),
+                    dest="verify_upto", help="verify sizes <= this (default: all)")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_scaling)
 

@@ -452,7 +452,7 @@ def parse_code(text: str | bytes) -> CssCode:
     Malformed input is rejected, never repaired: indices must be JSON
     integers (``index_lists``), each support list strictly increasing
     within the register (checked by ``CssCode``), and a ghz/toric/xcube/haah
-    tag must name exactly the code ``build_family`` gives for its size.
+    tag must name exactly the ``build_family`` code of its size: that one is returned.
     """
     version, n, xs, zs, family, params = load_json(
         text, "version", "n_qubits", "x_stabs", "z_stabs", family="custom",
@@ -463,15 +463,17 @@ def parse_code(text: str | bytes) -> CssCode:
         raise ParseError("n_qubits must be a positive integer")
     if not isinstance(params, dict):
         raise ParseError("params must be a JSON object")
-    code = CssCode(n, Supports(n, *index_lists("x_stabs", xs)),
-                   Supports(n, *index_lists("z_stabs", zs)),
-                   family=family, params=params)
-    size = params.get("n" if family == "ghz" else "L")
+    x, z = (Supports(n, *index_lists(*f)) for f in (("x_stabs", xs), ("z_stabs", zs)))
+    size, fault = params.get("n" if family == "ghz" else "L"), None
     try:  # qubit count first: never build a family far larger than the file
-        if family != "custom" and not (
-                type(size) is int and math.prod(SHAPES[family](size)) == n
-                and code == build_family(family, size)):
-            raise ParseError(f"not the {family} code that its params name")
+        if (family in tuple(SHAPES) and type(size) is int
+                and math.prod(SHAPES[family](size)) == n):
+            code = build_family(family, size)   # built and checked once
+            if (code.x_stabs, code.z_stabs, code.params) == (x, z, params):
+                return code
     except InvalidSize as e:
-        raise ParseError(str(e)) from e
+        fault = e
+    code = CssCode(n, x, z, family=family, params=params)   # its own fault first
+    if family != "custom":
+        raise ParseError(str(fault or f"not the {family} code that its params name"))
     return code

@@ -3,10 +3,11 @@ reconstruction, verification), the full reconstruction matrix from its
 rows off S, a two-scan packed elimination kernel (and on it, the rank
 profile of a scan order over the whole packed A), the right inverse with
 the reverse pivot order, a two-vector state-vector oracle, a per-gate
-circuit check, the per-entry code-file rules, codes and packed matrices
-from dense arrays, random codes (small ones, and hypergraph products of
-random regular classical codes), and the hypothesis profile every
-property runs under.
+circuit check, the per-entry code-file rules, the code reader that
+built a tagged family twice, codes and packed matrices from dense
+arrays, random codes (small ones, and hypergraph products of random
+regular classical codes), and the hypothesis profile every property
+runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from hypothesis import settings
@@ -199,6 +201,34 @@ def support_lists_ok(n: int, lists) -> bool:
         and all(type(q) is int for q in sup)
         and all(a < b for a, b in itertools.pairwise([-1, *sup, n]))
         for sup in lists)
+
+
+def reference_parse_code(text) -> css.CssCode:
+    """``css.parse_code`` as it read a family-tagged file before: the
+    file's own ``CssCode`` first, then, for a tag, a second code from
+    ``build_family`` compared with it; a size below the family minimum
+    only once the file's own checks pass."""
+    version, n, xs, zs, family, params = css.load_json(
+        text, "version", "n_qubits", "x_stabs", "z_stabs", family="custom",
+        params={})
+    if type(version) is not int or version != 1:
+        raise css.ParseError(f"unsupported version {version!r}")
+    if type(n) is not int or n <= 0:
+        raise css.ParseError("n_qubits must be a positive integer")
+    if not isinstance(params, dict):
+        raise css.ParseError("params must be a JSON object")
+    code = css.CssCode(n, css.Supports(n, *css.index_lists("x_stabs", xs)),
+                       css.Supports(n, *css.index_lists("z_stabs", zs)),
+                       family=family, params=params)
+    size = params.get("n" if family == "ghz" else "L")
+    try:
+        if family != "custom" and not (
+                type(size) is int and math.prod(css.SHAPES[family](size)) == n
+                and code == css.build_family(family, size)):
+            raise css.ParseError(f"not the {family} code that its params name")
+    except css.InvalidSize as e:
+        raise css.ParseError(str(e)) from e
+    return code
 
 
 def random_css_code(rng: np.random.Generator, n_max: int = 30) -> css.CssCode:

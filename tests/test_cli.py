@@ -402,7 +402,7 @@ def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
     assert [r[2] for r in rows] == ["2", "4", "8"]
     assert len({tuple(r[:2] + r[3:]) for r in rows}) == 1   # wall_ms too
     calls.clear()
-    rc, _, _ = run(capsys, *argv)
+    rc, _, _ = run(capsys, *argv, "--verify-upto", "0")
     assert rc == 0 and calls == ["synth"]
 
     def failing(code, circ):
@@ -415,6 +415,24 @@ def test_scaling_runs_a_file_code_once(tmp_path, monkeypatch, capsys):
     assert rc == 1 and calls == ["synth", "verify"]
     assert [line.split()[1] for line in err.splitlines()] == ["2", "4"]
     assert json.loads(stdout.splitlines()[-1]) == {"rows": 1, "failures": 2}
+
+
+def test_scaling_verifies_every_size_by_default(monkeypatch, capsys):
+    # with no --verify-upto every size is verified, and each failing size
+    # is reported as with an explicit bound at or above it
+    calls = count_runs(monkeypatch)
+    argv = ("scaling", "--code", "toric", "--strategy", "toric_comb",
+            "--sizes", "4,2,3")
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 0 and err == "" and calls == ["synth", "verify"] * 3
+    assert json.loads(stdout.splitlines()[-1])["rows"] == 3
+    monkeypatch.setattr(cli.verify, "verify_circuit",
+                        lambda code, circ: verify.VerifyReport(False, (0,), (), 1))
+    outputs = [run(capsys, *argv, *bound) for bound in ((), ("--verify-upto", "4"))]
+    assert outputs[0] == outputs[1]
+    rc, stdout, err = outputs[0]
+    assert rc == 1 and [line.split()[1] for line in err.splitlines()] == ["2", "3", "4"]
+    assert json.loads(stdout.splitlines()[-1]) == {"rows": 0, "failures": 3}
 
 
 def test_scaling_counts_only_verification_failures(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import unittest.mock
 from collections import Counter
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import event, given, settings, strategies
 
 from conftest import (dense_code, dense_nullspace, dense_product, dense_rank,
-                      dense_supports, packed, random_css_code, support_lists_ok)
+                      dense_supports, packed, random_css_code,
+                      reference_parse_code, support_lists_ok)
 from fdsc import css, gf2, groups, synth
 from fdsc.css import CommutationViolation, InvalidSize, ParseError
 
@@ -451,6 +453,110 @@ def test_parse_code_rejects_instead_of_repairing(change):
 def test_parse_code_accepts_matching_tag():
     code = css.parse_code(json.dumps({**GHZ3, "family": "ghz", "params": {"n": 3}}))
     assert code == css.build_ghz(3)
+
+
+def _size_key(doc) -> str:
+    return "n" if doc["family"] == "ghz" else "L"
+
+
+def _sized(doc, change):
+    """``doc`` with its tag's size changed by ``change``."""
+    key = _size_key(doc)
+    return {**doc, "params": {key: change(doc["params"][key])}}
+
+
+def _resized(doc, size, valid):
+    """``doc`` tagged with ``size`` on that size's qubit count, keeping its
+    own supports or, if ``valid``, a GHZ-like code that fits the register."""
+    n = math.prod(css.SHAPES[doc["family"]](size))
+    new = {**doc, "n_qubits": n, "params": {_size_key(doc): size}}
+    if valid:
+        new.update(x_stabs=[list(range(n))], z_stabs=[[0, 1]] if n > 1 else [])
+    return new
+
+
+def _ends_swapped(rows):
+    return [rows[-1], *rows[1:-1], rows[0]] if len(rows) > 1 else rows
+
+
+MINIMUM = {"ghz": 1, "toric": 1, "xcube": 1, "haah": 0}   # one below each minimum
+
+
+# One change each to a family's own code file, as a new document.
+FILE_MUTATIONS = {
+    "unchanged": lambda d: d,
+    "entry changed": lambda d: {**d, "x_stabs": [d["x_stabs"][0][:-1]
+                                                 + [d["x_stabs"][0][-1] + 1]]
+                                + d["x_stabs"][1:]},
+    "entry repeated": lambda d: {**d, "x_stabs": [d["x_stabs"][0][:1] + d["x_stabs"][0]]
+                                 + d["x_stabs"][1:]},
+    "entry dropped": lambda d: {**d, "x_stabs": [d["x_stabs"][0][:-1]] + d["x_stabs"][1:]},
+    "entry out of range": lambda d: {**d, "z_stabs": d["z_stabs"][:-1]
+                                     + [d["z_stabs"][-1][:-1] + [d["n_qubits"]]]},
+    "generator dropped": lambda d: {**d, "x_stabs": d["x_stabs"][1:]},
+    "supports swapped": lambda d: {**d, "z_stabs": _ends_swapped(d["z_stabs"])},
+    "x and z swapped": lambda d: {**d, "x_stabs": d["z_stabs"], "z_stabs": d["x_stabs"]},
+    "params key added": lambda d: {**d, "params": {**d["params"], "note": 1}},
+    "size missing": lambda d: {**d, "params": {}},
+    "size a float": lambda d: _sized(d, float),
+    "size a boolean": lambda d: _sized(d, lambda v: True),
+    "size plus one": lambda d: _sized(d, lambda v: v + 1),
+    "size minus one": lambda d: _sized(d, lambda v: v - 1),
+    "size negated": lambda d: _sized(d, lambda v: -v),
+    "size and qubits plus one": lambda d: _resized(d, d["params"][_size_key(d)] + 1, False),
+    "below minimum, own supports": lambda d: _resized(d, MINIMUM[d["family"]], False),
+    "below minimum, valid supports": lambda d: _resized(d, MINIMUM[d["family"]], True),
+    "unknown tag": lambda d: {**d, "family": "bogus"},
+    "tag not a string": lambda d: {**d, "family": [d["family"]]},
+    "another family's tag": lambda d: {**d, "family": "toric" if d["family"] == "ghz"
+                                       else "ghz"},
+    "custom tag": lambda d: {**d, "family": "custom"},
+    "anticommuting supports": lambda d: {**d, "z_stabs": [[d["x_stabs"][0][0]],
+                                                          *d["z_stabs"][1:]]},
+}
+
+FAMILY_FILES = [("ghz", 3), ("ghz", 5), ("toric", 2), ("toric", 3), ("xcube", 2),
+                ("xcube", 3), ("haah", 1), ("haah", 2)]
+
+
+def read_outcome(read, text):
+    """The code ``read`` returns, or the class and message it raises."""
+    try:
+        return read(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("mutation", sorted(FILE_MUTATIONS))
+@pytest.mark.parametrize("family, size", FAMILY_FILES)
+def test_parse_code_matches_the_reader_that_built_twice(family, size, mutation):
+    # reading a tagged file as the family it names changes no outcome:
+    # the same code, or the same exception class and message, in the
+    # same order of faults
+    doc = FILE_MUTATIONS[mutation](json.loads(css.serialize_code(
+        css.build_family(family, size))))
+    text = json.dumps(doc).encode()
+    got, want = read_outcome(css.parse_code, text), read_outcome(reference_parse_code, text)
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("family, size", FAMILY_FILES)
+def test_parse_code_checks_one_code_per_file(family, size, monkeypatch):
+    # a tagged file is the family's own code, built and checked once; a
+    # custom file is its own code, checked once (the reader that compared
+    # a second build ran the checks twice on a tagged file)
+    real, calls = css.CssCode.__post_init__, []
+    monkeypatch.setattr(css.CssCode, "__post_init__",
+                        lambda self: calls.append(self.family) or real(self))
+    code = css.build_family(family, size)
+    tagged = css.serialize_code(code).encode()
+    custom = json.dumps({**json.loads(tagged), "family": "custom", "params": {}})
+    own = css.CssCode(code.n_qubits, code.x_stabs, code.z_stabs)
+    for read, text, want, checks in ((css.parse_code, tagged, code, [family]),
+                                     (css.parse_code, custom, own, ["custom"]),
+                                     (reference_parse_code, tagged, code, [family] * 2)):
+        calls.clear()
+        assert read(text) == want and calls == checks
 
 
 def test_supports_are_small_and_read_only():
