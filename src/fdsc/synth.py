@@ -11,6 +11,7 @@ one-layer circuit, and only those rows are stored.
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -425,19 +426,19 @@ def _number_table(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table.view(f"V{8 * width}")[..., 0], ends
 
 
-def _circuit_pieces(circ: FdscCircuit):
-    """The circuit file's length, then the file as compact JSON with
-    sorted keys, in bytes-like pieces.
+def serialize_circuit(circ: FdscCircuit) -> bytearray:
+    """The circuit file's bytes, compact JSON with sorted keys, in one
+    buffer allocated once at the file's length.
 
     "gates" sorts first, so it is written in front of the rest of the
     document, which ``css.dump_json`` writes.  Its bytes are gathered from
     ``_number_table``, a gate (c, t) being row 0's item c and row 1's t,
     over 0..the largest gate qubit, or the used qubits only unless that
     range ``_table_fits``.  ``css.BLOCK`` qubits at a time, each row is
-    gathered by one flat ``np.take`` into a (block, 2) array, whose bytes
-    make a piece, NULs dropped, the first gate's comma skipped by a
-    memoryview.  A gate writes 4 bytes and a digit a qubit, one more a power
-    of ten reached (binary searches: powers in controls, targets in powers).
+    gathered by one flat ``np.take`` into a (block, 2) array, whose bytes,
+    NULs dropped (and the first gate's comma), are copied into the buffer.
+    A gate writes 4 bytes and a digit a qubit, one more a power of ten
+    reached (binary searches: powers in controls, targets in powers).
     """
     rest = css.dump_json({"version": 1, "n_qubits": circ.n_qubits, "metadata": circ.metadata,
                           "plus_qubits": circ.plus_qubits.tolist()}).encode()
@@ -453,30 +454,20 @@ def _circuit_pieces(circ: FdscCircuit):
     c, t = index.T
     digits = index.size + int((len(c) - np.searchsorted(c, cuts)).sum() + sum(
         np.searchsorted(cuts, t[lo:lo + half], "right").sum() for lo in range(0, len(t), half)))
-    yield 11 + max(digits + 4 * len(index) - 1, 0) + len(rest)
-    yield b'{"gates":['
+    out = bytearray(11 + max(digits + 4 * len(index) - 1, 0) + len(rest))
+    view, pos = memoryview(out), 10
+    view[:pos] = b'{"gates":['
     for lo in range(0, len(index), half):
         rows = np.empty((len(t[lo:lo + half]), 2), table.dtype)
         for k, column in enumerate((c, t)):   # in range, so "clip" never clips
             np.take(table[k], column[lo:lo + half], out=rows[:, k], mode="clip")
         piece = rows.tobytes()
         del rows   # freed before the piece is translated
-        piece = piece.translate(None, b"\0")
-        yield memoryview(piece)[1:] if lo == 0 else piece
-        del piece   # not held while the next block is gathered
-    yield b"],"
-    yield memoryview(rest)[1:]   # its "{" dropped
-
-
-def serialize_circuit(circ: FdscCircuit) -> bytearray:
-    """The circuit file's bytes: each piece of ``_circuit_pieces`` copied,
-    as it is made, into one buffer allocated once at the file's length."""
-    pieces = _circuit_pieces(circ)
-    out, pos = bytearray(next(pieces)), 0
-    for piece in pieces:
-        memoryview(out)[pos:pos + len(piece)] = piece   # no copy of the piece first
+        piece = memoryview(piece.translate(None, b"\0"))[lo == 0:]   # less the first comma
+        view[pos:pos + len(piece)] = piece
         pos += len(piece)
-        del piece   # freed before the next piece is gathered
+        del piece   # not held while the next block is gathered
+    view[pos:pos + 2], view[pos + 2:] = b"],", memoryview(rest)[1:]   # its "{" dropped
     return out
 
 
@@ -496,37 +487,66 @@ def _fields(text: str | bytes):
     return n, css.index_lists("plus_qubits", [plus])[1], gates, meta
 
 
-def _read_canonical(data: bytes | bytearray) -> Optional[FdscCircuit]:
-    """The circuit whose file ``serialize_circuit`` writes as ``data``
-    (less one trailing newline), or None.  The gates section, up to the
-    first quote, is decoded by ``np.fromstring`` with its brackets gone,
-    into an array sized once by its commas; the rest by ``css.load_json``.
-    Any bytes that do not write back the same (the writer's length, then
-    each of its pieces compared in place) may have been misread (a number
-    missing leaves an entry unset), so the round trip is the one check."""
-    if not data.startswith(b'{"gates":['):
-        return None
-    end = data.find(b'"', 10)   # of "metadata", the key after "gates"
-    numbers = bytes(memoryview(data)[10:end - 2]).translate(None, b"[]")
-    with warnings.catch_warnings():   # a bad number raises (older numpy warns)
+_KEY = re.compile(rb'"gates"[ \t\n\r]*:[ \t\n\r]*\[')
+_PAIR = np.frombuffer(b"[,],", np.uint32)
+
+
+def _read_array(data: bytes | bytearray) -> FdscCircuit:
+    """The circuit in the JSON document ``data``, its gates decoded by one
+    ``np.fromstring``, or ValueError where that could misread them.  The
+    gates value is the array at the first "gates" key outside strings (a
+    quote after an even run of backslashes delimits one) at depth 1, up to
+    the last "]" before the next quote.  Less digits and whitespace it is
+    "[", m "[,]" joined by ",", "]"; its digits form 2m runs; less brackets
+    and whitespace it ends in a digit (an empty last slot would be left
+    unset; one before it raises); the numbers, below 10^18 (none saturated),
+    take every digit (no leading zero).  No sign, not even in -0.  The rest,
+    the value replaced by "[]", is read by ``_fields``, so it is valid JSON,
+    on which the search is right."""
+    pos = delims = depth = 0
+    while True:   # ValueError once no "gates" is left
+        key = data.index(b'"gates"', pos)
+        head = data[pos:key + 1].replace(b"\\\\", b"__").replace(b'\\"', b"__")
+        parts, pos = head.split(b'"'), key + 1
+        depth += sum(p.count(b"[") + p.count(b"{") - p.count(b"]") - p.count(b"}")
+                     for p in parts[delims & 1::2])
+        delims += len(parts) - 1
+        if (value := _KEY.match(data, key)) and depth == 1 and head[-1:] == b'"':
+            break
+    a, quote = value.end() - 1, data.find(b'"', value.end())   # the value ends before it
+    b = data.rfind(b"]", a, quote if quote >= 0 else len(data)) + 1
+    span = bytes(memoryview(data)[a:b])
+    skeleton = span.translate(None, b"0123456789 \t\n\r")   # "[", m "[,]" joined by ",", "]"
+    m = len(skeleton) // 4
+    if not (skeleton == b"[]" or skeleton[:1] + skeleton[4 * m - 3:] == b"[[,]]"
+            and (np.frombuffer(skeleton, np.uint32, m - 1, 1) == _PAIR).all()):
+        raise ValueError("not a list of pairs of unsigned integers")
+    del skeleton   # not held beside the numbers
+    numbers = span.translate(None, b"[] \t\n\r")
+    digits, code = len(numbers) - max(2 * m - 1, 0), np.frombuffer(span, np.uint8)
+    if numbers[-1:].isdigit() != (m > 0) or len(span) > len(numbers) + 2 * m + 2 and 4 * m != sum(
+            int(np.count_nonzero(np.diff(code[max(lo - 1, 0):lo + css.BLOCK] - 48 < 10)))
+            for lo in range(0, len(span), css.BLOCK)):   # whitespace, none in a number
+        raise ValueError("an empty last slot, or whitespace in a number")
+    del span, code
+    with warnings.catch_warnings():   # an empty slot raises (older numpy warns)
         warnings.simplefilter("error")
-        flat = np.fromstring(numbers, np.int64, numbers.count(b",") + bool(numbers), sep=",")
-    del numbers
-    n, plus, _, meta = _fields(b'{"gates":[],' + data[end:])
-    circ = FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
-    pieces, pos = _circuit_pieces(circ), 0
-    if next(pieces) != len(data) - data.endswith(b"\n"):   # the file's length
-        return None
-    for piece in pieces:   # the written bytes, a piece at a time
-        if not data.startswith(piece, pos):
-            return None
-        pos += len(piece)
-    return circ   # pos is the length, so data[pos:] is b"" or b"\n"
+        flat = np.fromstring(numbers, np.int64, 2 * m, sep=",")
+    del numbers   # not held beside the circuit check
+    top = int(flat.max(initial=0))
+    if top >= 10 ** 18 or digits != flat.size + sum(
+            int(np.count_nonzero(flat[lo:lo + css.BLOCK] >= cut))
+            for lo in range(0, flat.size, css.BLOCK)
+            for cut in 10 ** np.arange(1, len(str(top)), dtype=np.int64)):
+        raise ValueError("a number of 10^18 or more, or with a leading zero")
+    n, plus, _, meta = _fields(data[:a] + b"[]" + data[b:])
+    return FdscCircuit(n, plus, flat.reshape(-1, 2), meta)
 
 
 def _read_general(text: str | bytes) -> FdscCircuit:
     """The circuit in any JSON document, through ``css.load_json`` and
-    ``css.index_lists``, or ParseError."""
+    ``css.index_lists``, or ParseError: the reading ``parse_circuit``
+    matches, and the one that words every rejection."""
     n, plus, gates, meta = _fields(text)
     pairs = css.index_lists("gates", gates, width=2)[1].reshape(-1, 2)
     try:
@@ -538,19 +558,14 @@ def _read_general(text: str | bytes) -> FdscCircuit:
 def parse_circuit(text: str | bytes | bytearray | memoryview) -> FdscCircuit:
     """Parse the JSON circuit format, from UTF-8 bytes or str.  Malformed input
     is rejected, never repaired: every qubit index must be an integer and
-    every gate a pair.
-
-    A canonical file, the exact bytes ``serialize_circuit`` writes (a str
-    is encoded once), is read by a round trip through the writer
-    (``_read_canonical``).  Any other input, and any canonical reading
-    that fails, is read by ``_read_general``; so every input is accepted
-    as the same circuit, or rejected with the same message, as by
-    ``_read_general`` alone.  MemoryError is not retried."""
-    try:   # a memoryview, which has no bytes methods, is copied
-        circ = _read_canonical(text.encode() if isinstance(text, str) else
-                               bytes(text) if isinstance(text, memoryview) else text)
+    every gate a pair.  ``_read_array`` reads any layout (a str encoded
+    once, a memoryview copied), ``_read_general`` what it declines: so the
+    circuit or ParseError message is ``_read_general``'s alone.
+    MemoryError is not retried."""
+    try:
+        return _read_array(text.encode() if isinstance(text, str) else
+                           bytes(text) if isinstance(text, memoryview) else text)
     except MemoryError:
         raise
     except Exception:   # whatever went wrong, the general path words it
-        circ = None
-    return _read_general(text) if circ is None else circ
+        return _read_general(text)

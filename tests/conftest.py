@@ -4,10 +4,10 @@ rows off S, a two-scan packed elimination kernel (and on it, the rank
 profile of a scan order over the whole packed A), the right inverse with
 the reverse pivot order, a two-vector state-vector oracle, a per-gate
 circuit check, the per-entry code-file rules, the code reader that
-built a tagged family twice, codes and packed matrices from dense
-arrays, random codes (small ones, and hypergraph products of random
-regular classical codes), and the hypothesis profile every property
-runs under.
+built a tagged family twice, the layouts a JSON tool gives a circuit
+document, codes and packed matrices from dense arrays, random codes
+(small ones, and hypergraph products of random regular classical
+codes), and the hypothesis profile every property runs under.
 
 The dense helpers deliberately avoid the packed kernels in fdsc.gf2 so they
 can serve as independent cross-checks.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -229,6 +230,18 @@ def reference_parse_code(text) -> css.CssCode:
     except css.InvalidSize as e:
         raise css.ParseError(str(e)) from e
     return code
+
+
+def layouts(text: str):
+    """(name, text) for four layouts of the compact, sorted-key JSON
+    document ``text``: "canonical" (itself), "json.dumps" (its default
+    separators), "indent=1", and "gates last" (keys reversed, indented by
+    one)."""
+    doc = json.loads(text)
+    yield "canonical", text
+    yield "json.dumps", json.dumps(doc)
+    yield "indent=1", json.dumps(doc, indent=1)
+    yield "gates last", json.dumps(dict(reversed(doc.items())), indent=1)
 
 
 def random_css_code(rng: np.random.Generator, n_max: int = 30) -> css.CssCode:

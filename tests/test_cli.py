@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies
 
+from conftest import layouts
 from fdsc import cli, css, gf2, groups, synth, verify
 
 
@@ -139,22 +140,26 @@ def test_verify_rejects_out_of_order_circuit(tmp_path, capsys, field):
     assert err.endswith(" out of increasing order\n") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("drop", [None, 5])
-def test_verify_reads_any_layout_of_a_circuit_alike(tmp_path, capsys, drop):
-    # a canonical file and the same document re-written with indents give
-    # the same report and exit code, passing or (one gate dropped) failing
+@pytest.mark.parametrize("change", [None, 5, "repeat"])
+def test_verify_reads_any_layout_of_a_circuit_alike(tmp_path, capsys, change):
+    # a canonical file and the same document laid out by a JSON tool give
+    # the same report, errors and exit code: passing, failing (gate 5
+    # dropped) or rejected (gate 5 repeated)
     code = css.build_toric(6)
-    circ = synth.synthesize(code, "toric_comb")
-    if drop is not None:
-        circ = synth.FdscCircuit(circ.n_qubits, circ.plus_qubits,
-                                 np.delete(circ.pairs, drop, axis=0))
-    canonical, indented = tmp_path / "canonical.json", tmp_path / "indented.json"
-    canonical.write_bytes(synth.serialize_circuit(circ) + b"\n")
-    indented.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
-    results = [run(capsys, "verify", "--circuit", str(path), "--code", "toric",
-                   "--size", "6") for path in (canonical, indented)]
-    assert results[0] == results[1]
-    assert results[0][0] == (0 if drop is None else 1)
+    doc = json.loads(synth.serialize_circuit(synth.synthesize(code, "toric_comb")))
+    if change == 5:
+        del doc["gates"][5]
+    elif change == "repeat":
+        doc["gates"].insert(5, doc["gates"][5])
+    results = []
+    for name, text in layouts(css.dump_json(doc)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text + "\n")
+        results.append(run(capsys, "verify", "--circuit", str(path), "--code",
+                           "toric", "--size", "6"))
+    assert results[1:] == results[:1] * 3
+    assert results[0][0] == {None: 0, 5: 1, "repeat": 2}[change]
+    assert ("repeated; equal CX gates cancel" in results[0][2]) == (change == "repeat")
 
 
 def test_verify_truncated_canonical_file_is_invalid_json(tmp_path, capsys):

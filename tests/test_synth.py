@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings, strategies
 
 from conftest import (circuit_oracle, dense_code, dense_nullspace, dense_rank,
                       dense_reconstruction, full_reconstruction, hgp_code,
-                      packed, random_css_code, regular_checks,
+                      layouts, packed, random_css_code, regular_checks,
                       reverse_pivot_right_inverse, seed_profile)
 from fdsc import css, gf2, synth
 from fdsc.gf2 import BitMatrix
@@ -597,7 +597,7 @@ def test_blocked_emit_matches_one_block(monkeypatch, family, size, strategy):
         assert all(hi - lo == 1 or np.bitwise_count(mt.data[lo:hi]).sum() <= block
                    for lo, hi in bounds)
         assert synth.serialize_circuit(want) == text
-        assert synth._read_canonical(text) == want
+        assert synth._read_array(text) == want
 
 
 def test_emit_rejects_m_not_s_by_the_rest():
@@ -984,19 +984,37 @@ def read_outcome(read, text):
         return f"ParseError: {e}"
 
 
+# Kinds of valid document the array path leaves to the general path, as
+# it does one that spells -0 (the "-0" kind, or a sign before a 0).
+LEFT_TO_GENERAL = ("escaped gates key", "19 digits")
+
+# Metadata that tells the top-level "gates" key from strings and nested
+# keys: "gates" in a string between escaped quotes, runs of backslashes, a
+# string ending in two, and a nested object's own "gates".  An odd number
+# of quotes are escaped, and one closing quote follows a backslash pair, so
+# misreading either kind shifts every string after it.
+DECOYS = {"ends": "\\", "nested": {"gates": [[0, 5]]},
+          "note": '"gates": [[0,5]] \\ \\\\" x'}
+
+
 @strategies.composite
 def mutated_documents(draw):
-    """A canonical circuit document with one mutation: text inserted or
-    cut at a drawn place, or the document rewritten with its gates or its
-    keys changed."""
+    """(kind, text): a canonical circuit document with one mutation of that
+    kind: text inserted or cut at a drawn place, a gate's slots spelled as
+    ``np.fromstring`` misreads them, a number changed, the document in
+    another layout, or rewritten with its gates or its keys changed."""
     text = draw(strategies.sampled_from(CANONICAL))
     doc = json.loads(text)
     gates = doc["gates"]
     end = text.index('"metadata"') - 1   # the comma after the gates section
     numbers = [m.start() for m in re.finditer(r"(?<=[\[,:])\d", text)]
     at = draw(strategies.sampled_from(numbers))
+    size = re.match(r"\d+", text[at:]).end()
+    pairs = list(re.finditer(r"\[(\d+),(\d+)\]", text[:end]))
     kind = draw(strategies.sampled_from([
-        "none", "whitespace", "leading zero", "sign", "20 digits", "swapped keys",
+        "none", "whitespace", "leading zero", "sign", "-0", "18 digits", "19 digits",
+        "20 digits", "blank slot", "empty slot", "zero and blank", "split number",
+        "form feed", "layout", "decoys", "regrouped", "escaped gates key", "swapped keys",
         "repeated gates key", "truncated gates", "repeated gate", "reordered gate",
         "no gates", "after the newline"]))
     event(kind)
@@ -1006,10 +1024,32 @@ def mutated_documents(draw):
     elif kind in ("leading zero", "sign"):
         text = text[:at] + draw(strategies.sampled_from(
             ["0"] if kind == "leading zero" else ["-", "+", "-0"])) + text[at:]
-    elif kind == "20 digits":
-        digits = str(draw(strategies.integers(10 ** 19, 10 ** 20 - 1)))
-        size = re.match(r"\d+", text[at:]).end()
-        text = text[:at] + digits + text[at + size:]
+    elif kind == "-0":
+        text = text[:at] + "-0" + text[at + size:]
+    elif kind.endswith(" digits"):   # 10^17 .. 10^20 - 1; int64 ends at 9.2 * 10^18
+        digits = int(kind[:2])
+        number = str(draw(strategies.integers(10 ** (digits - 1), 10 ** digits - 1)))
+        text = text[:at] + number + text[at + size:]
+    elif kind in ("blank slot", "empty slot", "zero and blank", "split number",
+                  "form feed") and pairs:
+        # [[c, ]] [[c,]] [[0c, ]] [[1 c,t]] [[c,t\f]]
+        pair = draw(strategies.sampled_from([pairs[-1], *pairs]))   # the last one often
+        c, t = pair.groups()
+        spelled = {"blank slot": f"[{c}, ]", "empty slot": f"[{c},]",
+                   "zero and blank": f"[0{c}, ]", "split number": f"[1 {c},{t}]",
+                   "form feed": f"[{c},{t}\f]"}[kind]
+        text = text[:pair.start()] + spelled + text[pair.end():]
+    elif kind == "layout":
+        text = draw(strategies.sampled_from([t for _, t in layouts(text)]))
+    elif kind == "decoys":   # before the gates key, in a layout that puts it last
+        doc["metadata"] = {**doc["metadata"], **DECOYS}
+        doc['x"gates'] = [[0, 5]]   # "gates" behind an escaped quote, then a colon
+        text = dict(layouts(css.dump_json(doc)))["gates last"]
+    elif kind == "regrouped" and len(gates) > 2:   # [[a,b,c],[d],[e,f],...]
+        flat = [q for gate in gates for q in gate]
+        text = css.dump_json({**doc, "gates": [flat[:3], flat[3:4], *gates[2:]]})
+    elif kind == "escaped gates key":
+        text = text.replace('"gates"', '"g\\u0061tes"', 1)
     elif kind == "swapped keys":
         keys = draw(strategies.permutations(sorted(doc)))
         text = json.dumps({k: doc[k] for k in keys}, separators=(",", ":"))
@@ -1032,43 +1072,79 @@ def mutated_documents(draw):
         text = css.dump_json({**doc, "gates": []})
     elif kind == "after the newline":
         text += "\n" + draw(strategies.sampled_from(["", "\n", " ", "x", "{}"]))
-    return text
+    return kind, text
 
 
 @settings(max_examples=400)
-@given(text=mutated_documents())
-def test_reader_paths_agree_on_mutated_documents(text):
-    # the round trip through the writer reads a text as the general path
-    # does, or declines it; parse_circuit answers as the general path
+@given(case=mutated_documents())
+def test_reader_paths_agree_on_mutated_documents(case):
+    # the array path reads a text as the general path does, or declines
+    # it; parse_circuit answers as the general path
+    kind, text = case
     want = read_outcome(synth._read_general, text)
     assert read_outcome(synth.parse_circuit, text) == want
     assert read_outcome(synth.parse_circuit, text.encode()) == want
     try:
-        fast = synth._read_canonical(text.encode())
-    except Exception:
+        fast = synth._read_array(text.encode())
+    except ValueError:   # css.ParseError too
         fast = None
-    event(f"round trip took it: {fast is not None}")
-    # a written file, less one trailing newline, is always taken
-    assert (fast is not None) >= (text.removesuffix("\n") in CANONICAL)
+    event(f"array path took it: {fast is not None}")
     if fast is not None:
         assert fast == want
+    # it takes every valid document but those it may leave on purpose
+    if isinstance(want, FdscCircuit) and kind not in LEFT_TO_GENERAL and "-0" not in text:
+        assert fast is not None
 
 
-def test_canonical_files_never_take_the_general_path(monkeypatch):
-    # every family's written file, with or without the newline the CLI
-    # adds, as bytes, any bytes-like copy or text, is read by the round
-    # trip alone
-    def general(text):
-        raise AssertionError("the general path ran on a canonical file")
-    monkeypatch.setattr(synth, "_read_general", general)
-    for text in CANONICAL:
-        circ = json.loads(text)
-        for tail in ("", "\n"):
-            data = (text + tail).encode()
-            for copy in (data, bytearray(data), memoryview(data), text + tail):
-                got = synth.parse_circuit(copy)
-                assert got.gates == tuple(map(tuple, circ["gates"]))
-                assert synth.serialize_circuit(got) == text.encode()
+@pytest.mark.parametrize("gates,misread", [
+    ("[[1, ]]", (1, 0)), ("[[1,]]", (1, 0)), ("[[01, ]]", (1, 0)),   # slot 2 blank
+    ("[[01,]]", (1, 0)),   # or unset, a leading zero making up its digit
+    ("[[0,01]]", (0, 1)), ("[[0,1 2]]", (0, 12)), ("[[0,1\f]]", (0, 1)), ("[[0,+1]]", (0, 1)),
+    ("[[0,1,0],[2],[0,3]]", (0, 1, 0, 2, 0, 3)), ("[[0,99999999999999999999]]", (0, 2 ** 63 - 1))])
+def test_array_path_refuses_what_fromstring_would_misread(gates, misread):
+    # each gates value np.fromstring would read as a valid layer, which the
+    # general path rejects: a blank or empty last slot (read as 0 or left
+    # unset), a leading zero, whitespace or a form feed in a number, a
+    # sign, pairs regrouped, a number saturated past int64
+    n, plus = max(misread) + 1, [misread[0]]
+    FdscCircuit(n, plus, np.reshape(misread, (-1, 2)))   # a valid layer
+    text = '{"gates":%s,"n_qubits":%d,"plus_qubits":%s,"version":1}' % (gates, n, plus)
+    with pytest.raises(ValueError):
+        synth._read_array(text.encode())
+    with pytest.raises(css.ParseError):
+        synth.parse_circuit(text)
+
+
+@pytest.mark.parametrize("gates,target,n", [
+    ('"g\\u0061tes":[[0,1]]', 1, 2), ('"gates":[[-0,1]]', 1, 2),
+    ('"gates":[[0,1000000000000000000]]', 10 ** 18, 10 ** 18 + 1)])
+def test_array_path_leaves_three_spellings_to_the_general_path(gates, target, n):
+    # a "gates" key written with escapes, -0 and a number of 10^18 or more
+    # in the gates value are valid JSON that the array path declines
+    text = '{%s,"n_qubits":%d,"plus_qubits":[0],"version":1}' % (gates, n)
+    with pytest.raises(ValueError):
+        synth._read_array(text.encode())
+    assert synth.parse_circuit(text) == FdscCircuit(n, [0], [(0, target)])
+
+
+def test_every_layout_takes_the_array_path(monkeypatch):
+    # every family's document, its metadata holding "gates" decoys, in each
+    # layout, with or without a final newline, as bytes, any bytes-like
+    # copy or text, is read with neither the general path nor the writer
+    docs = [{**doc, "metadata": {**doc["metadata"], **DECOYS}}
+            for doc in map(json.loads, CANONICAL)]
+    wants = [FdscCircuit(doc["n_qubits"], doc["plus_qubits"], doc["gates"],
+                         doc["metadata"]) for doc in docs]
+    def fail(*args):
+        raise AssertionError("the general path or the writer ran")
+    monkeypatch.setattr(synth, "_read_general", fail)
+    monkeypatch.setattr(synth, "serialize_circuit", fail)
+    for doc, want in zip(docs, wants):
+        for _, text in layouts(css.dump_json(doc)):
+            for tail in ("", "\n"):
+                data = (text + tail).encode()
+                for copy in (data, bytearray(data), memoryview(data), text + tail):
+                    assert synth.parse_circuit(copy) == want
 
 
 def test_lone_surrogate_in_text_is_read_by_the_general_path():
